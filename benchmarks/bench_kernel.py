@@ -1,12 +1,12 @@
 """Kernel micro-benchmarks: APSP, single-source BFS, deviation pricing,
-full best-response computation, one dynamics step — and whole
-dynamics *trajectories* under the dense vs incremental distance
-backends (the engine of ``repro.graphs.incremental``).
+blocks of ``D(G - u)``, full best-response computation, one dynamics
+step — and whole dynamics *trajectories* under the incremental distance
+backend (``repro.graphs.incremental``) against :class:`RebuildBackend`.
 
-These are the quantities the hpc-parallel tuning was aimed at; the APSP
-via layered boolean matmul is the hot path of every experiment, and the
-trajectory benchmark records how much of it the incremental engine
-avoids re-doing.
+The trajectory cells compare against the fastest simple alternative —
+one routed APSP rebuild per query, no memo and no blocks — never
+against the boolean-matmul oracle, which is an order of magnitude
+slower than either.
 
 Run standalone (``python benchmarks/bench_kernel.py``) to emit the
 machine-readable ``BENCH_kernel.json`` baseline at the repo root —
@@ -36,6 +36,7 @@ from repro.core.games import AsymmetricSwapGame, GreedyBuyGame
 from repro.core.policies import MaxCostPolicy
 from repro.graphs import adjacency as adj
 from repro.graphs.generators import random_budget_network, random_m_edge_network
+from repro.graphs.incremental import DenseBackend
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +96,25 @@ def test_unhappy_scan_n50(benchmark, net50):
 
 
 # ---------------------------------------------------------------------------
-# dynamics-trajectory benchmark: dense vs incremental backend
+# dynamics-trajectory benchmark: per-query rebuild vs incremental backend
 # ---------------------------------------------------------------------------
 
 TRAJECTORY_NS = (30, 60, 120)
 TRAJECTORY_SEED = 7
+
+
+class RebuildBackend(DenseBackend):
+    """Every query one routed APSP rebuild: no memo, no blocks."""
+
+    name = "rebuild"
+
+    def full_distances(self, net):
+        return adj.all_pairs_distances_fast(net.A)
+
+    def deviation_distances(self, net, u):
+        mask = np.ones(net.n, dtype=bool)
+        mask[u] = False
+        return adj.all_pairs_distances_fast(net.A, mask=mask)
 
 
 def _trajectory_setup(game_kind: str, n: int):
@@ -121,7 +136,8 @@ def run_trajectory(game_kind: str, n: int, backend: str):
     t0 = time.perf_counter()
     result = run_dynamics(
         game, net, MaxCostPolicy(), seed=TRAJECTORY_SEED,
-        max_steps=max_steps, backend=backend,
+        max_steps=max_steps,
+        backend=RebuildBackend() if backend == "rebuild" else backend,
     )
     return time.perf_counter() - t0, result
 
@@ -133,28 +149,27 @@ def bench_trajectory_cell(game_kind: str, n: int, reps: int = 1) -> dict:
     are deterministic, so repetition only removes scheduler/cache noise;
     equivalence is still asserted on every repetition).
     """
-    dense_s, dense = run_trajectory(game_kind, n, "dense")
+    rebuild_s, rebuild = run_trajectory(game_kind, n, "rebuild")
     inc_s, inc = run_trajectory(game_kind, n, "incremental")
-    assert [(r.agent, r.move) for r in dense.trajectory] == [
+    assert [(r.agent, r.move) for r in rebuild.trajectory] == [
         (r.agent, r.move) for r in inc.trajectory
     ], f"{game_kind} n={n}: backends diverged"
-    assert dense.final.state_key() == inc.final.state_key()
+    assert rebuild.final.state_key() == inc.final.state_key()
     for _ in range(reps - 1):
-        t, rerun = run_trajectory(game_kind, n, "dense")
-        assert rerun.final.state_key() == dense.final.state_key()
-        dense_s = min(dense_s, t)
+        t, rerun = run_trajectory(game_kind, n, "rebuild")
+        assert rerun.final.state_key() == rebuild.final.state_key()
+        rebuild_s = min(rebuild_s, t)
         t, rerun = run_trajectory(game_kind, n, "incremental")
-        assert rerun.final.state_key() == dense.final.state_key()
+        assert rerun.final.state_key() == rebuild.final.state_key()
         inc_s = min(inc_s, t)
     return {
         "game": game_kind,
         "n": n,
-        "steps": dense.steps,
-        "status": dense.status,
-        "dense_s": round(dense_s, 4),
+        "steps": rebuild.steps,
+        "status": rebuild.status,
+        "rebuild_s": round(rebuild_s, 4),
         "incremental_s": round(inc_s, 4),
-        "speedup": round(dense_s / inc_s, 2),
-        "backend_stats": inc.backend_stats,
+        "speedup": round(rebuild_s / inc_s, 2),
     }
 
 
@@ -163,7 +178,7 @@ def bench_trajectory_cell(game_kind: str, n: int, reps: int = 1) -> dict:
 def test_dynamics_trajectory_backends(game_kind, n):
     """Backend equivalence at every grid cell.
 
-    The >=2x speedup floor at n=120 is opt-in (``BENCH_ASSERT_SPEEDUP=1``)
+    The >=1.1x speedup floor over the per-query rebuild at n=120 is opt-in (``BENCH_ASSERT_SPEEDUP=1``)
     so a loaded machine or a no-BLAS numpy cannot fail the *equivalence*
     signal with a perf flake; the standalone ``main()`` run always
     records the measured ratios in BENCH_kernel.json.
@@ -172,8 +187,8 @@ def test_dynamics_trajectory_backends(game_kind, n):
 
     cell = bench_trajectory_cell(game_kind, n)
     if n == 120 and os.environ.get("BENCH_ASSERT_SPEEDUP"):
-        assert cell["speedup"] >= 2.0, cell
-    print(f"\n{game_kind} n={n}: dense {cell['dense_s']}s, "
+        assert cell["speedup"] >= 1.1, cell
+    print(f"\n{game_kind} n={n}: rebuild {cell['rebuild_s']}s, "
           f"incremental {cell['incremental_s']}s ({cell['speedup']}x)")
 
 
@@ -183,7 +198,7 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernel.j
 #: the committed baseline number for the same key.
 REGRESSION_FACTOR = 1.25
 
-#: trajectory cells whose *baseline* dense time is below this are too
+#: trajectory cells whose *baseline* rebuild time is below this are too
 #: fast to time reliably (single-core scheduler noise exceeds the 25%
 #: margin even best-of-6); they are reported but not gated.
 MIN_GATE_SECONDS = 0.1
@@ -201,7 +216,8 @@ def _best_of(fn, reps: int) -> float:
 
 
 def _kernel_micro(reps: int) -> dict:
-    """The kernel micro-benchmarks: reference, BLAS-layered, bit-packed."""
+    """The kernel micro-benchmarks: reference, BLAS-layered, bit-packed
+    APSP, and bit-packed blocks of 8 and 32 agents' ``D(G - u)``."""
     from repro.graphs import bitkernel
 
     net = random_budget_network(100, 3, seed=1)
@@ -209,10 +225,14 @@ def _kernel_micro(reps: int) -> dict:
         blas_ms = _best_of(lambda: adj.all_pairs_distances_fast(net.A), reps)
     with bitkernel.forced(True):
         bit_ms = _best_of(lambda: adj.all_pairs_distances_fast(net.A), reps)
+    block_ms = {k: _best_of(lambda k=k: bitkernel.deviation_distances_block(net.A, range(k)), reps)
+                for k in (8, 32)}
     return {
         "apsp_bool_matmul_n100_ms": round(_best_of(lambda: adj.all_pairs_distances(net.A), reps), 3),
         "apsp_blas_layered_n100_ms": round(blas_ms, 3),
         "apsp_bitkernel_n100_ms": round(bit_ms, 3),
+        "deviation_block8_n100_ms": round(block_ms[8], 3),
+        "deviation_block32_n100_ms": round(block_ms[32], 3),
     }
 
 
@@ -252,9 +272,9 @@ def compare_to_baseline(summary: dict, baseline: dict) -> list:
     }
     for cell in summary.get("trajectories", []):
         old = old_cells.get((cell["game"], cell["n"]))
-        if old is None or old["dense_s"] < MIN_GATE_SECONDS:
+        if old is None or old.get("rebuild_s", 0.0) < MIN_GATE_SECONDS:
             continue
-        for field in ("dense_s", "incremental_s"):
+        for field in ("rebuild_s", "incremental_s"):
             if cell[field] > old[field] * REGRESSION_FACTOR:
                 regressions.append(
                     (f"{cell['game']}.n{cell['n']}.{field}", old[field], cell[field])
@@ -285,7 +305,7 @@ def main(smoke: bool = False, write_baseline: Optional[bool] = None,
     }
     for cell in summary["trajectories"]:
         print(f"{cell['game']:>4} n={cell['n']:>3}: steps={cell['steps']:>4} "
-              f"dense={cell['dense_s']:.2f}s incremental={cell['incremental_s']:.2f}s "
+              f"rebuild={cell['rebuild_s']:.2f}s incremental={cell['incremental_s']:.2f}s "
               f"speedup={cell['speedup']:.2f}x")
     print("kernel:", json.dumps(summary["kernel"]))
 

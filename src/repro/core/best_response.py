@@ -111,30 +111,36 @@ class DeviationEvaluator:
     ) -> np.ndarray:
         """Distance-cost of ``base``-plus-one-candidate, per candidate.
 
-        ``base`` is a vector from :meth:`base_vector`; ``candidates`` are
-        the varying new endpoints.  Returns a float vector aligned with
-        ``candidates``.
+        ``base`` is a vector from :meth:`base_vector`, or a ``(k, n)``
+        stack of them; ``candidates`` are the varying new endpoints.
+        Returns costs aligned with ``candidates`` — shape ``(k, c)`` for
+        a stack, every base priced in the same 3-D ``minimum`` and
+        reduction.
         """
         cand = np.asarray(candidates, dtype=np.int64)
         if cand.size == 0:
-            return np.empty(0)
+            return np.empty(base.shape[:-1] + (0,))
         _EVAL_BATCHES.inc()
-        # the fancy-index gather is already a fresh buffer; finish the
-        # candidate rows in place instead of allocating a second matrix
+        # the fancy-index gather is already a fresh buffer; a single base
+        # finishes the candidate rows in place
         M = self.D[cand]
         M += 1.0
-        np.minimum(M, base[None, :], out=M)
-        M[:, self.u] = 0.0
+        if base.ndim == 1:
+            np.minimum(M, base, out=M)
+        else:
+            M = np.minimum(M, base[:, None, :])
+        M[..., self.u] = 0.0
         if self.mode is DistanceMode.SUM:
-            return M.sum(axis=1)
-        if self.n == 1:
-            return np.zeros(cand.size)
-        return M.max(axis=1)
+            return M.sum(axis=-1)
+        return M.max(axis=-1)
 
-    def cost_of_base(self, base: np.ndarray) -> float:
-        """Distance-cost of a base vector alone (used for deletions)."""
+    def cost_of_base(self, base: np.ndarray):
+        """Distance-cost of a base vector alone (used for deletions); a
+        ``(k, n)`` stack of bases gives one cost per row."""
         row = base.copy()
-        row[self.u] = 0.0
+        row[..., self.u] = 0.0
+        if row.ndim == 2:
+            return row.sum(axis=1) if self.mode is DistanceMode.SUM else row.max(axis=1)
         if self.n == 1:
             return 0.0
         return self.mode.aggregate(row)

@@ -37,7 +37,7 @@ from ..statespace.encode import state_key
 from .games import EPS, BestResponse, Game
 from .moves import Buy, Delete, Move, Swap, move_kind
 from .network import Network
-from .policies import MovePolicy
+from .policies import MovePolicy, scan_best_responses
 
 __all__ = [
     "StepRecord",
@@ -53,8 +53,8 @@ __all__ = [
     "AUTO_BACKEND_MIN_N",
 ]
 
-#: below this many agents the incremental engine's bookkeeping (state
-#: hashing, snapshot diffs) costs more than just re-running tiny BFSes.
+#: below this many agents the incremental backend's bookkeeping (state
+#: byte comparisons, memo upkeep) costs more than re-running tiny BFSes.
 AUTO_BACKEND_MIN_N = 32
 
 # run-level telemetry: one span + a handful of counter updates per run
@@ -162,8 +162,6 @@ class RunResult:
     #: :func:`repro.analysis.trajectories.annotate_cycle`) keep the full
     #: trajectory and record the revisit position here instead.
     cycle_end: Optional[int] = None
-    #: instrumentation counters of the distance backend (empty for dense)
-    backend_stats: Dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -251,13 +249,13 @@ def run_dynamics(
     copy_initial:
         work on a copy of ``initial`` (default) or mutate it in place.
     backend:
-        distance engine: ``"incremental"`` maintains APSP and
-        ``D(G - u)`` state across steps and memoises best responses per
-        agent under the dirty-agent digest key; ``"dense"`` recomputes everything from
-        scratch each query (the equivalence oracle — both produce
-        bit-identical trajectories); ``"auto"`` (default) picks
-        incremental from ``AUTO_BACKEND_MIN_N`` agents upwards; or a
-        prebuilt :class:`~repro.graphs.incremental.DistanceBackend`.
+        distance engine: ``"incremental"`` memoises ``D(G)``, one block
+        of ``D(G - u)`` and the best responses of the current state;
+        ``"dense"`` recomputes everything from scratch each query (the
+        equivalence oracle — both produce bit-identical trajectories);
+        ``"auto"`` (default) picks incremental from
+        ``AUTO_BACKEND_MIN_N`` agents upwards; or a prebuilt
+        :class:`~repro.graphs.incremental.DistanceBackend`.
     """
     if rng is not None and seed is not None:
         raise ValueError("pass either rng or seed, not both")
@@ -282,7 +280,6 @@ def run_dynamics(
             status, steps, net, trajectory,
             cycle_start=cycle_start,
             cycle_end=steps if cycle_start is not None else None,
-            backend_stats=backend_obj.stats(),
         )
 
     with obs_tracing.span("dynamics.run", game=type(game).__name__,
@@ -374,7 +371,6 @@ class SimultaneousResult:
     round_records: List[RoundRecord] = field(default_factory=list)
     cycle_start: Optional[int] = None
     cycle_end: Optional[int] = None
-    backend_stats: Dict = field(default_factory=dict)
 
     @property
     def converged(self) -> bool:
@@ -468,7 +464,6 @@ class SimultaneousDynamics:
             return SimultaneousResult(
                 status, rounds, steps, net, records,
                 cycle_start=cycle_start, cycle_end=cycle_end,
-                backend_stats=backend_obj.stats(),
             )
 
         with obs_tracing.span("dynamics.simultaneous",
@@ -476,10 +471,10 @@ class SimultaneousDynamics:
                               collision=self.collision):
             for rnd in range(max_rounds):
                 planned: List[tuple] = []
-                for u in range(net.n):
-                    br = game.best_responses(net, u, backend=backend_obj)
+                for br in scan_best_responses(game, net, range(net.n), backend_obj):
                     if br.is_improving:
-                        planned.append((u, choose_move(br, rng, self.move_tie_break), br))
+                        planned.append(
+                            (br.agent, choose_move(br, rng, self.move_tie_break), br))
                 if not planned:
                     return finish("converged", rnd)
                 _ROUNDS_TOTAL.inc()

@@ -17,12 +17,10 @@ of the host graph.
 All distance-dependent methods accept an optional ``backend`` — a
 :class:`repro.graphs.incremental.DistanceBackend` — through which every
 APSP/deviation query is routed.  ``None`` (the default) recomputes
-densely, exactly as before the incremental engine existed; passing an
-:class:`~repro.graphs.incremental.IncrementalBackend` reuses distance
-state across calls and memoises whole best responses per agent, keyed
-by the dirty-agent digest of ``(D(G - u), u's incident ownership)`` for
-games that declare ``local_best_response`` (see that attribute on
-:class:`Game`), and by the full canonical state otherwise.
+densely; passing an
+:class:`~repro.graphs.incremental.IncrementalBackend` reuses the
+distances of the current network state across calls and memoises whole
+best responses per agent for that state.
 
 Tolerance: costs are sums of integers and multiples of ``alpha``; all
 strict comparisons use ``EPS = 1e-9``.
@@ -160,33 +158,40 @@ def _collect_best_batches(
     """Batched, semantics-identical variant of :func:`_collect_best`.
 
     ``batches`` yields ``(costs, make_move)`` pairs: a float cost array
-    and a factory building the :class:`Move` object for one index.  Only
-    indices with ``cost <= best + EPS`` can interact with the sequential
-    scan (the running best never increases), so the inner Python loop
-    runs over those alone — and a Move is constructed only when it
-    actually resets or ties the running best; the replayed rules are
-    exactly :func:`_collect_best`'s, so the result is identical to
-    scoring the concatenated stream one move at a time.
+    and a factory building the :class:`Move` for one index; the arrays
+    are read as one concatenated stream.  Let ``g`` be its minimum.
+    Unless some cost lies in ``(g, g + 2*EPS]``, the sequential rule
+    keeps exactly the indices costing ``g`` — the first of them resets
+    the running best, the others tie it, and every other cost is more
+    than ``EPS`` above it — so they are the answer, found without a
+    Python loop.  Near-ties at ``EPS`` scale replay the sequential rule.
+    Moves are built only for the winners.
     """
-    best = np.inf
-    pending: List[Tuple["Callable", int, float]] = []  # factories, built at the end
-    for costs, make_move in batches:
-        if costs.size == 0:
-            continue
-        idx = np.flatnonzero(costs <= best + EPS)
-        if idx.size == 0:
-            continue
-        for pos, cost in zip(idx.tolist(), costs[idx].tolist()):
-            if cost < best - EPS:
-                best = cost
-                pending = [(make_move, pos, cost)]
-            elif cost <= best + EPS:
-                pending.append((make_move, pos, cost))
-    if not pending or best >= cost_before - EPS:
+    parts = [(costs, make) for costs, make in batches if costs.size]
+    if not parts:
         return BestResponse(agent, cost_before, cost_before, [])
-    collected = [(make(pos), cost) for make, pos, cost in pending]
-    ordered = sorted(collected, key=lambda mc: (_op_rank(mc[0]), _move_sort_key(mc[0])))
-    return BestResponse(agent, cost_before, best, [m for m, _ in ordered])
+    costs = np.concatenate([c for c, _ in parts])
+    g = float(costs.min())
+    if g >= cost_before - EPS:
+        return BestResponse(agent, cost_before, cost_before, [])
+    if ((costs > g) & (costs <= g + 2 * EPS)).any():
+        best, winners = np.inf, []
+        for pos, cost in enumerate(costs.tolist()):
+            if cost < best - EPS:
+                best, winners = cost, [pos]
+            elif cost <= best + EPS:
+                winners.append(pos)
+        if best >= cost_before - EPS:
+            return BestResponse(agent, cost_before, cost_before, [])
+    else:
+        best, winners = g, np.flatnonzero(costs == g).tolist()
+    starts = np.cumsum([0] + [c.size for c, _ in parts])
+    moves = []
+    for pos in winners:
+        b = int(np.searchsorted(starts, pos, side="right")) - 1
+        moves.append(parts[b][1](pos - int(starts[b])))
+    moves.sort(key=lambda m: (_op_rank(m), _move_sort_key(m)))
+    return BestResponse(agent, cost_before, best, moves)
 
 
 class Game:
@@ -194,17 +199,6 @@ class Game:
 
     #: human-readable name, set by subclasses
     name: str = "game"
-
-    #: whether an agent's best response is a pure function of
-    #: ``(rules, D(G - u), u's incident ownership rows)``.  True for the
-    #: unilateral games (a shortest path from ``u`` never revisits
-    #: ``u``, so ``D(G - u)`` prices every deviation, and the move set
-    #: is determined by ``u``'s own edge rows) — this is what lets the
-    #: incremental backend key its deviation cache on a per-agent digest
-    #: instead of the full network state.  Games whose moves need other
-    #: agents' consent (bilateral) must leave this False; the base class
-    #: defaults to False so unknown subclasses are handled conservatively.
-    local_best_response: bool = False
 
     def __init__(
         self,
@@ -349,7 +343,12 @@ class Game:
             cached = backend.cached_best_response(self, net, u)
             if cached is not None:
                 return cached
-        cur = self.current_cost(net, u, backend=backend)
+            # c_G(u) priced from D(G - u), which the move pricing reads
+            # anyway: a best response never needs the APSP of G
+            cur = self.edge_rule(net, u, self.alpha) + self._evaluator(
+                net, u, backend).distance_cost(net.neighbors(u))
+        else:
+            cur = self.current_cost(net, u)
         if self._scored_batches is not None:
             br = _collect_best_batches(u, cur, self._scored_batches(net, u, backend))
         else:
@@ -469,7 +468,6 @@ class SwapGame(Game):
     """
 
     name = "SG"
-    local_best_response = True
 
     def __init__(
         self,
@@ -516,7 +514,9 @@ class SwapGame(Game):
 
     def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
         """Batched form of :meth:`_scored_moves` — same moves, same costs,
-        same order, but scored as one cost array per swapped edge."""
+        same order: every single swap in one cost array (a row of
+        candidates per movable edge, all priced in one pass), then the
+        multi-swaps."""
         evaluator = self._evaluator(net, u, backend)
         nbrs = net.neighbors(u)
         allowed = self._allowed_targets(net, u)
@@ -525,12 +525,12 @@ class SwapGame(Game):
         if candidates.size == 0:
             return
         cand_list = candidates.tolist()
-        nbr_set = set(nbrs.tolist())
-        for v in self._swap_sources(net, u):
-            v = int(v)
-            kept = sorted(nbr_set - {v})
-            costs = evaluator.batch_costs(evaluator.base_vector(kept), candidates)
-            yield costs, lambda i, v=v: Swap(u, v, cand_list[i])
+        c = len(cand_list)
+        sources = self._swap_sources(net, u).tolist()
+        if sources:
+            bases = np.stack([evaluator.base_vector(nbrs[nbrs != v]) for v in sources])
+            yield (evaluator.batch_costs(bases, candidates).ravel(),
+                   lambda i: Swap(u, sources[i // c], cand_list[i % c]))
         if self.max_swaps > 1:
             multi = list(self._multi_swap_moves(net, u, evaluator, candidates))
             if multi:
@@ -595,7 +595,6 @@ class GreedyBuyGame(Game):
     """
 
     name = "GBG"
-    local_best_response = True
 
     def __init__(
         self,
@@ -650,33 +649,33 @@ class GreedyBuyGame(Game):
 
     def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
         """Batched form of :meth:`_scored_moves` — same moves, same costs,
-        same order: one buy batch, then per owned edge one delete and one
-        swap batch."""
+        same order (the buys, then per owned edge its delete and its
+        swaps), as one cost array priced by one 3-D pass over
+        ``D(G - u)[candidates]``."""
         evaluator = self._evaluator(net, u, backend)
         nbrs = net.neighbors(u)
-        owned = net.owned_targets(u)
-        k = owned.size
-        nbr_set = set(nbrs.tolist())
+        owned = net.owned_targets(u).tolist()
         allowed = self._allowed_targets(net, u)
         allowed[nbrs] = False
         candidates = np.flatnonzero(allowed)
         cand_list = candidates.tolist()
-        buy_edge, swap_edge, delete_edge = self._edge_terms(net, u, k)
+        c = len(cand_list)
+        buy_edge, swap_edge, delete_edge = self._edge_terms(net, u, len(owned))
+        # base 0 keeps every neighbour (buys); base 1 + j drops owned[j]
+        bases = np.stack([evaluator.base_vector(nbrs)]
+                         + [evaluator.base_vector(nbrs[nbrs != v]) for v in owned])
+        costs = evaluator.batch_costs(bases, candidates)
+        rows = np.empty((len(owned), 1 + c))
+        rows[:, 0] = delete_edge + evaluator.cost_of_base(bases[1:])
+        rows[:, 1:] = swap_edge + costs[1:]
 
-        if candidates.size:
-            buy_costs = evaluator.batch_costs(evaluator.base_vector(nbrs), candidates)
-            yield buy_edge + buy_costs, lambda i: Buy(u, cand_list[i])
+        def make_move(i):
+            if i < c:
+                return Buy(u, cand_list[i])
+            j, r = divmod(i - c, 1 + c)
+            return Delete(u, owned[j]) if r == 0 else Swap(u, owned[j], cand_list[r - 1])
 
-        for v in owned.tolist():
-            kept = sorted(nbr_set - {v})
-            base = evaluator.base_vector(kept)
-            yield (
-                np.array([delete_edge + evaluator.cost_of_base(base)]),
-                lambda i, v=v: Delete(u, v),
-            )
-            if candidates.size:
-                swap_costs = evaluator.batch_costs(base, candidates)
-                yield swap_edge + swap_costs, lambda i, v=v: Swap(u, v, cand_list[i])
+        yield np.concatenate([buy_edge + costs[0], rows.ravel()]), make_move
 
 
 class CooperativeBuyGame(GreedyBuyGame):
@@ -733,7 +732,6 @@ class BuyGame(Game):
     """
 
     name = "BG"
-    local_best_response = True
 
     def __init__(
         self,
@@ -802,9 +800,6 @@ class BilateralGame(Game):
     """
 
     name = "BBG"
-    # consent checks price OTHER agents' costs on hypothetical networks,
-    # so a best response here is NOT a function of (D(G-u), u's rows)
-    local_best_response = False
 
     def __init__(
         self,

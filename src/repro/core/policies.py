@@ -31,17 +31,18 @@ Implemented policies:
   3.3, 3.7, 4.3, 5.1/5.2) as an activation model, with each scheduled
   move checked to be a best response (or at least improving).
 
-Every policy asks ``game.best_responses(net, u, backend=...)`` per
-scanned agent.  With an incremental backend those calls are memoised by
-the per-agent dirty-agent digest (see
-:mod:`repro.graphs.incremental`), so a scan re-prices only the agents
-whose ``D(G - u)`` or own edges actually changed since they were last
-evaluated — unaffected agents cost one dict lookup each.
+The scanning policies walk their agent order through
+:func:`scan_best_responses`, which announces the next agents to the
+distance backend in blocks of 1, 2, 4, ... up to
+:data:`SCAN_BLOCK_CAP` before pricing them: a scan that stops at its
+first agent costs one ``D(G - u)`` rebuild, while a long one (the final
+stability check prices every agent) shares one packed kernel pass per
+block (see :mod:`repro.graphs.incremental`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +52,9 @@ from .moves import Move
 from .network import Network
 
 __all__ = [
+    "SCAN_BLOCK_CAP",
+    "scan_best_responses",
+    "first_improving",
     "MovePolicy",
     "MaxCostPolicy",
     "RandomPolicy",
@@ -61,6 +65,49 @@ __all__ = [
     "NoisyBestResponsePolicy",
     "AdversarialPolicy",
 ]
+
+#: the largest block of agents whose ``D(G - u)`` a scan requests at once
+SCAN_BLOCK_CAP = 32
+
+
+def scan_best_responses(
+    game: Game,
+    net: Network,
+    order: Iterable[int],
+    backend: Optional[DistanceBackend] = None,
+) -> Iterator[BestResponse]:
+    """Best responses of the agents in ``order``, lazily and in order.
+
+    Before pricing them, the next agents are announced to the backend
+    (``prefetch_deviations``) in blocks of 1, 2, 4, ... up to
+    :data:`SCAN_BLOCK_CAP`, so a scan that stops early has computed at
+    most about as many ``D(G - u)`` as it used.  The network must not
+    change while the scan runs.
+    """
+    order = [int(u) for u in order]
+    start, size = 0, 1
+    while start < len(order):
+        block = order[start:start + size]
+        if backend is not None:
+            backend.prefetch_deviations(net, block)
+        for u in block:
+            yield game.best_responses(net, u, backend=backend)
+        start += size
+        size = min(2 * size, SCAN_BLOCK_CAP)
+
+
+def first_improving(
+    game: Game,
+    net: Network,
+    order: Iterable[int],
+    backend: Optional[DistanceBackend] = None,
+) -> Optional[BestResponse]:
+    """Best response of the first agent in ``order`` that has an
+    improving move, or ``None`` when all of them are happy."""
+    for br in scan_best_responses(game, net, order, backend):
+        if br.is_improving:
+            return br
+    return None
 
 
 class MovePolicy:
@@ -105,16 +152,13 @@ class MaxCostPolicy(MovePolicy):
     ) -> Optional[BestResponse]:
         """Scan agents in descending cost order; first unhappy one moves."""
         costs = game.cost_vector(net, backend=backend)
-        order = np.argsort(-costs, kind="stable")
         if self.tie_break == "random":
             # shuffle within equal-cost groups: sort by (-cost, random key)
             keys = rng.random(net.n)
             order = sorted(range(net.n), key=lambda u: (-costs[u], keys[u]))
-        for u in order:
-            br = game.best_responses(net, int(u), backend=backend)
-            if br.is_improving:
-                return br
-        return None
+        else:
+            order = np.argsort(-costs, kind="stable")
+        return first_improving(game, net, order, backend)
 
 
 class RandomPolicy(MovePolicy):
@@ -130,11 +174,7 @@ class RandomPolicy(MovePolicy):
         """Sample agents uniformly without replacement until one is unhappy."""
         candidates = list(range(net.n))
         rng.shuffle(candidates)
-        for u in candidates:
-            br = game.best_responses(net, u, backend=backend)
-            if br.is_improving:
-                return br
-        return None
+        return first_improving(game, net, candidates, backend)
 
 
 class FirstUnhappyPolicy(MovePolicy):
@@ -148,11 +188,7 @@ class FirstUnhappyPolicy(MovePolicy):
         backend: Optional[DistanceBackend] = None,
     ) -> Optional[BestResponse]:
         """Scan ids in order; the first unhappy agent moves."""
-        for u in range(net.n):
-            br = game.best_responses(net, u, backend=backend)
-            if br.is_improving:
-                return br
-        return None
+        return first_improving(game, net, range(net.n), backend)
 
 
 class RoundRobinPolicy(MovePolicy):
@@ -173,12 +209,7 @@ class RoundRobinPolicy(MovePolicy):
     ) -> Optional[BestResponse]:
         """Cyclic scan starting after the previous mover."""
         n = net.n
-        for i in range(n):
-            u = (self._next + i) % n
-            br = game.best_responses(net, u, backend=backend)
-            if br.is_improving:
-                return br
-        return None
+        return first_improving(game, net, [(self._next + i) % n for i in range(n)], backend)
 
     def notify(self, agent: int) -> None:
         self._next = agent + 1
@@ -260,27 +291,19 @@ class GreedyImprovementPolicy(MovePolicy):
         candidates = list(range(net.n))
         if self.order == "random":
             rng.shuffle(candidates)
-        for u in candidates:
-            # unhappiness goes through best_responses, which the
-            # incremental backend memoises under the dirty-agent digest
-            # — happy agents cost one dict lookup.  The *selected*
-            # agent enumerates twice on a cache miss (best response +
-            # improving set, which BestResponse cannot supply: greedy
-            # wants all improving moves, not just the best ones); that
-            # is one extra enumeration per step, against n saved per
-            # scan in the revisit-heavy regimes the cache serves.
-            if not game.is_unhappy(net, u, backend=backend):
-                continue
-            improving = game.improving_moves(net, u, backend=backend)
-            cur = game.current_cost(net, u, backend=backend)
-            if self.move_choice == "random":
-                move, cost = improving[int(rng.integers(len(improving)))]
-            else:
-                move, cost = min(
-                    improving, key=lambda mc: (_op_rank(mc[0]), _move_sort_key(mc[0]))
-                )
-            return BestResponse(u, cur, cost, [move])
-        return None
+        br = first_improving(game, net, candidates, backend)
+        if br is None:
+            return None
+        # the mover enumerates a second time: greedy wants every
+        # improving move, and a BestResponse keeps only the best ones
+        improving = game.improving_moves(net, br.agent, backend=backend)
+        if self.move_choice == "random":
+            move, cost = improving[int(rng.integers(len(improving)))]
+        else:
+            move, cost = min(
+                improving, key=lambda mc: (_op_rank(mc[0]), _move_sort_key(mc[0]))
+            )
+        return BestResponse(br.agent, br.cost_before, cost, [move])
 
 
 class NoisyBestResponsePolicy(MovePolicy):
@@ -331,15 +354,12 @@ class NoisyBestResponsePolicy(MovePolicy):
         self._explored_last = True
         candidates = list(range(net.n))
         rng.shuffle(candidates)
-        for u in candidates:
-            # digest-memoised unhappiness check, as in the greedy policy
-            if not game.is_unhappy(net, u, backend=backend):
-                continue
-            improving = game.improving_moves(net, u, backend=backend)
-            cur = game.current_cost(net, u, backend=backend)
-            move, cost = improving[int(rng.integers(len(improving)))]
-            return BestResponse(u, cur, cost, [move])
-        return None
+        br = first_improving(game, net, candidates, backend)
+        if br is None:
+            return None
+        improving = game.improving_moves(net, br.agent, backend=backend)
+        move, cost = improving[int(rng.integers(len(improving)))]
+        return BestResponse(br.agent, br.cost_before, cost, [move])
 
 
 class AdversarialPolicy(MovePolicy):

@@ -1016,9 +1016,10 @@ class DrainReport:
     result: Optional[object] = None
     #: a SIGTERM/SIGINT cut the drain short (partial progress returned).
     interrupted: bool = False
-    #: per-worker status the coordinator observed: worker id ->
-    #: ``{"last_heartbeat_age", "retries", "requeues", "crashes",
-    #: "unit"}`` — ``repro drain --json`` surfaces this verbatim.
+    #: per spawned worker: worker id -> ``{"last_heartbeat_age",
+    #: "retries", "requeues", "crashes", "unit"}``; the heartbeat age
+    #: stays ``None`` until a reap scan sees the worker hold a lease.
+    #: ``repro drain --json`` surfaces this verbatim.
     worker_stats: Dict[str, dict] = field(default_factory=dict)
     #: fleet-wide metric snapshot (the workers' persisted snapshots
     #: folded with :func:`repro.obs.merge_snapshots`), or ``None``
@@ -1085,8 +1086,8 @@ class Coordinator:
         self.parked = 0
         self.interrupted = False
         self._spawn_seq = 0
-        #: worker id -> accumulated status (heartbeat age, retries,
-        #: requeues, crashes) observed across reap scans
+        #: worker id (registered at spawn) -> accumulated status
+        #: (heartbeat age, retries, requeues, crashes) across reap scans
         self.worker_stats: Dict[str, dict] = {}
 
     def _worker_stat(self, worker: str) -> dict:
@@ -1097,6 +1098,9 @@ class Coordinator:
     def _spawn(self, slot: int) -> None:
         worker_id = f"w{slot}.{self._spawn_seq}"
         self._spawn_seq += 1
+        # registered up front: a fast drain can end before any reap scan
+        # sees the worker holding a lease (its heartbeat age stays None)
+        self._worker_stat(worker_id)
         proc = multiprocessing.Process(
             target=worker_main,
             args=(self.source, self.root, worker_id),
@@ -1109,9 +1113,11 @@ class Coordinator:
             },
             daemon=True,
         )
-        proc.start()
+        # tracked before it starts: an interrupt landing mid-spawn must
+        # not leave a running worker the graceful stop cannot see
         self.procs[slot] = proc
         self.slot_owner[slot] = worker_id
+        proc.start()
 
     def _run_round(self) -> None:
         """Run the fleet until the queue drains, reaping and respawning."""
@@ -1125,7 +1131,11 @@ class Coordinator:
                 )
                 self.reassigned += requeued
                 for unit_id, info in self.queue.last_lease_info.items():
-                    stat = self._worker_stat(info["owner"])
+                    stat = self.worker_stats.get(info["owner"])
+                    if stat is None:
+                        # claimed a moment ago: the owner is only written
+                        # with the claimant's first heartbeat
+                        continue
                     stat["last_heartbeat_age"] = info["heartbeat_age"]
                     stat["retries"] = max(stat["retries"], info["retries"])
                     stat["unit"] = unit_id

@@ -1,10 +1,9 @@
 """Graph substrate: dense adjacency kernel, bit-packed word-parallel
-kernel, incremental distance engine, properties and generators."""
+kernel, distance backends, properties and generators."""
 
 from . import adjacency, bitkernel, incremental, properties  # noqa: F401
 from .incremental import (  # noqa: F401
     DenseBackend,
-    DeviationCache,
     DistanceBackend,
     IncrementalAPSP,
     IncrementalBackend,
@@ -21,7 +20,6 @@ __all__ = [
     "DenseBackend",
     "IncrementalBackend",
     "IncrementalAPSP",
-    "DeviationCache",
     "make_backend",
 ]
 

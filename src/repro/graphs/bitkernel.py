@@ -48,12 +48,14 @@ __all__ = [
     "MIN_N",
     "enabled_for",
     "enabled_multi",
+    "enabled_block",
     "forced",
     "pack_rows",
     "unpack_rows",
     "bfs_distances",
     "bfs_distances_multi",
     "all_pairs_distances",
+    "deviation_distances_block",
     "is_connected_without_vertex",
 ]
 
@@ -89,6 +91,18 @@ def enabled_multi(n: int, k: int) -> bool:
     if _FORCE is not None:
         return _FORCE
     return _LITTLE_ENDIAN and n >= MIN_N and k >= max(16, 6144 // n)
+
+
+def enabled_block(n: int, k: int) -> bool:
+    """Routing heuristic for ``k`` agents' ``D(G - u)`` on ``n`` vertices.
+
+    One packed pass over the ``k * n`` lanes overtakes ``k`` separate
+    rebuilds once the lanes fill a word, at every ``n`` (measured in
+    ``benchmarks/bench_kernel.py``).
+    """
+    if _FORCE is not None:
+        return _FORCE
+    return _LITTLE_ENDIAN and k >= 2 and k * n >= 64
 
 
 @contextmanager
@@ -161,53 +175,62 @@ def _flat_neighbors(A: np.ndarray):
     ``flat.size`` appended for trailing zero-degree rows) and ``empty``
     indexes the zero-degree vertices whose reduceat rows are garbage.
     """
-    rows, cols = np.nonzero(A)
-    counts = np.bincount(rows, minlength=A.shape[0])
-    offsets = np.zeros(A.shape[0], dtype=np.int64)
+    n = A.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(A), n)
+    counts = np.bincount(rows, minlength=n)
+    offsets = np.zeros(n, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     return cols, offsets, np.flatnonzero(counts == 0)
 
 
 def bfs_distances_multi(
-    A: np.ndarray, sources: Sequence[int], mask: Optional[np.ndarray] = None
+    A: np.ndarray,
+    sources: Sequence[int],
+    mask: Optional[np.ndarray] = None,
+    exclude: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """BFS distances from several sources at once (``(k, n)`` float).
 
     Word-parallel across the *source* dimension: 64 searches advance per
     word-op, one gather + one segmented OR per layer.  Results are
     bit-identical to :func:`adjacency.bfs_distances_multi`.
+
+    ``exclude``, aligned with ``sources``, removes one vertex per search:
+    search ``i`` runs on ``A - exclude[i]`` (its row is all ``inf`` when
+    it starts at the removed vertex).  This is what lets
+    :func:`deviation_distances_block` price many ``G - u`` in one pass.
     """
     n = A.shape[0]
     src = np.asarray(sources, dtype=np.int64)
     k = src.size
     if n == 0 or k == 0:
         return np.full((k, n), np.inf)
-    KW = (k + 63) // 64
     flat, offsets, empty = _flat_neighbors(np.asarray(A, dtype=bool))
+    lanes = np.arange(k)
 
-    # F[v] holds bit s iff vertex v is in source s's current frontier.
-    F = np.zeros((n, KW), dtype=np.uint64)
-    bits = np.arange(k, dtype=np.uint64)
     alive_src = np.ones(k, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[src]
-    rows = src[alive_src]
-    words = (bits[alive_src] >> np.uint64(6)).astype(np.int64)
-    vals = np.uint64(1) << (bits[alive_src] & np.uint64(63))
-    # strictly increasing rows (the APSP/repair callers pass sorted
-    # sources) are trivially distinct; otherwise check properly
-    distinct = (
-        bool((np.diff(rows) > 0).all()) if rows.size > 1 else True
-    ) or np.unique(rows).size == rows.size
-    if distinct:
-        F[rows, words] = vals  # distinct source vertices: plain scatter
-    else:
-        np.bitwise_or.at(F, (rows, words), vals)  # duplicate sources
+    blocked = None
+    if exclude is not None:
+        # a search never enters its removed vertex: that bit starts out
+        # visited and is cleared again before distances are read off
+        cut = np.zeros((n, k), dtype=bool)
+        cut[np.asarray(exclude, dtype=np.int64), lanes] = True
+        alive_src &= ~cut[src, lanes]
+        blocked = pack_rows(cut)
+    # F[v] holds bit s iff vertex v is in source s's current frontier;
+    # seeding through a dense (n, k) matrix makes duplicate sources free
+    seed = np.zeros((n, k), dtype=bool)
+    seed[src[alive_src], lanes[alive_src]] = True
+    F = pack_rows(seed)
     dead = None if mask is None else np.flatnonzero(~np.asarray(mask, dtype=bool))
-    visited = F.copy()
+    visited = F.copy() if blocked is None else F | blocked
 
     # depth[v, s] counts the layers before s's search visits v; for the
     # seeds it stays 0, for never-reached pairs it is overwritten by inf.
-    depth = np.zeros((n, k), dtype=np.uint16 if n < 0xFFFF else np.uint32)
-    gathered = np.empty((flat.size + 1, KW), dtype=np.uint64)
+    # (a search runs at most n layers, so n < 255 fits one byte)
+    depth = np.zeros((n, k), dtype=np.uint8 if n < 0xFF else
+                     np.uint16 if n < 0xFFFF else np.uint32)
+    gathered = np.empty((flat.size + 1, F.shape[1]), dtype=np.uint64)
     gathered[-1] = 0
     while True:
         # complementing the packed words first makes the unpack itself
@@ -229,7 +252,8 @@ def bfs_distances_multi(
         visited |= nxt
 
     # one fused pass: float64 depth where reached, inf elsewhere
-    return np.where(unpack_rows(visited, k).T, depth.T, np.inf)
+    reached = visited if blocked is None else visited & ~blocked
+    return np.where(unpack_rows(reached, k).T, depth.T, np.inf)
 
 
 def all_pairs_distances(A: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
@@ -242,6 +266,21 @@ def all_pairs_distances(A: np.ndarray, mask: Optional[np.ndarray] = None) -> np.
     if n == 0:
         return np.zeros((0, 0))
     return bfs_distances_multi(A, np.arange(n), mask=mask)
+
+
+def deviation_distances_block(A: np.ndarray, agents: Sequence[int]) -> np.ndarray:
+    """``D(G - u)`` for every ``u`` in ``agents``, in one packed pass.
+
+    Each agent gets its own ``n`` source lanes with its own vertex
+    removed, so the ``K`` APSPs share every layer's gather and OR.
+    Returns a ``(K, n, n)`` array whose slice ``k`` is bit-identical to
+    :func:`adjacency.distances_without_vertex` of ``agents[k]``.
+    """
+    n = A.shape[0]
+    agents = np.asarray(agents, dtype=np.int64)
+    D = bfs_distances_multi(A, np.tile(np.arange(n), agents.size),
+                            exclude=np.repeat(agents, n))
+    return D.reshape(agents.size, n, n)
 
 
 def is_connected_without_vertex(A: np.ndarray, u: int) -> bool:

@@ -188,5 +188,5 @@ class Expander:
         return out
 
     def stats(self) -> Dict[str, int]:
-        """Memoization counters (plus the backend's own instrumentation)."""
+        """Memoization counters."""
         return {"memo_hits": self.memo_hits, "memo_misses": self.memo_misses}

@@ -30,7 +30,7 @@ from ..core.dynamics import RunResult, run_dynamics
 from ..core.games import EPS, BestResponse, Game, SwapGame
 from ..core.moves import Swap
 from ..core.network import Network
-from ..core.policies import MovePolicy
+from ..core.policies import MovePolicy, first_improving
 from ..graphs import adjacency as adj
 from ..graphs.properties import sorted_cost_vector
 
@@ -133,7 +133,7 @@ def run_tree_dynamics(
         if check_potential and not potential_decreases(before, net, mode):
             violations.append(step)
         step += 1
-    result = RunResult(status, step, net, trajectory, backend_stats=backend_obj.stats())
+    result = RunResult(status, step, net, trajectory)
     return TreeRunReport(
         result=result,
         diameters=diameters,
@@ -163,12 +163,11 @@ class Theorem211Policy(MovePolicy):
         """Smallest-index maximum-cost unhappy agent; smallest-index best swap."""
         costs = game.cost_vector(net, backend=backend)
         order = sorted(range(net.n), key=lambda u: (-costs[u], u))
-        for u in order:
-            br = game.best_responses(net, u, backend=backend)
-            if br.is_improving:
-                best = min(br.moves, key=lambda m: (m.new, m.old) if isinstance(m, Swap) else (net.n, 0))
-                return BestResponse(u, br.cost_before, br.best_cost, [best])
-        return None
+        br = first_improving(game, net, order, backend)
+        if br is None:
+            return None
+        best = min(br.moves, key=lambda m: (m.new, m.old) if isinstance(m, Swap) else (net.n, 0))
+        return BestResponse(br.agent, br.cost_before, br.best_cost, [best])
 
 
 def path_lower_bound_run(n: int, mode: str = "max") -> TreeRunReport:

@@ -1,0 +1,173 @@
+"""The incremental backend's per-state memo.
+
+Everything :class:`IncrementalBackend` remembers — ``D(G)``, one block
+of ``D(G - u)`` and best responses — belongs to one network state,
+identified by its adjacency and ownership bytes.  The regression risk is
+*stale happiness*: an answer priced in one state served in another.
+These tests pin that any change of state, a remote ownership flip
+included, drops the memo; that an unchanged state is served from it;
+and that the backend never holds more than one block of ``D(G - u)``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.dynamics import run_dynamics
+from repro.core.games import AsymmetricSwapGame, BilateralGame, GreedyBuyGame
+from repro.core.moves import Buy
+from repro.core.network import Network
+from repro.core.policies import SCAN_BLOCK_CAP, ScriptedPolicy, scan_best_responses
+from repro.graphs import adjacency as adj
+from repro.graphs.generators import random_m_edge_network
+from repro.graphs.incremental import DenseBackend, IncrementalBackend, make_backend
+from tests.helpers import network_from_adjacency, random_connected_adjacency
+
+
+def same(a, b):
+    """Two best responses agree on everything a caller can observe."""
+    return (a.agent, a.cost_before, a.best_cost, a.moves) == (
+        b.agent, b.cost_before, b.best_cost, b.moves)
+
+
+def make_net(seed=3, n=9):
+    rng = np.random.default_rng(seed)
+    return network_from_adjacency(random_connected_adjacency(n, 4, rng), rng)
+
+
+class TestStateMemo:
+    def test_unchanged_state_is_served_from_memo(self):
+        net = make_net()
+        game = GreedyBuyGame("sum", alpha=2.0)
+        backend = IncrementalBackend()
+        first = game.best_responses(net, 1, backend=backend)
+        assert game.best_responses(net, 1, backend=backend) is first
+        assert same(first, game.best_responses(net, 1))
+
+    def test_own_move_forces_reprice(self):
+        net = make_net()
+        game = GreedyBuyGame("sum", alpha=2.0)
+        backend = IncrementalBackend()
+        first = game.best_responses(net, 0, backend=backend)
+        if first.moves:
+            first.moves[0].apply(net)
+        else:
+            Buy(0, int(np.flatnonzero(~net.A[0])[1])).apply(net)
+        again = game.best_responses(net, 0, backend=backend)
+        assert again is not first
+        assert same(again, game.best_responses(net, 0))
+
+    def test_stale_happiness_is_impossible(self):
+        """An agent priced as happy is priced afresh once the state
+        changes its options."""
+        # star around 0: leaf 1 owns nothing, so it cannot swap
+        net = Network.from_owned_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+        game = AsymmetricSwapGame("sum")
+        backend = IncrementalBackend()
+        assert not game.best_responses(net, 1, backend=backend).is_improving
+        # same topology, but 1 now owns {1, 0} and may swap it
+        net2 = Network.from_owned_edges(5, [(1, 0), (0, 2), (0, 3), (0, 4)])
+        assert same(game.best_responses(net2, 1, backend=backend),
+                    game.best_responses(net2, 1))
+
+    def test_remote_ownership_flip_drops_the_memo(self):
+        net = Network.from_owned_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        game = AsymmetricSwapGame("sum")
+        backend = IncrementalBackend()
+        first = game.best_responses(net, 0, backend=backend)
+        net.owner[3, 4] = False
+        net.owner[4, 3] = True
+        again = game.best_responses(net, 0, backend=backend)
+        assert again is not first
+        assert same(again, game.best_responses(net, 0))
+
+    def test_non_local_game_is_memoised_per_state(self):
+        net = Network.from_owned_edges(4, [(0, 1), (1, 2), (2, 3)])
+        game = BilateralGame("sum", alpha=1.0)
+        backend = IncrementalBackend()
+        first = game.best_responses(net, 0, backend=backend)
+        assert game.best_responses(net, 0, backend=backend) is first
+        net.owner[2, 3] = False
+        net.owner[3, 2] = True
+        assert game.best_responses(net, 0, backend=backend) is not first
+
+    def test_games_with_different_rules_do_not_share_entries(self):
+        net = make_net()
+        backend = IncrementalBackend()
+        cheap, dear = GreedyBuyGame("sum", alpha=0.5), GreedyBuyGame("sum", alpha=50.0)
+        first = cheap.best_responses(net, 2, backend=backend)
+        other = dear.best_responses(net, 2, backend=backend)
+        assert other is not first
+        assert same(other, dear.best_responses(net, 2))
+
+
+class TestDeviationBlocks:
+    def test_full_scan_holds_at_most_one_block(self):
+        """A scan over all n = 100 agents prices each like the dense
+        oracle, leaves at most one block of D(G - u) behind, and the
+        next move drops it."""
+        n = 100
+        net = random_m_edge_network(n, 2 * n, seed=5)
+        game = GreedyBuyGame("sum", alpha=n / 10)
+        backend = IncrementalBackend()
+        scanned = list(scan_best_responses(game, net, range(n), backend))
+        assert [br.agent for br in scanned] == list(range(n))
+        assert 1 < len(backend._deviation) <= SCAN_BLOCK_CAP
+        dense = DenseBackend()
+        for br in scanned:
+            assert same(br, game.best_responses(net, br.agent, backend=dense))
+        Buy(0, int(np.flatnonzero(~net.A[0])[1])).apply(net)
+        assert backend.cached_best_response(game, net, 0) is None
+        assert not backend._deviation
+
+    def test_prefetched_block_serves_queries(self):
+        net = random_m_edge_network(100, 300, seed=9)
+        backend = IncrementalBackend()
+        backend.prefetch_deviations(net, [4, 50, 99])
+        assert sorted(backend._deviation) == [4, 50, 99]
+        for u in (4, 50, 99):
+            assert np.array_equal(backend.deviation_distances(net, u),
+                                  adj.distances_without_vertex(net.A, u))
+        # an agent outside the block is a rebuild that replaces it
+        assert np.array_equal(backend.deviation_distances(net, 7),
+                              adj.distances_without_vertex(net.A, 7))
+        assert list(backend._deviation) == [7]
+
+    def test_blocks_below_one_word_rebuild_per_agent(self):
+        """A block whose lanes do not fill a word computes nothing up
+        front; a larger one is computed as a whole."""
+        net = random_m_edge_network(20, 40, seed=1)
+        backend = IncrementalBackend()
+        backend.prefetch_deviations(net, [1, 2, 3])
+        assert not backend._deviation
+        backend.prefetch_deviations(net, [1, 2, 3, 4])
+        assert sorted(backend._deviation) == [1, 2, 3, 4]
+
+
+class TestDynamicsLevel:
+    def test_scripted_run_matches_dense_with_cycles(self):
+        """A run revisiting states must still match dense."""
+        rng = np.random.default_rng(21)
+        A = random_connected_adjacency(10, 5, rng)
+        net = network_from_adjacency(A, rng)
+        game = AsymmetricSwapGame("max")
+        schedule = [int(rng.integers(10)) for _ in range(30)]
+        runs = {}
+        for name in ("dense", "incremental"):
+            policy = ScriptedPolicy(schedule, strict=False)
+            runs[name] = run_dynamics(
+                game, net, policy, seed=4, max_steps=200, backend=name
+            )
+        rd, ri = runs["dense"], runs["incremental"]
+        assert [(r.agent, r.move) for r in rd.trajectory] == [
+            (r.agent, r.move) for r in ri.trajectory
+        ]
+        assert rd.final.state_key() == ri.final.state_key()
+
+    def test_make_backend_specs(self):
+        assert make_backend(None).name == "dense"
+        assert make_backend("dense").name == "dense"
+        assert make_backend("incremental").name == "incremental"
+        b = IncrementalBackend()
+        assert make_backend(b) is b
+        with pytest.raises(ValueError):
+            make_backend("warp-drive")

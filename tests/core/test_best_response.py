@@ -58,6 +58,24 @@ def test_batch_costs_match_scalar(mode, rng):
         assert got == ev.distance_cost(kept + [w])
 
 
+@pytest.mark.parametrize("mode", [DistanceMode.SUM, DistanceMode.MAX])
+def test_stacked_bases_match_one_base_at_a_time(mode, rng):
+    A = random_connected_adjacency(12, 6, rng)
+    net = network_from_adjacency(A, rng)
+    u = 4
+    ev = DeviationEvaluator(net, u, mode)
+    nbrs = net.neighbors(u)
+    bases = np.stack([ev.base_vector(nbrs)]
+                     + [ev.base_vector(nbrs[nbrs != v]) for v in nbrs])
+    candidates = [x for x in range(12) if x != u and x not in nbrs]
+    stacked = ev.batch_costs(bases, candidates)
+    assert stacked.shape == (len(bases), len(candidates))
+    for row, base in zip(stacked, bases):
+        assert np.array_equal(row, ev.batch_costs(base, candidates))
+    assert ev.cost_of_base(bases).tolist() == [ev.cost_of_base(b) for b in bases]
+    assert ev.batch_costs(bases, []).shape == (len(bases), 0)
+
+
 def test_empty_strategy_is_disconnected(rng):
     A = random_connected_adjacency(6, 2, rng)
     net = network_from_adjacency(A, rng)

@@ -118,6 +118,48 @@ class TestBfsEquivalence:
         assert np.isinf(got[0]).all()
 
 
+class TestDeviationBlock:
+    """``deviation_distances_block`` against the boolean-matmul oracle,
+    one masked APSP per agent."""
+
+    @staticmethod
+    def check(A, agents):
+        n = A.shape[0]
+        block = bk.deviation_distances_block(A, agents)
+        assert block.shape == (len(agents), n, n)
+        for D, u in zip(block, agents):
+            mask = np.ones(n, dtype=bool)
+            mask[u] = False
+            assert np.array_equal(D, adj.all_pairs_distances(A, mask=mask)), u
+        return block
+
+    @given(graph_mask_case(min_n=2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_block_matches_oracle_per_agent(self, case, data):
+        A, _ = case
+        n = A.shape[0]
+        agents = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
+                           label="agents")
+        self.check(A, agents)
+
+    @pytest.mark.parametrize("n, agents", [
+        (2, [0, 1]), (21, [3, 20, 0]), (63, [0, 31, 62]), (64, [5]), (65, [64, 1, 7]),
+    ])
+    def test_lanes_across_word_boundaries(self, n, agents):
+        rng = np.random.default_rng(n)
+        A = np.triu(rng.random((n, n)) < 0.08, 1)
+        self.check(A | A.T, agents)
+
+    def test_cut_and_isolated_vertices(self):
+        # a path 0-1-2-3 into the triangle 3-4-5, plus isolated 6 and 7
+        A = adj.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
+        block = self.check(A, list(range(8)))
+        assert np.isinf(block[1][0, 2])      # cut vertex 1 splits the path
+        assert block[4][3, 5] == 1.0         # the triangle loses one corner
+        assert np.isinf(block[2][2]).all() and np.isinf(block[2][:, 2]).all()
+        assert np.isinf(block[0][6, :6]).all() and block[0][6, 6] == 0.0
+
+
 class TestRouting:
     def test_forced_routing_is_exact_end_to_end(self):
         """adjacency's routed entry points give identical results with the
@@ -147,3 +189,5 @@ class TestRouting:
             assert not bk.enabled_multi(bk.MIN_N - 1, 1000)
             assert bk.enabled_multi(500, 500)
             assert not bk.enabled_multi(500, 2)
+            assert not bk.enabled_block(20, 3) and bk.enabled_block(20, 4)
+            assert not bk.enabled_block(1000, 1)

@@ -537,11 +537,14 @@ class TestObservabilityCLI:
         report = json.loads(capsys.readouterr().out)
         assert report["complete"] is True
         assert report["units_done"] == 6 and report["units_failed"] == 0
-        # S3: per-worker last-heartbeat age and retry counts ride along
-        assert report["worker_stats"]
-        for stats in report["worker_stats"].values():
-            assert stats["last_heartbeat_age"] >= 0.0
-            assert stats["retries"] >= 0 and stats["crashes"] >= 0
+        # S3: one entry per spawned worker, with its retry counts and —
+        # where a reap scan saw it hold a lease — its last-heartbeat age
+        stats = report["worker_stats"]
+        assert len(stats) == report["workers"] + report["respawned"]
+        for entry in stats.values():
+            age = entry["last_heartbeat_age"]
+            assert age is None or age >= 0.0
+            assert entry["retries"] >= 0 and entry["crashes"] >= 0
         assert any(name.startswith("repro_")
                    for name in report["fleet_metrics"])
 
