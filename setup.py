@@ -15,6 +15,7 @@ setup(
     # kernel need numpy 2.x
     install_requires=["numpy>=2.0"],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        # networkx is the independent graph oracle of the graph tests
+        "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
     },
 )

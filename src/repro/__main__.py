@@ -218,13 +218,15 @@ def cmd_run(args) -> int:
     """``repro run``: one dynamics run with an outcome summary."""
     from .experiments.runner import run_scenario
 
+    from .registry import REGISTRY
+
     try:
         spec = _spec_from_run_args(args)
+        # build the game up front: a bad edge price is a usage error
+        REGISTRY.build("game", spec.game, spec.params_for("game"), n=args.n)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    from .registry import REGISTRY
-
     dynamics = REGISTRY.build("dynamics", spec.dynamics, spec.params_for("dynamics"))
     if not dynamics.uses_policy and (spec.policy != "maxcost" or spec.policy_params):
         print(f"note: {spec.dynamics} dynamics activates every unhappy agent "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,8 +164,8 @@ def _collect_best_batches(
     keeps exactly the indices costing ``g`` — the first of them resets
     the running best, the others tie it, and every other cost is more
     than ``EPS`` above it — so they are the answer, found without a
-    Python loop.  Near-ties at ``EPS`` scale replay the sequential rule.
-    Moves are built only for the winners.
+    Python loop, and moves are built only for them.  Near-ties at
+    ``EPS`` scale hand the stream to :func:`_collect_best`.
     """
     parts = [(costs, make) for costs, make in batches if costs.size]
     if not parts:
@@ -175,23 +175,38 @@ def _collect_best_batches(
     if g >= cost_before - EPS:
         return BestResponse(agent, cost_before, cost_before, [])
     if ((costs > g) & (costs <= g + 2 * EPS)).any():
-        best, winners = np.inf, []
-        for pos, cost in enumerate(costs.tolist()):
-            if cost < best - EPS:
-                best, winners = cost, [pos]
-            elif cost <= best + EPS:
-                winners.append(pos)
-        if best >= cost_before - EPS:
-            return BestResponse(agent, cost_before, cost_before, [])
-    else:
-        best, winners = g, np.flatnonzero(costs == g).tolist()
+        return _collect_best(agent, cost_before, _flatten(parts))
     starts = np.cumsum([0] + [c.size for c, _ in parts])
     moves = []
-    for pos in winners:
+    for pos in np.flatnonzero(costs == g).tolist():
         b = int(np.searchsorted(starts, pos, side="right")) - 1
         moves.append(parts[b][1](pos - int(starts[b])))
     moves.sort(key=lambda m: (_op_rank(m), _move_sort_key(m)))
-    return BestResponse(agent, cost_before, best, moves)
+    return BestResponse(agent, cost_before, g, moves)
+
+
+def _flatten(batches: Iterable[Tuple[np.ndarray, "Callable"]]) -> Iterator[Tuple[Move, float]]:
+    """The ``(move, cost)`` stream a batch enumeration stands for."""
+    for costs, make in batches:
+        for i, cost in enumerate(costs.tolist()):
+            yield make(i), cost
+
+
+def _improving(
+    cur: float,
+    batches: Iterable[Tuple[np.ndarray, "Callable"]],
+    first: bool = False,
+) -> List[Tuple[Move, float]]:
+    """``(move, cost)`` for every entry of the stream costing less than
+    ``cur - EPS``, in stream order, building moves only for those;
+    ``first`` stops at the first one (an unhappiness test)."""
+    out = []
+    for costs, make in batches:
+        for i in np.flatnonzero(costs < cur - EPS).tolist():
+            out.append((make(i), float(costs[i])))
+            if first:
+                return out
+    return out
 
 
 class Game:
@@ -209,6 +224,10 @@ class Game:
     ):
         self.mode = DistanceMode(mode)
         self.alpha = float(alpha)
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            # every comparison with NaN is false: a NaN price would make
+            # every agent look happy and every network stable
+            raise ValueError(f"alpha must be a finite edge price >= 0, got {self.alpha}")
         self.edge_rule = edge_rule
         if host is not None:
             host = np.asarray(host, dtype=bool)
@@ -281,19 +300,22 @@ class Game:
         """Sum of all agents' costs."""
         return float(self.cost_vector(net, backend=backend).sum())
 
-    # -- core API (subclasses implement _scored_moves) ---------------------
-    def _scored_moves(
+    # -- core API: one move enumeration per game ----------------------------
+    def _scored_batches(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
-    ) -> Iterable[Tuple[Move, float]]:
-        """Yield ``(move, new_cost_of_u)`` for every admissible move."""
+    ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
+        """Every admissible move of ``u`` with ``u``'s cost after it, as
+        ``(costs, make_move)`` batches: a float cost array and a factory
+        building the :class:`Move` for one index.  Read in order, the
+        batches are the game's canonical move order.  This is each
+        game's single enumeration; every method below derives from it."""
         raise NotImplementedError
 
-    #: optional batched scorer (same moves/costs as ``_scored_moves``, as
-    #: ``(cost_array, make_moves)`` pairs) — lets ``best_responses`` skip
-    #: per-move Python object construction for everything that cannot
-    #: beat the running best.  Subclasses with vectorised enumerations
-    #: override this with a generator method.
-    _scored_batches = None
+    def _scored_moves(
+        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
+    ) -> Iterator[Tuple[Move, float]]:
+        """Yield ``(move, new_cost_of_u)`` for every admissible move."""
+        return _flatten(self._scored_batches(net, u, backend))
 
     def candidate_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -332,7 +354,7 @@ class Game:
     ) -> List[Tuple[Move, float]]:
         """Admissible moves that strictly decrease ``u``'s cost."""
         cur = self.current_cost(net, u, backend=backend)
-        return [(m, c) for m, c in self._scored_moves(net, u, backend=backend) if c < cur - EPS]
+        return _improving(cur, self._scored_batches(net, u, backend))
 
     def best_responses(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -349,10 +371,7 @@ class Game:
                 net, u, backend).distance_cost(net.neighbors(u))
         else:
             cur = self.current_cost(net, u)
-        if self._scored_batches is not None:
-            br = _collect_best_batches(u, cur, self._scored_batches(net, u, backend))
-        else:
-            br = _collect_best(u, cur, self._scored_moves(net, u, backend=backend))
+        br = _collect_best_batches(u, cur, self._scored_batches(net, u, backend))
         if backend is not None:
             backend.store_best_response(self, net, u, br)
         return br
@@ -366,10 +385,7 @@ class Game:
             # the same state (e.g. by the move policy) are free
             return self.best_responses(net, u, backend=backend).is_improving
         cur = self.current_cost(net, u)
-        for _, c in self._scored_moves(net, u):
-            if c < cur - EPS:
-                return True
-        return False
+        return bool(_improving(cur, self._scored_batches(net, u), first=True))
 
     def unhappy_agents(
         self, net: Network, backend: Optional[DistanceBackend] = None
@@ -392,43 +408,39 @@ class Game:
         multi-swap SG)."""
         return False
 
+    def _greedy_batches(
+        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
+    ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
+        """:meth:`_scored_batches` cut to the *greedy* deviations: buy
+        one edge, delete one owned edge, or swap one edge (Lenzner's
+        move set).  For the bilateral game the underlying move set
+        already applies the consent check, so greedy moves there are the
+        feasible improving single-edge changes."""
+        for costs, make in self._scored_batches(net, u, backend):
+            if not self.moves_are_greedy():
+                keep = [i for i in range(costs.size) if _is_single_edge_change(net, make(i))]
+                costs, make = costs[keep], (lambda j, keep=keep, make=make: make(keep[j]))
+            yield costs, make
+
     def greedy_scored_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
-    ) -> Iterable[Tuple[Move, float]]:
-        """``(move, new_cost_of_u)`` for every admissible *greedy*
-        deviation: buy one edge, delete one owned edge, or swap one edge
-        (Lenzner's move set).  The default filters the full move set;
-        games whose enumeration explodes override this with a direct
-        single-edge enumeration.  For the bilateral game the underlying
-        move set already applies the consent check, so greedy moves
-        there are the feasible improving single-edge changes."""
-        if self.moves_are_greedy():
-            yield from self._scored_moves(net, u, backend=backend)
-            return
-        for move, cost in self._scored_moves(net, u, backend=backend):
-            if _is_single_edge_change(net, move):
-                yield move, cost
+    ) -> Iterator[Tuple[Move, float]]:
+        """``(move, new_cost_of_u)`` for every admissible greedy deviation."""
+        return _flatten(self._greedy_batches(net, u, backend))
 
     def greedy_improving_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Greedy deviations that strictly decrease ``u``'s cost."""
         cur = self.current_cost(net, u, backend=backend)
-        return [
-            (m, c)
-            for m, c in self.greedy_scored_moves(net, u, backend=backend)
-            if c < cur - EPS
-        ]
+        return _improving(cur, self._greedy_batches(net, u, backend))
 
     def is_greedy_unhappy(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> bool:
         """Whether ``u`` has at least one improving greedy deviation."""
         cur = self.current_cost(net, u, backend=backend)
-        for _, c in self.greedy_scored_moves(net, u, backend=backend):
-            if c < cur - EPS:
-                return True
-        return False
+        return bool(_improving(cur, self._greedy_batches(net, u, backend), first=True))
 
     def greedy_unhappy_agents(
         self, net: Network, backend: Optional[DistanceBackend] = None
@@ -489,38 +501,13 @@ class SwapGame(Game):
         """Edges ``u`` may move: in the SG, every incident edge."""
         return net.neighbors(u)
 
-    def _fixed_neighbors(self, net: Network, u: int) -> List[int]:
-        """Neighbours ``u`` cannot detach from (none in the SG)."""
-        return []
-
-    def _scored_moves(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+        """Every single swap in one batch (a row of candidates per movable
+        edge, all priced in one pass), then the multi-swaps."""
         evaluator = self._evaluator(net, u, backend)
         nbrs = net.neighbors(u)
         allowed = self._allowed_targets(net, u)
         allowed[nbrs] = False  # cannot swap onto an existing neighbour
-        candidates = np.flatnonzero(allowed)
-        if candidates.size == 0:
-            return
-        sources = self._swap_sources(net, u)
-        nbr_set = set(nbrs.tolist())
-        for v in sources:
-            kept = sorted(nbr_set - {int(v)})
-            base = evaluator.base_vector(kept)
-            costs = evaluator.batch_costs(base, candidates)
-            for w, c in zip(candidates.tolist(), costs.tolist()):
-                yield Swap(u, int(v), w), c
-        if self.max_swaps > 1:
-            yield from self._multi_swap_moves(net, u, evaluator, candidates)
-
-    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
-        """Batched form of :meth:`_scored_moves` — same moves, same costs,
-        same order: every single swap in one cost array (a row of
-        candidates per movable edge, all priced in one pass), then the
-        multi-swaps."""
-        evaluator = self._evaluator(net, u, backend)
-        nbrs = net.neighbors(u)
-        allowed = self._allowed_targets(net, u)
-        allowed[nbrs] = False
         candidates = np.flatnonzero(allowed)
         if candidates.size == 0:
             return
@@ -532,32 +519,24 @@ class SwapGame(Game):
             yield (evaluator.batch_costs(bases, candidates).ravel(),
                    lambda i: Swap(u, sources[i // c], cand_list[i % c]))
         if self.max_swaps > 1:
-            multi = list(self._multi_swap_moves(net, u, evaluator, candidates))
-            if multi:
-                moves = [m for m, _ in multi]
-                yield np.array([c for _, c in multi]), moves.__getitem__
+            yield self._multi_swap_batch(net, u, evaluator, sources, cand_list)
 
-    def _multi_swap_moves(self, net: Network, u: int, evaluator, candidates):
+    def _multi_swap_batch(self, net: Network, u: int, evaluator, sources, pool):
         """Strategy changes replacing 2..max_swaps movable edges at once.
 
         Enumerated exhaustively; intended for the paper's instance sizes
         (the multi-swap claims of Theorems 2.16/3.3), not for sweeps.
         """
-        sources = [int(v) for v in self._swap_sources(net, u)]
-        fixed = self._fixed_neighbors(net, u)
-        pool = candidates.tolist()
         all_nbrs = set(net.neighbors(u).tolist())
+        edge_cost = self.edge_rule(net, u, self.alpha)  # swaps keep the edge count
+        moves, costs = [], []
         for k in range(2, min(self.max_swaps, len(sources)) + 1):
             for removed in itertools.combinations(sources, k):
-                kept = sorted((all_nbrs - set(removed)) | set(fixed))
+                kept = sorted(all_nbrs - set(removed))
                 for added in itertools.combinations(pool, k):
-                    new_neighbors = kept + list(added)
-                    cost = self.alpha_cost_of(net, u) + evaluator.distance_cost(new_neighbors)
-                    yield self._make_multi_move(net, u, removed, added), cost
-
-    def alpha_cost_of(self, net: Network, u: int) -> float:
-        """Edge-cost term after a swap (count-preserving, so unchanged)."""
-        return self.edge_rule(net, u, self.alpha)
+                    moves.append(self._make_multi_move(net, u, removed, added))
+                    costs.append(edge_cost + evaluator.distance_cost(kept + list(added)))
+        return np.array(costs, dtype=float), moves.__getitem__
 
     def _make_multi_move(self, net: Network, u: int, removed, added) -> Move:
         # In the SG a multi-swap may move edges owned by others; express
@@ -573,9 +552,6 @@ class AsymmetricSwapGame(SwapGame):
 
     def _swap_sources(self, net: Network, u: int) -> np.ndarray:
         return net.owned_targets(u)
-
-    def _fixed_neighbors(self, net: Network, u: int) -> List[int]:
-        return net.incoming_neighbors(u).tolist()
 
     def _make_multi_move(self, net: Network, u: int, removed, added) -> Move:
         new_targets = (set(net.owned_targets(u).tolist()) - set(removed)) | set(added)
@@ -619,38 +595,9 @@ class GreedyBuyGame(Game):
         """
         return self.alpha * (k + 1), self.alpha * k, self.alpha * (k - 1)
 
-    def _scored_moves(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
-        evaluator = self._evaluator(net, u, backend)
-        nbrs = net.neighbors(u)
-        owned = net.owned_targets(u)
-        k = owned.size
-        nbr_set = set(nbrs.tolist())
-        allowed = self._allowed_targets(net, u)
-        allowed[nbrs] = False
-        candidates = np.flatnonzero(allowed)
-        buy_edge, swap_edge, delete_edge = self._edge_terms(net, u, k)
-
-        # buys: keep everything, add one endpoint
-        if candidates.size:
-            base_all = evaluator.base_vector(nbrs)
-            buy_costs = evaluator.batch_costs(base_all, candidates)
-            for w, c in zip(candidates.tolist(), buy_costs.tolist()):
-                yield Buy(u, w), buy_edge + c
-
-        # deletes and swaps: drop one owned endpoint
-        for v in owned.tolist():
-            kept = sorted(nbr_set - {v})
-            base = evaluator.base_vector(kept)
-            yield Delete(u, v), delete_edge + evaluator.cost_of_base(base)
-            if candidates.size:
-                swap_costs = evaluator.batch_costs(base, candidates)
-                for w, c in zip(candidates.tolist(), swap_costs.tolist()):
-                    yield Swap(u, v, w), swap_edge + c
-
     def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
-        """Batched form of :meth:`_scored_moves` — same moves, same costs,
-        same order (the buys, then per owned edge its delete and its
-        swaps), as one cost array priced by one 3-D pass over
+        """The whole move set as one batch — the buys, then per owned
+        edge its delete and its swaps — priced by one 3-D pass over
         ``D(G - u)[candidates]``."""
         evaluator = self._evaluator(net, u, backend)
         nbrs = net.neighbors(u)
@@ -742,23 +689,16 @@ class BuyGame(Game):
     ):
         super().__init__(mode, alpha=alpha, host=host, edge_rule=OWNER_PAYS)
         self.max_enumeration_agents = max_enumeration_agents
-        self._greedy_helper: Optional[GreedyBuyGame] = None
 
-    def greedy_scored_moves(
-        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
-    ) -> Iterable[Tuple[Move, float]]:
-        """Single-edge deviations priced directly, without the
-        ``2^(n-1)`` strategy enumeration — the BG's greedy deviations
-        are exactly the GBG's move set under the same cost model, so
-        greedy stability stays decidable past
-        ``max_enumeration_agents``."""
-        if self._greedy_helper is None:
-            self._greedy_helper = GreedyBuyGame(
-                self.mode, alpha=self.alpha, host=self.host, edge_rule=self.edge_rule
-            )
-        yield from self._greedy_helper._scored_moves(net, u, backend=backend)
+    # the BG's greedy deviations are exactly the GBG's move set under the
+    # same owner-pays cost model: pricing them with the GBG's enumerator
+    # keeps greedy stability decidable past ``max_enumeration_agents``
+    _edge_terms = GreedyBuyGame._edge_terms
+    _greedy_batches = GreedyBuyGame._scored_batches
 
-    def _scored_moves(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+        """Every owned-target set other than the current one, as one batch
+        (by size, then lexicographically)."""
         if net.n > self.max_enumeration_agents:
             raise ValueError(
                 f"BuyGame strategy enumeration limited to n <= "
@@ -767,20 +707,24 @@ class BuyGame(Game):
             )
         evaluator = self._evaluator(net, u, backend)
         incoming = set(net.incoming_neighbors(u).tolist())
-        current = frozenset(net.owned_targets(u).tolist())
+        owned = net.owned_targets(u)
+        current = frozenset(owned.tolist())
         allowed = self._allowed_targets(net, u)
+        allowed[owned] = True  # keeping an edge creates nothing, host or not
         # buying an edge parallel to an incoming one never changes the
         # topology but costs alpha, so it is never part of a best response;
         # excluding those targets keeps enumeration small and sound.
         pool = [w for w in np.flatnonzero(allowed).tolist() if w not in incoming]
         fixed = sorted(incoming)
-        for r in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, r):
-                S = frozenset(combo)
-                if S == current:
-                    continue
-                dist = evaluator.distance_cost(list(S) + fixed)
-                yield StrategyChange(u, S), self.alpha * len(S) + dist
+        strategies = [
+            S
+            for r in range(len(pool) + 1)
+            for S in map(frozenset, itertools.combinations(pool, r))
+            if S != current
+        ]
+        costs = [self.alpha * len(S) + evaluator.distance_cost(list(S) + fixed)
+                 for S in strategies]
+        yield np.array(costs, dtype=float), lambda i: StrategyChange(u, strategies[i])
 
 
 # ---------------------------------------------------------------------------
@@ -834,41 +778,45 @@ class BilateralGame(Game):
         return not self.blocking_agents(net, move)
 
     # -- enumeration ---------------------------------------------------------
-    def _strategy_space(self, net: Network, u: int):
+    def _improving_strategies(
+        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
+    ) -> Iterator[Tuple[StrategyChange, float]]:
+        """Every neighbourhood cheaper for ``u`` than its current one, with
+        that cost, consented to or not (by size, then lexicographically)."""
         if net.n > self.max_enumeration_agents:
             raise ValueError(
                 f"BilateralGame strategy enumeration limited to n <= "
                 f"{self.max_enumeration_agents} agents"
             )
+        evaluator = self._evaluator(net, u, backend)
+        cur = self.current_cost(net, u, backend=backend)
+        nbrs = net.neighbors(u)
         allowed = self._allowed_targets(net, u)
+        allowed[nbrs] = True  # keeping an edge creates nothing, host or not
         pool = np.flatnonzero(allowed).tolist()
-        current = frozenset(net.neighbors(u).tolist())
+        current = frozenset(nbrs.tolist())
         for r in range(len(pool) + 1):
             for combo in itertools.combinations(pool, r):
                 S = frozenset(combo)
-                if S != current:
-                    yield S
+                if S == current:
+                    continue
+                cost = (self.alpha / 2.0) * len(S) + evaluator.distance_cost(sorted(S))
+                if cost < cur - EPS:
+                    yield StrategyChange(u, S, bilateral=True), cost
 
-    def _scored_moves(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
-        """Yield feasible moves with their cost.
+    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+        """The feasible improving moves, as one batch.
 
         Cheap cost screening happens *before* the (expensive) consent
-        check: only strategies at least as good as the current one get a
+        check: only strategies better than the current one get a
         feasibility test.  This keeps the enumeration usable at the
         paper's instance sizes.  The consent check itself always prices
         hypothetical networks densely — they are throwaway copies the
         incremental engine should not chase.
         """
-        evaluator = self._evaluator(net, u, backend)
-        cur = self.current_cost(net, u, backend=backend)
-        for S in self._strategy_space(net, u):
-            dist = evaluator.distance_cost(sorted(S))
-            cost = (self.alpha / 2.0) * len(S) + dist
-            if cost >= cur - EPS:
-                continue
-            move = StrategyChange(u, S, bilateral=True)
-            if self.feasible(net, move):
-                yield move, cost
+        scored = [(m, c) for m, c in self._improving_strategies(net, u, backend)
+                  if self.feasible(net, m)]
+        yield np.array([c for _, c in scored], dtype=float), [m for m, _ in scored].__getitem__
 
     def improving_moves_with_blockers(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -880,13 +828,5 @@ class BilateralGame(Game):
         about which agent blocks which strategy, and the tests verify
         those claims.
         """
-        evaluator = self._evaluator(net, u, backend)
-        cur = self.current_cost(net, u, backend=backend)
-        out = []
-        for S in self._strategy_space(net, u):
-            dist = evaluator.distance_cost(sorted(S))
-            cost = (self.alpha / 2.0) * len(S) + dist
-            if cost < cur - EPS:
-                move = StrategyChange(u, S, bilateral=True)
-                out.append((move, cost, self.blocking_agents(net, move)))
-        return out
+        return [(m, c, self.blocking_agents(net, m))
+                for m, c in self._improving_strategies(net, u, backend)]

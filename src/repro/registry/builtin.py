@@ -99,7 +99,7 @@ def resolve_alpha_spec(spec: str, n: int) -> float:
     if s == "n":
         return float(n)
     frac = _FRACTION_RE.match(s)
-    if frac:
+    if frac and float(frac.group(1)) > 0:
         return n / float(frac.group(1))
     mult = _MULTIPLE_RE.match(s)
     if mult:

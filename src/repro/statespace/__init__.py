@@ -5,7 +5,7 @@ transition system over network configurations:
 
 * :mod:`.encode` — the canonical bit-packed state encoding and the
   repo-wide :func:`~repro.statespace.encode.state_key` content digest;
-* :mod:`.expand` — deterministic memoized transition expansion priced
+* :mod:`.expand` — deterministic transition expansion priced
   through any :class:`~repro.graphs.incremental.DistanceBackend`;
 * :mod:`.explore` — sharded, resumable frontier BFS + Tarjan SCC into
   an :class:`~repro.statespace.explore.ExplorationReport` (equilibria,

@@ -24,17 +24,16 @@ unhappy agents (every tie-break of the paper's max cost policy is then
 a path in the restricted graph); ``"first_unhappy"`` keeps only the
 smallest-index unhappy agent (that policy's deterministic process).
 
-Expansion is memoized per ``(state key, agent)`` — frontier BFS reaches
-the same state through many predecessors, and shard files replayed on
-resume revisit states freely; each (state, agent) pair is priced through
-the :class:`~repro.graphs.incremental.DistanceBackend` exactly once per
-expander.
+The explorer expands each state once, so nothing is memoized across
+states: one expansion prices each agent's moves once, through the
+:class:`~repro.graphs.incremental.DistanceBackend`, and reuses them for
+the unhappy test and the transitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from ..core.games import EPS, Game
 from ..core.moves import Move, move_to_dict
@@ -78,7 +77,7 @@ class Transition:
 
 
 class Expander:
-    """Deterministic, memoized successor enumeration for one triple.
+    """Deterministic successor enumeration for one triple.
 
     Parameters
     ----------
@@ -115,10 +114,6 @@ class Expander:
         self.agent_filter = agent_filter
         self.backend = make_backend(backend)
         self.with_ownership = ownership_matters(game)
-        #: (state key, agent) -> tuple of that agent's moves in the state
-        self._agent_memo: Dict[Tuple[bytes, int], Tuple[Move, ...]] = {}
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     # -- keys --------------------------------------------------------------
     def key(self, net: Network) -> bytes:
@@ -126,23 +121,14 @@ class Expander:
         return state_key(net, with_ownership=self.with_ownership)
 
     # -- per-agent moves ---------------------------------------------------
-    def _moves_for(self, key: bytes, net: Network, u: int) -> Tuple[Move, ...]:
-        memo_key = (key, u)
-        hit = self._agent_memo.get(memo_key)
-        if hit is not None:
-            self.memo_hits += 1
-            return hit
-        self.memo_misses += 1
+    def _moves_for(self, net: Network, u: int) -> List[Move]:
         if self.moves == "best":
-            out = tuple(self.game.best_responses(net, u, backend=self.backend).moves)
-        elif self.moves == "greedy":
-            out = tuple(
-                m for m, _ in self.game.greedy_improving_moves(net, u, backend=self.backend)
-            )
+            return self.game.best_responses(net, u, backend=self.backend).moves
+        if self.moves == "greedy":
+            scored = self.game.greedy_improving_moves(net, u, backend=self.backend)
         else:
-            out = tuple(m for m, _ in self.game.improving_moves(net, u, backend=self.backend))
-        self._agent_memo[memo_key] = out
-        return out
+            scored = self.game.improving_moves(net, u, backend=self.backend)
+        return [m for m, _ in scored]
 
     def _movers(self, net: Network, unhappy: List[int]) -> List[int]:
         """Apply the agent filter to the unhappy set."""
@@ -157,36 +143,27 @@ class Expander:
         return [u for u in unhappy if costs[u] >= top - EPS]
 
     # -- expansion ---------------------------------------------------------
-    def expand(self, net: Network, key: Optional[bytes] = None) -> List[Transition]:
+    def expand(self, net: Network) -> List[Transition]:
         """All outgoing transitions of ``net``, in canonical order.
 
         An empty list means the state is a sink — a pure Nash
         equilibrium under the configured moveset and agent filter.
         """
-        return [t for t, _ in self.expand_with_successors(net, key)]
+        return [t for t, _ in self.expand_with_successors(net)]
 
-    def expand_with_successors(
-        self, net: Network, key: Optional[bytes] = None
-    ) -> List[Tuple[Transition, Network]]:
+    def expand_with_successors(self, net: Network) -> List[Tuple[Transition, Network]]:
         """:meth:`expand` plus each transition's successor network.
 
         The successor is materialised anyway to compute its key; the
         explorer needs it again for the persisted blob, so handing it
         back avoids a second copy-and-apply per edge.
         """
-        if key is None:
-            key = self.key(net)
-        unhappy = [
-            u for u in range(net.n) if self._moves_for(key, net, u)
-        ]
+        moves = [self._moves_for(net, u) for u in range(net.n)]
+        unhappy = [u for u in range(net.n) if moves[u]]
         out: List[Tuple[Transition, Network]] = []
         for u in self._movers(net, unhappy):
-            for move in self._moves_for(key, net, u):
+            for move in moves[u]:
                 succ = net.copy()
                 move.apply(succ)
                 out.append((Transition(u, move, self.key(succ)), succ))
         return out
-
-    def stats(self) -> Dict[str, int]:
-        """Memoization counters."""
-        return {"memo_hits": self.memo_hits, "memo_misses": self.memo_misses}

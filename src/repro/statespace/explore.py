@@ -11,7 +11,7 @@ through it.  :func:`explore` builds the transition system explicitly:
   connected configuration at size ``n`` (:func:`enumerate_states` — the
   full state space, making the census genuinely exhaustive);
 * **expanded** through :class:`~repro.statespace.expand.Expander`
-  (memoized per ``(state, agent)``, priced through any
+  (priced through any
   :class:`~repro.graphs.incremental.DistanceBackend` — all backends
   produce the same graph bit for bit);
 * **analysed** by an iterative Tarjan SCC pass into an
@@ -590,7 +590,7 @@ def _expand_chunk(args) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
     """Worker body: expand a chunk of states with a fresh expander.
 
     Returns, per state, ``(key hex, succ rows, successor (key, blob)
-    hex pairs)``.  Expansion is deterministic, so worker-local memo
+    hex pairs)``.  Expansion is deterministic, so worker-local backend
     state affects speed only.
     """
     game, moves, agent_filter, backend_spec, chunk = args
@@ -598,12 +598,10 @@ def _expand_chunk(args) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
                         backend=backend_spec)
     out = []
     for key_hex, blob_hex in chunk:
-        blob = bytes.fromhex(blob_hex)
-        net = decode_state(blob)
-        key = bytes.fromhex(key_hex)
+        net = decode_state(bytes.fromhex(blob_hex))
         rows: List[list] = []
         succs: List[Tuple[str, str]] = []
-        for t, succ_net in expander.expand_with_successors(net, key):
+        for t, succ_net in expander.expand_with_successors(net):
             rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
             succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
         out.append((key_hex, rows, succs))
@@ -655,7 +653,7 @@ def explore(
         cap on *new* expansions this invocation (drain in slices).
     n_jobs:
         worker processes per BFS layer (1 = serial in-process, keeping
-        one warm memoized expander).
+        one expander with warm backend caches).
     """
     if (start is None) == (n is None):
         raise ValueError("pass exactly one of start= or n=")
@@ -761,15 +759,13 @@ def explore(
                     results.sort(key=lambda r: r[0])
                 else:
                     # serial path: one persistent expander keeps its
-                    # (state, agent) memo and backend caches warm across layers
+                    # backend caches warm across layers
                     results = []
                     for i in pending:
                         net = decode_state(graph.blobs[i])
                         rows: List[list] = []
                         succs: List[Tuple[str, str]] = []
-                        for t, succ_net in expander.expand_with_successors(
-                            net, graph.keys[i]
-                        ):
+                        for t, succ_net in expander.expand_with_successors(net):
                             rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
                             succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
                         results.append((graph.keys[i].hex(), rows, succs))

@@ -1,9 +1,10 @@
-"""The batched best-response collector against the sequential one.
+"""The best-response collectors against the reference's naive one.
 
 ``_collect_best_batches`` answers from the stream minimum ``g`` whenever
-no cost lies in ``(g, g + 2*EPS]``, and replays the sequential tie rule
-otherwise.  Either way it must return exactly what ``_collect_best``
-returns when the concatenated stream is scored one move at a time.
+no cost lies in ``(g, g + 2*EPS]``, and hands near-ties to
+``_collect_best``.  Both must return exactly what the reference's
+sequential collector (``tests.reference.collect_best``) returns for the
+concatenated stream scored one move at a time.
 """
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 from repro.core.games import EPS, _collect_best, _collect_best_batches
 from repro.core.moves import Buy
+
+from tests.reference import collect_best
 
 
 def _scored(costs):
@@ -43,13 +46,14 @@ costs_strategy = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(costs_strategy, st.lists(st.integers(0, 30), max_size=4),
        st.sampled_from([3.0, 5.0 + 0.5 * EPS, 100.0, np.inf]))
-def test_batches_match_sequential_collector(costs, cuts, cost_before):
+def test_collectors_match_reference(costs, cuts, cost_before):
     cuts = [c for c in cuts if c <= len(costs)]
-    want = _collect_best(7, cost_before, _scored(costs))
-    got = _collect_best_batches(7, cost_before, _batches(costs, cuts))
-    assert (got.agent, got.cost_before, got.best_cost, got.moves) == (
-        want.agent, want.cost_before, want.best_cost, want.moves)
-    assert type(got.best_cost) is type(want.best_cost)
+    best_cost, moves = collect_best(cost_before, _scored(costs))
+    for got in (_collect_best(7, cost_before, _scored(costs)),
+                _collect_best_batches(7, cost_before, _batches(costs, cuts))):
+        assert (got.agent, got.cost_before, got.best_cost, got.moves) == (
+            7, cost_before, best_cost, moves)
+        assert type(got.best_cost) is type(best_cost)
 
 
 def test_near_ties_replay_the_sequential_rule():
@@ -60,4 +64,4 @@ def test_near_ties_replay_the_sequential_rule():
     br = _collect_best_batches(0, 100.0, _batches(costs, []))
     assert br.best_cost == g + 0.9 * EPS
     assert br.moves == [Buy(0, 3), Buy(0, 4)]
-    assert br.moves == _collect_best(0, 100.0, _scored(costs)).moves
+    assert (br.best_cost, br.moves) == collect_best(100.0, _scored(costs))

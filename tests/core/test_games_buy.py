@@ -1,59 +1,33 @@
-"""Tests for GBG and BG: enumeration correctness and tie preferences."""
+"""Tests for GBG and BG: enumeration correctness and tie preferences.
 
-import itertools
+Enumerations are cross-validated against the naive reference model
+(``tests.reference``), which rebuilds every post-move network by hand.
+"""
 
-import numpy as np
 import pytest
 
 from repro.core.games import EPS, BuyGame, GreedyBuyGame
-from repro.core.moves import Buy, Delete, StrategyChange, Swap
+from repro.core.moves import Buy, Delete
 from repro.core.network import Network
 from repro.graphs.generators import path_network, star_network
 
 from tests.helpers import network_from_adjacency, random_connected_adjacency
-
-
-def brute_force_gbg(game, net, u):
-    """All admissible single-op moves with post-move cost, the slow way."""
-    out = []
-    nbrs = set(net.neighbors(u).tolist())
-    owned = net.owned_targets(u).tolist()
-    for w in range(net.n):
-        if w == u or w in nbrs:
-            continue
-        if game.host is not None and not game.host[u, w]:
-            continue
-        work = net.copy()
-        Buy(u, w).apply(work)
-        out.append((Buy(u, w), game.current_cost(work, u)))
-    for v in owned:
-        work = net.copy()
-        Delete(u, v).apply(work)
-        out.append((Delete(u, v), game.current_cost(work, u)))
-        for w in range(net.n):
-            if w == u or w in nbrs:
-                continue
-            if game.host is not None and not game.host[u, w]:
-                continue
-            work = net.copy()
-            Swap(u, v, w).apply(work)
-            out.append((Swap(u, v, w), game.current_cost(work, u)))
-    return out
+from tests.reference import Reference, state_of
 
 
 @pytest.mark.parametrize("mode", ["sum", "max"])
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 7.5])
-def test_gbg_scored_moves_match_brute_force(mode, alpha, rng):
+def test_gbg_scored_moves_match_reference(mode, alpha, rng):
     game = GreedyBuyGame(mode, alpha=alpha)
+    ref = Reference.of(game)
     for trial in range(4):
         A = random_connected_adjacency(8, 4, rng)
         net = network_from_adjacency(A, rng)
         for u in range(net.n):
-            ours = sorted(
-                ((repr(m), round(c, 9)) for m, c in game._scored_moves(net, u))
-            )
-            ref = sorted(((repr(m), round(c, 9)) for m, c in brute_force_gbg(game, net, u)))
-            assert ours == ref
+            ours = list(game._scored_moves(net, u))
+            want = ref.scored(state_of(net), u)
+            assert [m for m, _ in ours] == [m for m, _ in want]
+            assert [c for _, c in ours] == pytest.approx([c for _, c in want], abs=1e-9)
 
 
 class TestGBGSemantics:
@@ -96,37 +70,17 @@ class TestGBGSemantics:
         assert game.current_cost(net, 0) == 3 * 3.0 + 3
 
 
-def brute_force_bg(game, net, u):
-    """Exhaustive BG enumeration by literal graph rebuilding."""
-    incoming = set(net.incoming_neighbors(u).tolist())
-    pool = [
-        w
-        for w in range(net.n)
-        if w != u and w not in incoming and (game.host is None or game.host[u, w])
-    ]
-    current = frozenset(net.owned_targets(u).tolist())
-    out = []
-    for r in range(len(pool) + 1):
-        for S in itertools.combinations(pool, r):
-            if frozenset(S) == current:
-                continue
-            work = net.copy()
-            StrategyChange.of(u, S).apply(work)
-            out.append((frozenset(S), game.current_cost(work, u)))
-    return out
-
-
 @pytest.mark.parametrize("mode", ["sum", "max"])
-def test_bg_enumeration_matches_brute_force(mode, rng):
+def test_bg_enumeration_matches_reference(mode, rng):
     game = BuyGame(mode, alpha=1.5)
+    ref = Reference.of(game)
     A = random_connected_adjacency(6, 3, rng)
     net = network_from_adjacency(A, rng)
     for u in range(net.n):
-        ours = sorted(
-            (frozenset(m.new_targets), round(c, 9)) for m, c in game._scored_moves(net, u)
-        )
-        ref = sorted((S, round(c, 9)) for S, c in brute_force_bg(game, net, u))
-        assert ours == ref
+        ours = list(game._scored_moves(net, u))
+        want = ref.scored(state_of(net), u)
+        assert [m for m, _ in ours] == [m for m, _ in want]
+        assert [c for _, c in ours] == pytest.approx([c for _, c in want], abs=1e-9)
 
 
 class TestBGSemantics:

@@ -1,51 +1,30 @@
 """Tests for SG and ASG: admissibility, improving moves, best responses.
 
-Every vectorized result is cross-validated against a brute-force
-apply-and-recompute reference on random networks.
+Every vectorized result is cross-validated against the naive reference
+model (``tests.reference``) on random networks.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.games import EPS, AsymmetricSwapGame, SwapGame
+from repro.core.games import AsymmetricSwapGame, SwapGame
 from repro.core.moves import Swap
-from repro.core.network import Network
 from repro.graphs.generators import cycle_network, path_network, star_network
 
 from tests.helpers import network_from_adjacency, random_connected_adjacency
-
-
-def brute_force_swaps(game, net, u):
-    """All admissible swaps with their post-move cost, the slow way."""
-    if isinstance(game, AsymmetricSwapGame):
-        sources = net.owned_targets(u).tolist()
-    else:
-        sources = net.neighbors(u).tolist()
-    nbrs = set(net.neighbors(u).tolist())
-    out = []
-    for v in sources:
-        for w in range(net.n):
-            if w == u or w in nbrs:
-                continue
-            if game.host is not None and not game.host[u, w]:
-                continue
-            work = net.copy()
-            Swap(u, v, w).apply(work)
-            out.append((Swap(u, v, w), game.current_cost(work, u)))
-    return out
+from tests.reference import Reference, state_of
 
 
 @pytest.mark.parametrize("game_cls", [SwapGame, AsymmetricSwapGame])
 @pytest.mark.parametrize("mode", ["sum", "max"])
-def test_scored_moves_match_brute_force(game_cls, mode, rng):
+def test_scored_moves_match_reference(game_cls, mode, rng):
     game = game_cls(mode)
+    ref = Reference.of(game)
     for trial in range(5):
         A = random_connected_adjacency(9, 4, rng)
         net = network_from_adjacency(A, rng)
         for u in range(net.n):
-            ours = {(m.old, m.new): c for m, c in game._scored_moves(net, u)}
-            ref = {(m.old, m.new): c for m, c in brute_force_swaps(game, net, u)}
-            assert ours == ref
+            assert list(game._scored_moves(net, u)) == ref.scored(state_of(net), u)
 
 
 @pytest.mark.parametrize("mode", ["sum", "max"])

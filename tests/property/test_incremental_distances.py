@@ -24,6 +24,7 @@ from repro.graphs.incremental import (
     IncrementalBackend,
 )
 from tests.helpers import network_from_adjacency, random_connected_adjacency
+from tests.reference import Reference, state_of
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +213,14 @@ def test_unchanged_state_is_served_from_memo(case, mode):
     st.sampled_from(["sum", "max"]),
     st.sampled_from(["asg", "sg", "gbg"]),
 )
-def test_batched_collector_matches_scalar_scored_moves(n, seed, mode, game_kind):
-    """``best_responses`` consumes ``_scored_batches``; the sequential
-    ``_scored_moves`` generator is the behavioural reference.  Both paths
-    must agree exactly — costs, tie sets, ordering — on random instances,
-    otherwise a batching bug could slip through the backend-equivalence
-    suite (every backend shares the batched path)."""
-    from repro.core.games import SwapGame, _collect_best
+def test_batched_collector_matches_reference(n, seed, mode, game_kind):
+    """``best_responses`` prices moves in batches and collects them with
+    ``_collect_best_batches``; the naive reference model rebuilds every
+    post-move network and collects sequentially.  Both must agree
+    exactly — costs, tie sets, ordering — on random instances up to
+    n = 14, otherwise a batching bug could slip through the
+    backend-equivalence suite (every backend shares the batched path)."""
+    from repro.core.games import SwapGame
 
     rng = np.random.default_rng(seed)
     A = random_connected_adjacency(n, int(rng.integers(0, n)), rng)
@@ -229,13 +231,11 @@ def test_batched_collector_matches_scalar_scored_moves(n, seed, mode, game_kind)
         game = SwapGame(mode)
     else:
         game = GreedyBuyGame(mode, alpha=float(rng.integers(1, 8)))
+    ref, state = Reference.of(game), state_of(net)
     for u in range(net.n):
         batched = game.best_responses(net, u)
-        cur = game.current_cost(net, u)
-        scalar = _collect_best(u, cur, game._scored_moves(net, u))
-        assert batched.cost_before == scalar.cost_before
-        assert batched.best_cost == scalar.best_cost
-        assert batched.moves == scalar.moves
+        assert (batched.cost_before, batched.best_cost, batched.moves) == (
+            ref.best_response(state, u))
 
 
 @pytest.mark.parametrize("game_kind", ["asg", "gbg"])

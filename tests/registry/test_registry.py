@@ -169,6 +169,10 @@ class TestSpecResolvers:
         with pytest.raises(ValueError, match="alpha spec"):
             resolve_alpha_spec("n^2", 40)
 
+    def test_alpha_spec_zero_divisor_is_a_named_error(self):
+        with pytest.raises(ValueError, match="cannot resolve alpha spec 'n/0'"):
+            resolve_alpha_spec("n/0", 40)
+
     def test_m_specs(self):
         assert resolve_m_spec("n", 25) == 25
         assert resolve_m_spec("4n", 25) == 100

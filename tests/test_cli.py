@@ -29,6 +29,13 @@ class TestRun:
     def test_run_sg(self, capsys):
         assert main(["run", "--game", "sg", "--n", "12", "--seed", "0"]) == 0
 
+    @pytest.mark.parametrize("flag", ["--alpha=nan", "--alpha=inf", "--alpha=-3",
+                                      "--param=alpha=n/0"])
+    def test_run_rejects_degenerate_alpha(self, capsys, flag):
+        assert main(["run", "--game", "gbg", flag, "--n", "10", "--seed", "1"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "alpha" in out
+
     def test_run_registry_only_policy(self, capsys):
         """A policy outside the legacy maxcost/random pair runs via the
         registry-generated choices."""

@@ -12,6 +12,7 @@ from repro import (
     AsymmetricSwapGame,
     BilateralGame,
     BuyGame,
+    CooperativeBuyGame,
     GreedyBuyGame,
     MaxCostPolicy,
     Network,
@@ -110,6 +111,26 @@ class TestAlphaExtremes:
         from repro.graphs import adjacency as adj
 
         assert adj.diameter(res.final.A) == 1
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -3.0])
+    @pytest.mark.parametrize("make", [
+        lambda a: GreedyBuyGame("sum", alpha=a),
+        lambda a: BuyGame("max", alpha=a),
+        lambda a: BilateralGame("sum", alpha=a),
+        lambda a: CooperativeBuyGame("sum", alpha=a),
+    ])
+    def test_degenerate_alpha_rejected_by_constructors(self, make, alpha):
+        """A NaN price would make every comparison false: every agent
+        happy and every network stable."""
+        with pytest.raises(ValueError, match="alpha"):
+            make(alpha)
+
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-3"])
+    def test_degenerate_alpha_rejected_through_alpha_specs(self, spec):
+        from repro.registry import REGISTRY
+
+        with pytest.raises(ValueError, match="alpha"):
+            REGISTRY.build("game", "gbg", {"mode": "sum", "alpha": spec}, n=10)
 
 
 class TestStepBudget:
