@@ -1,12 +1,11 @@
 """Fabric benchmarks: work-queue throughput, drain overhead, compaction.
 
-Mirrors ``bench_statespace.py``'s baseline discipline: run standalone
-(``python benchmarks/bench_fabric.py``) to measure the cells and diff
-them against the committed ``BENCH_fabric.json`` at the repo root.  Any
-cell more than 25% slower than its baseline number exits non-zero; a
-regressed run never rewrites the baseline.  ``--smoke`` (CI) runs the
-cheap cells only and never writes; ``--no-write`` measures everything
-without rewriting; ``--force-write`` accepts regressed numbers.
+Each cell is timed against a reference that shares no fabric code — a
+stdlib loop doing the same file I/O, or for the drain the serial
+campaign it must reproduce — and gated on that ratio by
+``benchmarks/harness.py``; run it standalone (``python
+benchmarks/bench_fabric.py [--smoke|--no-write|--force-write]``) to
+diff against ``BENCH_fabric.json``.
 
 Every timed cell is also *verified*: queue counts, drained aggregates
 (byte-identical to a serial run), and compacted row counts are pinned,
@@ -14,12 +13,10 @@ so a perf "win" from dropping work can never pass.
 """
 
 import json
-import pathlib
-import shutil
-import tempfile
-import time
-from typing import Optional
+import os
+import sys
 
+import harness
 from repro.experiments.asg_budget import figure7_spec
 from repro.experiments.campaign import (
     CampaignStore,
@@ -29,50 +26,78 @@ from repro.experiments.campaign import (
 from repro.experiments.columnar import ColumnarStore, compact_store
 from repro.experiments.fabric import WorkQueue, drain_campaign
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fabric.json"
-
-REGRESSION_FACTOR = 1.25
-
-#: cells whose *baseline* time is below this are too fast to time
-#: reliably; they are reported but not gated (same rule as bench_kernel).
-MIN_GATE_SECONDS = 0.1
-
 QUEUE_UNITS = 1000
 SYNTH_ROWS = 20_000
 SYNTH_CELLS = 8
+CHUNK_ROWS = 4096
 
 
-def bench_queue(root) -> dict:
+def bench_queue(root, clock) -> dict:
     """Initialize, claim, heartbeat, and complete QUEUE_UNITS units."""
     queue = WorkQueue(root)
     units = [{"id": f"u{i:05d}"} for i in range(QUEUE_UNITS)]
-    t0 = time.perf_counter()
-    enqueued = queue.initialize(units)
-    completed = 0
-    while (lease := queue.claim("w0")) is not None:
-        queue.heartbeat(lease)
-        queue.complete(lease, {"ok": True})
-        completed += 1
-    seconds = time.perf_counter() - t0
+    with clock:
+        enqueued = queue.initialize(units)
+        completed = 0
+        while (lease := queue.claim("w0")) is not None:
+            queue.heartbeat(lease)
+            queue.complete(lease, {"ok": True})
+            completed += 1
     assert enqueued == completed == QUEUE_UNITS, (enqueued, completed)
     assert queue.drained() and queue.counts()["done"] == QUEUE_UNITS
-    return {"seconds": seconds, "units": completed}
+    return {"units": completed}
 
 
-def bench_drain(root) -> dict:
-    """Drain a small fig7 slice with 2 workers; pin byte-identity."""
-    spec = figure7_spec()
-    serial = run_campaign(spec, root / "serial", trials=4, n_values=(10,),
-                          n_jobs=1)
-    want = json.dumps(aggregate_payload(serial.result), sort_keys=True)
-    t0 = time.perf_counter()
-    report = drain_campaign(spec, root / "fab", trials=4, n_values=(10,),
-                            workers=2, lease_ttl=10.0, unit_trials=2)
-    seconds = time.perf_counter() - t0
-    assert report.complete and report.units_failed == 0
-    got = json.dumps(aggregate_payload(report.result), sort_keys=True)
-    assert got == want, "drained aggregate diverged from the serial run"
-    return {"seconds": seconds, "units": report.units_done}
+def _atomic_write(path, text):
+    tmp = path.with_name(f".{path.name}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def stdlib_queue(root, clock) -> None:
+    """The same file transitions per unit as the queue, as a bare loop:
+    enqueue, read, rename to leased, stamp, heartbeat, done, unlink."""
+    dirs = {d: root / d for d in ("pending", "leased", "done")}
+    for d in dirs.values():
+        d.mkdir()
+    for i in range(QUEUE_UNITS):
+        _atomic_write(dirs["pending"] / f"u{i:05d}.json",
+                      json.dumps({"id": f"u{i:05d}", "retries": 0}))
+    for path in sorted(dirs["pending"].glob("*.json")):
+        unit = json.loads(path.read_text())
+        leased = dirs["leased"] / path.name
+        os.rename(path, leased)
+        for beat in (0, 1):
+            _atomic_write(leased, json.dumps({**unit, "owner": "w0", "beat": beat}))
+        _atomic_write(dirs["done"] / path.name,
+                      json.dumps({**unit, "result": {"ok": True}}))
+        leased.unlink()
+
+
+def _same_aggregate(result, seen: dict) -> None:
+    got = json.dumps(aggregate_payload(result), sort_keys=True)
+    assert seen.setdefault("first", got) == got, (
+        "drained aggregate diverged from the serial run")
+
+
+def drain_cell() -> harness.Cell:
+    """Drain a small fig7 slice with 2 workers against the serial run;
+    pins their aggregates byte-identical."""
+    seen = {}
+
+    def drain(root, clock) -> dict:
+        report = drain_campaign(figure7_spec(), root / "fab", trials=4,
+                                n_values=(10,), workers=2, lease_ttl=10.0,
+                                unit_trials=2)
+        assert report.complete and report.units_failed == 0
+        _same_aggregate(report.result, seen)
+        return {"units": report.units_done}
+
+    def serial(root, clock) -> None:
+        _same_aggregate(run_campaign(figure7_spec(), root / "serial", trials=4,
+                                     n_values=(10,), n_jobs=1).result, seen)
+
+    return harness.Cell("drain-fig7-2w", drain, serial)
 
 
 def _synthetic_store(root) -> CampaignStore:
@@ -96,122 +121,71 @@ def _synthetic_store(root) -> CampaignStore:
     return store
 
 
-def bench_compact(root) -> dict:
+def _jsonl_rows(store):
+    for path in sorted(store.root.glob("trials-*.jsonl")):
+        with open(path) as fh:
+            for line in fh:
+                row = json.loads(line)
+                row.pop("_crc")
+                yield row
+
+
+def bench_compact(root, clock) -> dict:
     """Compact SYNTH_ROWS rows into the pure-python chunk layout."""
     store = _synthetic_store(root)
-    t0 = time.perf_counter()
-    summary = compact_store(store, use_parquet=False)
-    seconds = time.perf_counter() - t0
+    with clock:
+        summary = compact_store(store, use_parquet=False)
     assert summary["rows"] == SYNTH_ROWS, summary["rows"]
     counts = ColumnarStore(root).cells_done(SYNTH_ROWS // SYNTH_CELLS)
     assert counts is not None
     assert sum(counts.values()) == SYNTH_ROWS
-    return {"seconds": seconds, "rows": summary["rows"]}
+    return {"rows": summary["rows"]}
 
 
-def bench_columnar_scan(root) -> dict:
-    """Stream every compacted row back out (the aggregate read path)."""
+def stdlib_compact(root, clock) -> None:
+    """Parse the same JSONL and write it back as column chunks."""
     store = _synthetic_store(root)
-    compact_store(store, use_parquet=False, prune=True)
-    columnar = ColumnarStore(root)
-    t0 = time.perf_counter()
-    rows = sum(1 for _ in columnar.iter_rows())
-    seconds = time.perf_counter() - t0
+    out = root / "chunks"
+    out.mkdir()
+    with clock:
+        rows = list(_jsonl_rows(store))
+        for k in range(0, len(rows), CHUNK_ROWS):
+            chunk = rows[k:k + CHUNK_ROWS]
+            columns = {name: [row[name] for row in chunk] for name in chunk[0]}
+            _atomic_write(out / f"chunk-{k}.json",
+                          json.dumps(columns, separators=(",", ":")))
+
+
+def bench_columnar_scan(root, clock) -> dict:
+    """Stream every compacted row back out (the aggregate read path)."""
+    compact_store(_synthetic_store(root), use_parquet=False, prune=True)
+    with clock:
+        rows = sum(1 for _ in ColumnarStore(root).iter_rows())
     assert rows == SYNTH_ROWS, rows
-    return {"seconds": seconds, "rows": rows}
+    return {"rows": rows}
 
 
-CELLS = {
-    "queue-1k-units": bench_queue,
-    "drain-fig7-2w": bench_drain,
-    "compact-20k-rows": bench_compact,
-    "columnar-scan-20k": bench_columnar_scan,
-}
-
-SMOKE_CELLS = ("queue-1k-units", "compact-20k-rows")
+def stdlib_scan(root, clock) -> None:
+    """Stream the same rows out of the uncompacted JSONL."""
+    store = _synthetic_store(root)
+    with clock:
+        sum(1 for _ in _jsonl_rows(store))
 
 
-def run_cell(name: str) -> dict:
-    """Time one cell in a throwaway directory; verify its pins."""
-    fn = CELLS[name]
-    tmp = tempfile.mkdtemp(prefix=f"bench-fabric-{name}-")
-    try:
-        measured = fn(pathlib.Path(tmp))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    measured["cell"] = name
-    measured["seconds"] = round(measured["seconds"], 4)
-    return measured
+CELLS = [
+    harness.Cell("queue-1k-units", bench_queue, stdlib_queue, smoke=True),
+    drain_cell(),
+    harness.Cell("compact-20k-rows", bench_compact, stdlib_compact, smoke=True),
+    harness.Cell("columnar-scan-20k", bench_columnar_scan, stdlib_scan),
+]
 
 
 def test_bench_cells_verify():
     """Every cell's identity pins hold (timings ignored)."""
-    for name in sorted(CELLS):
-        run_cell(name)
-
-
-def compare_to_baseline(summary: dict, baseline: dict) -> list:
-    """Cells >25% slower than the committed baseline (above the noise
-    floor).  Returns ``[(cell, old, new), ...]``."""
-    old_cells = {c["cell"]: c for c in baseline.get("cells", [])}
-    regressions = []
-    for cell in summary.get("cells", []):
-        old = old_cells.get(cell["cell"])
-        if old is None or old["seconds"] < MIN_GATE_SECONDS:
-            continue
-        if cell["seconds"] > old["seconds"] * REGRESSION_FACTOR:
-            regressions.append((cell["cell"], old["seconds"], cell["seconds"]))
-    return regressions
-
-
-def main(smoke: bool = False, write_baseline: Optional[bool] = None,
-         force: bool = False) -> int:
-    """Measure the cells, diff against ``BENCH_fabric.json``."""
-    names = SMOKE_CELLS if smoke else sorted(CELLS)
-    reps = 2 if smoke else 3
-    cells = []
-    for name in names:
-        best = None
-        for _ in range(reps):  # best-of: deterministic work, noisy clock
-            measured = run_cell(name)
-            if best is None or measured["seconds"] < best["seconds"]:
-                best = measured
-        cells.append(best)
-        detail = " ".join(f"{k}={v}" for k, v in sorted(best.items())
-                          if k not in ("cell", "seconds"))
-        print(f"{best['cell']:>20}: {best['seconds']:.3f}s {detail}")
-    summary = {"cells": cells}
-
-    regressions = []
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        regressions = compare_to_baseline(summary, baseline)
-        for key, old, new in regressions:
-            print(f"REGRESSION {key}: {old}s -> {new}s "
-                  f"(allowed {REGRESSION_FACTOR:.2f}x = {old * REGRESSION_FACTOR:.4g}s)")
-        if not regressions:
-            print(f"no >25% regressions vs {BASELINE_PATH.name}")
-    else:
-        print("no committed baseline found; skipping regression check")
-
-    if write_baseline is None:
-        write_baseline = not smoke
-    if write_baseline and regressions and not force:
-        print("baseline NOT rewritten: regressions above; fix them or "
-              "rerun with --force-write to accept the new numbers")
-    elif write_baseline:
-        BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    else:
-        print("baseline not rewritten")
-    return 1 if regressions else 0
+    for cell in CELLS:
+        harness.time_once(cell.run)
+        harness.time_once(cell.reference)
 
 
 if __name__ == "__main__":
-    import sys
-
-    if "--force-write" in sys.argv:
-        sys.exit(main(smoke="--smoke" in sys.argv, write_baseline=True,
-                      force=True))
-    sys.exit(main(smoke="--smoke" in sys.argv,
-                  write_baseline=False if "--no-write" in sys.argv else None))
+    sys.exit(harness.main(CELLS, harness.REPO_ROOT / "BENCH_fabric.json"))

@@ -8,26 +8,20 @@ one routed APSP rebuild per query, no memo and no blocks — never
 against the boolean-matmul oracle, which is an order of magnitude
 slower than either.
 
-Run standalone (``python benchmarks/bench_kernel.py``) to emit the
-machine-readable ``BENCH_kernel.json`` baseline at the repo root —
-future PRs diff against it for the perf trajectory.  Every standalone
-run first *compares* against the committed baseline and exits non-zero
-if any kernel number or trajectory cell regressed by more than 25%
-(``REGRESSION_FACTOR``; kernel micros compare machine-normalised, tiny
-trajectory cells sit below a noise floor and are not gated).  A
-regressed run never rewrites the baseline.  ``--smoke`` runs only the
-smallest grid cells (used by CI) and never rewrites the baseline;
-``--no-write`` runs the full grid without rewriting it;
-``--force-write`` accepts regressed numbers as the new baseline.
+Run standalone (``python benchmarks/bench_kernel.py
+[--smoke|--no-write|--force-write]``) to time the cells and diff them
+against ``BENCH_kernel.json`` through ``benchmarks/harness.py``: the
+kernel micros are gated on their ratio to the same run's boolean-matmul
+APSP, the trajectory cells on their ratio to :class:`RebuildBackend`.
 """
 
-import json
-import pathlib
-import time
-from typing import Optional
+import os
+import sys
 
 import numpy as np
 import pytest
+
+import harness
 
 from repro.core.best_response import DeviationEvaluator
 from repro.core.costs import DistanceMode
@@ -35,6 +29,7 @@ from repro.core.dynamics import run_dynamics
 from repro.core.games import AsymmetricSwapGame, GreedyBuyGame
 from repro.core.policies import MaxCostPolicy
 from repro.graphs import adjacency as adj
+from repro.graphs import bitkernel
 from repro.graphs.generators import random_budget_network, random_m_edge_network
 from repro.graphs.incremental import DenseBackend
 
@@ -130,47 +125,29 @@ def _trajectory_setup(game_kind: str, n: int):
     return game, net, 3 * n
 
 
-def run_trajectory(game_kind: str, n: int, backend: str):
-    """Run one trajectory cell under ``backend``; returns (seconds, result)."""
+def replay(game_kind: str, n: int, backend: str, seen: dict) -> dict:
+    """Run one trajectory cell under ``backend``; its moves and final
+    state must equal those of the first replay recorded in ``seen``."""
     game, net, max_steps = _trajectory_setup(game_kind, n)
-    t0 = time.perf_counter()
     result = run_dynamics(
         game, net, MaxCostPolicy(), seed=TRAJECTORY_SEED,
         max_steps=max_steps,
         backend=RebuildBackend() if backend == "rebuild" else backend,
     )
-    return time.perf_counter() - t0, result
+    got = ([(r.agent, r.move) for r in result.trajectory],
+           result.final.state_key())
+    assert seen.setdefault("first", got) == got, (
+        f"{game_kind} n={n}: {backend} diverged")
+    return {"steps": result.steps, "status": result.status}
 
 
-def bench_trajectory_cell(game_kind: str, n: int, reps: int = 1) -> dict:
-    """Time both backends on one cell and verify trajectory equivalence.
-
-    With ``reps > 1`` each backend is timed best-of-``reps`` (the runs
-    are deterministic, so repetition only removes scheduler/cache noise;
-    equivalence is still asserted on every repetition).
-    """
-    rebuild_s, rebuild = run_trajectory(game_kind, n, "rebuild")
-    inc_s, inc = run_trajectory(game_kind, n, "incremental")
-    assert [(r.agent, r.move) for r in rebuild.trajectory] == [
-        (r.agent, r.move) for r in inc.trajectory
-    ], f"{game_kind} n={n}: backends diverged"
-    assert rebuild.final.state_key() == inc.final.state_key()
-    for _ in range(reps - 1):
-        t, rerun = run_trajectory(game_kind, n, "rebuild")
-        assert rerun.final.state_key() == rebuild.final.state_key()
-        rebuild_s = min(rebuild_s, t)
-        t, rerun = run_trajectory(game_kind, n, "incremental")
-        assert rerun.final.state_key() == rebuild.final.state_key()
-        inc_s = min(inc_s, t)
-    return {
-        "game": game_kind,
-        "n": n,
-        "steps": rebuild.steps,
-        "status": rebuild.status,
-        "rebuild_s": round(rebuild_s, 4),
-        "incremental_s": round(inc_s, 4),
-        "speedup": round(rebuild_s / inc_s, 2),
-    }
+def trajectory_cell(game_kind: str, n: int) -> harness.Cell:
+    seen = {}
+    return harness.Cell(
+        f"trajectory-{game_kind}-n{n}",
+        lambda tmp, clock: replay(game_kind, n, "incremental", seen),
+        lambda tmp, clock: replay(game_kind, n, "rebuild", seen),
+        smoke=n == TRAJECTORY_NS[0])
 
 
 @pytest.mark.parametrize("game_kind", ["asg", "gbg"])
@@ -178,169 +155,50 @@ def bench_trajectory_cell(game_kind: str, n: int, reps: int = 1) -> dict:
 def test_dynamics_trajectory_backends(game_kind, n):
     """Backend equivalence at every grid cell.
 
-    The >=1.1x speedup floor over the per-query rebuild at n=120 is opt-in (``BENCH_ASSERT_SPEEDUP=1``)
-    so a loaded machine or a no-BLAS numpy cannot fail the *equivalence*
-    signal with a perf flake; the standalone ``main()`` run always
-    records the measured ratios in BENCH_kernel.json.
+    The >=1.1x speedup floor over the per-query rebuild at n=120 is
+    opt-in (``BENCH_ASSERT_SPEEDUP=1``) so a loaded machine or a no-BLAS
+    numpy cannot fail the *equivalence* signal with a perf flake; the
+    standalone run always records the measured ratios in
+    BENCH_kernel.json.
     """
-    import os
-
-    cell = bench_trajectory_cell(game_kind, n)
+    cell = harness.measure(trajectory_cell(game_kind, n), reps=1)
     if n == 120 and os.environ.get("BENCH_ASSERT_SPEEDUP"):
-        assert cell["speedup"] >= 1.1, cell
-    print(f"\n{game_kind} n={n}: rebuild {cell['rebuild_s']}s, "
-          f"incremental {cell['incremental_s']}s ({cell['speedup']}x)")
+        assert cell["ratio"] <= 1 / 1.1, cell
+    print(f"\n{game_kind} n={n}: rebuild {cell['reference_s']:.4f}s, "
+          f"incremental {cell['seconds']:.4f}s ({1 / cell['ratio']:.2f}x)")
 
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-
-#: a kernel is "regressed" when it is more than this factor slower than
-#: the committed baseline number for the same key.
-REGRESSION_FACTOR = 1.25
-
-#: trajectory cells whose *baseline* rebuild time is below this are too
-#: fast to time reliably (single-core scheduler noise exceeds the 25%
-#: margin even best-of-6); they are reported but not gated.
-MIN_GATE_SECONDS = 0.1
+NET100 = random_budget_network(100, 3, seed=1)
 
 
-def _best_of(fn, reps: int) -> float:
-    """Best-of-``reps`` wall time of ``fn`` in milliseconds."""
-    fn()  # warm caches / BLAS threads outside the timed reps
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
+def kernel_cell(name: str, fn) -> harness.Cell:
+    """A kernel micro at n = 100, against the boolean-matmul APSP.  The
+    median over 50+ pairs of millisecond calls is stable, so these are
+    gated below the noise floor that holds for whole runs."""
+    def run(tmp, clock):
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+
+    return harness.Cell(name, run,
+                        lambda tmp, clock: adj.all_pairs_distances(NET100.A),
+                        smoke=True, reps=(100, 50), floor=0.0)
 
 
-def _kernel_micro(reps: int) -> dict:
-    """The kernel micro-benchmarks: reference, BLAS-layered, bit-packed
-    APSP, and bit-packed blocks of 8 and 32 agents' ``D(G - u)``."""
-    from repro.graphs import bitkernel
-
-    net = random_budget_network(100, 3, seed=1)
-    with bitkernel.forced(False):
-        blas_ms = _best_of(lambda: adj.all_pairs_distances_fast(net.A), reps)
-    with bitkernel.forced(True):
-        bit_ms = _best_of(lambda: adj.all_pairs_distances_fast(net.A), reps)
-    block_ms = {k: _best_of(lambda k=k: bitkernel.deviation_distances_block(net.A, range(k)), reps)
-                for k in (8, 32)}
-    return {
-        "apsp_bool_matmul_n100_ms": round(_best_of(lambda: adj.all_pairs_distances(net.A), reps), 3),
-        "apsp_blas_layered_n100_ms": round(blas_ms, 3),
-        "apsp_bitkernel_n100_ms": round(bit_ms, 3),
-        "deviation_block8_n100_ms": round(block_ms[8], 3),
-        "deviation_block32_n100_ms": round(block_ms[32], 3),
-    }
+def _apsp(use_bitkernel: bool):
+    def fn():
+        with bitkernel.forced(use_bitkernel):
+            adj.all_pairs_distances_fast(NET100.A)
+    return fn
 
 
-#: kernel micro numbers are gated as ratios against this same-run
-#: reference kernel (the untouched boolean matmul), so raw machine speed
-#: cancels and the gate survives running on different hardware than the
-#: committed baseline (CI runners vs dev boxes).
-KERNEL_REFERENCE = "apsp_bool_matmul_n100_ms"
-
-
-def compare_to_baseline(summary: dict, baseline: dict) -> list:
-    """Regressions of ``summary`` vs ``baseline``: >25% slower on any
-    kernel micro number or any trajectory cell present in both.
-
-    Kernel numbers compare machine-normalised (relative to the same
-    run's :data:`KERNEL_REFERENCE`); trajectory cells compare absolute
-    seconds but only above the :data:`MIN_GATE_SECONDS` noise floor.
-    Returns ``[(key, old, new), ...]`` — empty when everything holds.
-    """
-    regressions = []
-    old_kernel = baseline.get("kernel", {})
-    new_kernel = summary.get("kernel", {})
-    old_ref = old_kernel.get(KERNEL_REFERENCE)
-    new_ref = new_kernel.get(KERNEL_REFERENCE)
-    normalise = bool(old_ref and new_ref)
-    for key, new in new_kernel.items():
-        old = old_kernel.get(key)
-        if old is None or key == KERNEL_REFERENCE:
-            continue
-        if normalise:
-            old, new = old / old_ref, new / new_ref
-            key = f"{key}/{KERNEL_REFERENCE}"
-        if new > old * REGRESSION_FACTOR:
-            regressions.append((f"kernel.{key}", round(old, 4), round(new, 4)))
-    old_cells = {
-        (c["game"], c["n"]): c for c in baseline.get("trajectories", [])
-    }
-    for cell in summary.get("trajectories", []):
-        old = old_cells.get((cell["game"], cell["n"]))
-        if old is None or old.get("rebuild_s", 0.0) < MIN_GATE_SECONDS:
-            continue
-        for field in ("rebuild_s", "incremental_s"):
-            if cell[field] > old[field] * REGRESSION_FACTOR:
-                regressions.append(
-                    (f"{cell['game']}.n{cell['n']}.{field}", old[field], cell[field])
-                )
-    return regressions
-
-
-def main(smoke: bool = False, write_baseline: Optional[bool] = None,
-         force: bool = False) -> int:
-    """Run the benchmark matrix and diff it against ``BENCH_kernel.json``.
-
-    Full runs measure the whole grid best-of-3 and rewrite the baseline
-    (unless ``write_baseline=False``, and never while the regression
-    gate is firing unless ``force``); ``--smoke`` runs (CI) measure the
-    smallest cells only, never touch the committed baseline, and — like
-    full runs — exit non-zero when any kernel regressed >25% against it.
-    """
-    ns = TRAJECTORY_NS[:1] if smoke else TRAJECTORY_NS
-    summary = {
-        "kernel": _kernel_micro(reps=20 if smoke else 50),
-        "trajectories": [
-            # the small cells are so fast that single-core scheduler
-            # noise dominates; give them more best-of repetitions
-            bench_trajectory_cell(game_kind, n, reps=2 if smoke else (3 if n >= 120 else 6))
-            for game_kind in ("asg", "gbg")
-            for n in ns
-        ],
-    }
-    for cell in summary["trajectories"]:
-        print(f"{cell['game']:>4} n={cell['n']:>3}: steps={cell['steps']:>4} "
-              f"rebuild={cell['rebuild_s']:.2f}s incremental={cell['incremental_s']:.2f}s "
-              f"speedup={cell['speedup']:.2f}x")
-    print("kernel:", json.dumps(summary["kernel"]))
-
-    regressions = []
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        regressions = compare_to_baseline(summary, baseline)
-        for key, old, new in regressions:
-            print(f"REGRESSION {key}: {old} -> {new} "
-                  f"(allowed {REGRESSION_FACTOR:.2f}x = {old * REGRESSION_FACTOR:.4g})")
-        if not regressions:
-            print(f"no >25% regressions vs {BASELINE_PATH.name}")
-    else:
-        print("no committed baseline found; skipping regression check")
-
-    if write_baseline is None:
-        write_baseline = not smoke
-    if write_baseline and regressions and not force:
-        # never let a regressed run silently become the new baseline —
-        # that would erase the very evidence the gate exists to keep
-        print("baseline NOT rewritten: regressions above; fix them or "
-              "rerun with --force-write to accept the new numbers")
-    elif write_baseline:
-        BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    else:
-        print("baseline not rewritten")
-    return 1 if regressions else 0
+CELLS = [
+    kernel_cell("apsp-blas-layered-n100", _apsp(False)),
+    kernel_cell("apsp-bitkernel-n100", _apsp(True)),
+] + [
+    kernel_cell(f"deviation-block{k}-n100", lambda k=k:
+                bitkernel.deviation_distances_block(NET100.A, range(k)))
+    for k in (8, 32)
+] + [trajectory_cell(g, n) for g in ("asg", "gbg") for n in TRAJECTORY_NS]
 
 
 if __name__ == "__main__":
-    import sys
-
-    if "--force-write" in sys.argv:
-        sys.exit(main(smoke="--smoke" in sys.argv, write_baseline=True,
-                      force=True))
-    sys.exit(main(smoke="--smoke" in sys.argv,
-                  write_baseline=False if "--no-write" in sys.argv else None))
+    sys.exit(harness.main(CELLS, harness.REPO_ROOT / "BENCH_kernel.json"))

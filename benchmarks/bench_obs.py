@@ -2,194 +2,170 @@
 
 The obs meters and spans are permanently compiled into the dynamics
 engine, the distance backends and the explorer, so the price of the
-instrumentation *is* a kernel number.  This bench pins it from three
-angles:
+instrumentation *is* a kernel number.  This bench pins it from two
+angles, each cell timed against a same-run reference by
+``benchmarks/harness.py``:
 
 1. **micro** — per-operation cost of the hot-path handles (counter
-   ``inc``, labelled ``inc``, histogram ``observe``, no-op span,
-   active span), reported next to a bare dict update measured in the
-   same run for scale (informational, not gated: see
-   :func:`compare_to_baseline`);
-2. **trajectory** — the n=120 dynamics cells of ``bench_kernel.py``
-   re-run with the meter force-disabled, enabled, and enabled+traced.
-   Every variant must replay the *identical* trajectory (telemetry
-   must never perturb the simulation);
-3. **kernel cross-check** — disabled-mode trajectory seconds compared
-   against the committed ``BENCH_kernel.json`` cells: the full run
-   refuses to write a baseline while disabled-mode overhead exceeds
-   ``DISABLED_OVERHEAD_FACTOR`` (2%) on any gated cell, so "telemetry
-   is free when off" stays an enforced invariant, not a comment.
+   ``inc``, labelled ``inc``, histogram ``observe``, disabled ``inc``,
+   no-op span, active span) against a bare dict update.  Reported, not
+   gated: nanosecond-scale interpreter loops sit far below the noise
+   floor, and any hot-path regression big enough to matter shows up in
+   the trajectory cells anyway;
+2. **trajectory** — the n = 30 and n = 120 dynamics cells of
+   ``bench_kernel.py`` with the meter disabled, enabled, and
+   enabled + traced, each against the same trajectory with every obs
+   handle method stubbed to a bare ``return``.  Every variant must
+   replay the *identical* trajectory (telemetry must never perturb the
+   simulation), and the disabled cells carry a same-run bound of 1.02:
+   "telemetry is free when off" (<= 2%) is an enforced invariant.
 
-Baseline discipline mirrors ``bench_kernel.py``: standalone runs diff
-against the committed ``BENCH_obs.json`` and exit non-zero on any >25%
-regression; a regressed run never rewrites the baseline.  ``--smoke``
-(CI) runs the n=30 cells only and never writes; ``--no-write`` measures
-the full grid without rewriting; ``--force-write`` accepts regressed
-numbers.
+Run it standalone (``python benchmarks/bench_obs.py
+[--smoke|--no-write|--force-write]``) to diff against ``BENCH_obs.json``.
 """
 
-import json
-import pathlib
+import contextlib
+import math
 import sys
-import tempfile
-import time
-from typing import Optional
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from bench_kernel import _trajectory_setup  # noqa: E402
+import harness
+from bench_kernel import TRAJECTORY_SEED, _trajectory_setup
+from repro.core.dynamics import run_dynamics
+from repro.core.policies import MaxCostPolicy
+from repro.obs import metrics as M
+from repro.obs import tracing as T
 
-from repro.core.dynamics import run_dynamics  # noqa: E402
-from repro.core.policies import MaxCostPolicy  # noqa: E402
-from repro.obs import metrics as M  # noqa: E402
-from repro.obs import tracing as T  # noqa: E402
+MICRO_N = 200_000
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_obs.json"
-KERNEL_BASELINE_PATH = BASELINE_PATH.parent / "BENCH_kernel.json"
+#: every method an instrumented seam calls on a meter or handle
+_HANDLE_METHODS = [(M._CounterHandle, "inc"), (M._GaugeHandle, "set"),
+                   (M._GaugeHandle, "set_max"), (M._HistogramHandle, "observe"),
+                   (M.Counter, "inc"), (M.Gauge, "set"), (M.Histogram, "observe")]
 
-REGRESSION_FACTOR = 1.25
 
-#: trajectory cells whose *baseline* time is below this are too fast to
-#: time reliably; reported but not gated (same rule as bench_kernel).
-MIN_GATE_SECONDS = 0.1
+def _bare(*args, **kwargs):
+    return
 
-#: disabled-mode trajectory seconds may exceed the committed
-#: BENCH_kernel.json incremental cell by at most this factor — the
-#: ISSUE's "telemetry off costs <=2%" acceptance, enforced at
-#: baseline-write time (the kernel baseline and this baseline are
-#: measured on the same machine, so absolute seconds compare).
-DISABLED_OVERHEAD_FACTOR = 1.02
 
-TRAJECTORY_SEED = 7
-TRAJECTORY_NS = (30, 120)
-
-#: the same-run primitive the counter hot path wraps (a bare
-#: ``d[k] = d.get(k, 0.0) + 1``), reported alongside the handle costs
-#: so readers can judge them relative to machine speed.
-MICRO_REFERENCE = "dict_update_ns"
+@contextlib.contextmanager
+def stubbed_obs():
+    """Every obs handle method a bare ``return``, every span the no-op."""
+    saved = [(cls, name, cls.__dict__[name]) for cls, name in _HANDLE_METHODS]
+    span = T.span
+    try:
+        for cls, name, _ in saved:
+            setattr(cls, name, _bare)
+        T.span = lambda name, **attrs: T._NOOP
+        yield
+    finally:
+        for cls, name, method in saved:
+            setattr(cls, name, method)
+        T.span = span
 
 
 # ---------------------------------------------------------------------------
 # micro: per-op handle cost
 # ---------------------------------------------------------------------------
 
-def _per_op_ns(fn, n: int, reps: int = 5) -> float:
-    """Best-of-``reps`` per-iteration wall time of ``fn(n)`` in ns."""
-    fn(n)  # warm
-    best = float("inf")
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn(n)
-        best = min(best, time.perf_counter() - t0)
-    return best / n * 1e9
+def _loop(call):
+    def work(tmp, clock):
+        for _ in range(MICRO_N):
+            call()
+    return work
 
 
-def _micro(n: int) -> dict:
-    meter = M.Meter(enabled=True)
-    plain = meter.counter("bench_plain_total", "").labels()
-    labelled = meter.counter("bench_labelled_total", "", ("tier",)) \
-                    .labels(tier="hot")
-    hist = meter.histogram("bench_seconds", "").labels()
-    off = M.Meter(enabled=False).counter("bench_off_total", "").labels()
-
-    def dict_update(k, d={}):
-        for _ in range(k):
-            d["x"] = d.get("x", 0.0) + 1
-
-    def counter_inc(k):
-        for _ in range(k):
-            plain.inc()
-
-    def labelled_inc(k):
-        for _ in range(k):
-            labelled.inc()
-
-    def hist_observe(k):
-        for _ in range(k):
-            hist.observe(0.017)
-
-    def disabled_inc(k):
-        for _ in range(k):
-            off.inc()
-
-    def span_noop(k):
-        for _ in range(k):
-            with T.span("bench.noop"):
-                pass
-
-    out = {
-        MICRO_REFERENCE: _per_op_ns(dict_update, n),
-        "counter_inc_ns": _per_op_ns(counter_inc, n),
-        "labelled_inc_ns": _per_op_ns(labelled_inc, n),
-        "histogram_observe_ns": _per_op_ns(hist_observe, n),
-        "disabled_inc_ns": _per_op_ns(disabled_inc, n),
-    }
-    T.configure(None)
-    out["span_noop_ns"] = _per_op_ns(span_noop, n // 4)
-    with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
-        T.configure(pathlib.Path(tmp) / "trace.jsonl")
-        try:
-            out["span_active_ns"] = _per_op_ns(span_noop, max(n // 50, 500),
-                                               reps=3)
-        finally:
-            T.configure(None)
-    return {k: round(v, 1) for k, v in out.items()}
+def _dict_update(d={}):
+    d["x"] = d.get("x", 0.0) + 1
 
 
-# ---------------------------------------------------------------------------
-# trajectory: disabled / enabled / traced, all byte-identical
-# ---------------------------------------------------------------------------
-
-def _run_cell(game_kind: str, n: int):
-    game, net, max_steps = _trajectory_setup(game_kind, n)
-    t0 = time.perf_counter()
-    result = run_dynamics(game, net, MaxCostPolicy(), seed=TRAJECTORY_SEED,
-                          max_steps=max_steps, backend="incremental")
-    return time.perf_counter() - t0, result
+def _span():
+    with T.span("bench.noop"):
+        pass
 
 
-def bench_trajectory_cell(game_kind: str, n: int, reps: int = 3) -> dict:
-    """Time one cell with the meter off, on, and on+traced.
-
-    All three variants must converge to the same final state — the
-    telemetry-never-perturbs invariant is asserted on every repetition.
-    """
-    was_enabled = M.DEFAULT.enabled
-    variants = {}
-    key = None
+def _traced_spans(tmp, clock):
+    T.configure(tmp / "trace.jsonl")
     try:
-        with tempfile.TemporaryDirectory(prefix="bench-obs-") as tmp:
-            for variant in ("disabled_s", "enabled_s", "traced_s"):
-                M.DEFAULT.enabled = variant != "disabled_s"
-                if variant == "traced_s":
-                    T.configure(pathlib.Path(tmp) / f"{game_kind}{n}.jsonl")
-                best = float("inf")
-                for _ in range(reps):
-                    seconds, result = _run_cell(game_kind, n)
-                    best = min(best, seconds)
-                    if key is None:
-                        key = result.final.state_key()
-                        steps = result.steps
-                    assert result.final.state_key() == key, (
-                        f"{game_kind} n={n}: {variant} perturbed the run")
-                variants[variant] = round(best, 4)
-                T.configure(None)
+        with clock:
+            for _ in range(MICRO_N // 50):
+                _span()
+    finally:
+        T.configure(None)
+
+
+_meter = M.Meter(enabled=True)
+MICROS = {
+    "counter-inc": _loop(_meter.counter("bench_plain_total", "").labels().inc),
+    "labelled-inc": _loop(_meter.counter("bench_labelled_total", "", ("tier",))
+                          .labels(tier="hot").inc),
+    "histogram-observe": _loop(lambda h=_meter.histogram("bench_seconds", "")
+                               .labels(): h.observe(0.017)),
+    "disabled-inc": _loop(M.Meter(enabled=False).counter("bench_off_total", "")
+                          .labels().inc),
+    "span-noop": _loop(_span),
+    "span-active": _traced_spans,
+}
+
+
+# ---------------------------------------------------------------------------
+# trajectory: disabled / enabled / traced / stubbed, all identical
+# ---------------------------------------------------------------------------
+
+def replay(game_kind: str, n: int, variant: str, seen: dict, tmp, clock) -> dict:
+    """One trajectory with the meter in ``variant`` mode (``disabled``,
+    ``enabled``, ``traced`` or ``stubbed``); its final state must equal
+    that of the first replay recorded in ``seen``."""
+    game, net, max_steps = _trajectory_setup(game_kind, n)
+    was_enabled = M.DEFAULT.enabled
+    M.DEFAULT.enabled = variant in ("enabled", "traced")
+    if variant == "traced":
+        T.configure(tmp / "trace.jsonl")
+    try:
+        with stubbed_obs() if variant == "stubbed" else contextlib.nullcontext():
+            with clock:
+                result = run_dynamics(game, net, MaxCostPolicy(),
+                                      seed=TRAJECTORY_SEED, max_steps=max_steps,
+                                      backend="incremental")
     finally:
         M.DEFAULT.enabled = was_enabled
         T.configure(None)
-    enabled_pct = (variants["enabled_s"] / variants["disabled_s"] - 1) * 100
-    return {"game": game_kind, "n": n, "steps": steps, **variants,
-            "enabled_overhead_pct": round(enabled_pct, 1)}
+    key = result.final.state_key()
+    assert seen.setdefault("first", key) == key, (
+        f"{game_kind} n={n}: {variant} perturbed the run")
+    return {"steps": result.steps}
+
+
+def trajectory_cell(game_kind: str, n: int, variant: str) -> harness.Cell:
+    seen = {}
+    return harness.Cell(
+        f"{game_kind}-n{n}-{variant}",
+        lambda tmp, clock: replay(game_kind, n, variant, seen, tmp, clock),
+        lambda tmp, clock: replay(game_kind, n, "stubbed", seen, tmp, clock),
+        # the 2% bound needs many pairs: single runs swing by half on a
+        # shared 2-vCPU host
+        smoke=n == 30, reps=(21, 7) if n >= 120 else (9, 7),
+        bound=1.02 if variant == "disabled" else None)
+
+
+CELLS = [harness.Cell(name, work, _loop(_dict_update), floor=math.inf)
+         for name, work in MICROS.items()] + [
+    trajectory_cell(game_kind, n, variant)
+    for game_kind in ("asg", "gbg")
+    for n in (30, 120)
+    for variant in ("disabled", "enabled", "traced")
+]
 
 
 @pytest.mark.parametrize("game_kind", ["asg", "gbg"])
 def test_telemetry_never_perturbs_the_trajectory(game_kind):
-    """Meter on/off/traced replay the identical n=30 trajectory."""
-    cell = bench_trajectory_cell(game_kind, 30, reps=1)
-    assert cell["steps"] > 0
-    print(f"\n{game_kind} n=30: disabled {cell['disabled_s']}s, "
-          f"enabled {cell['enabled_s']}s, traced {cell['traced_s']}s")
+    """Meter off/on/traced/stubbed replay the identical n=30 trajectory."""
+    seen = {}
+    for variant in ("disabled", "enabled", "traced", "stubbed"):
+        pins = harness.time_once(
+            lambda tmp, clock: replay(game_kind, 30, variant, seen, tmp, clock))[1]
+        assert pins["steps"] > 0
 
 
 def test_disabled_handles_record_nothing():
@@ -205,116 +181,5 @@ def test_disabled_handles_record_nothing():
     assert snap["bench_none_seconds"]["values"] == {}
 
 
-# ---------------------------------------------------------------------------
-# baseline discipline
-# ---------------------------------------------------------------------------
-
-def compare_to_baseline(summary: dict, baseline: dict) -> list:
-    """>25% regressions of ``summary`` vs ``baseline``.
-
-    Only the trajectory cells above the :data:`MIN_GATE_SECONDS` floor
-    are gated.  The micro numbers ride along in the baseline for
-    trend-watching but are not gated: nanosecond-scale interpreter
-    loops swing far more than 25% with scheduler state even best-of-5
-    (and even normalised against :data:`MICRO_REFERENCE`), while any
-    real hot-path regression big enough to matter shows up in the
-    gated trajectory seconds anyway."""
-    regressions = []
-    old_cells = {(c["game"], c["n"]): c
-                 for c in baseline.get("trajectories", [])}
-    for cell in summary.get("trajectories", []):
-        old = old_cells.get((cell["game"], cell["n"]))
-        if old is None or old["disabled_s"] < MIN_GATE_SECONDS:
-            continue
-        for field in ("disabled_s", "enabled_s", "traced_s"):
-            if cell[field] > old[field] * REGRESSION_FACTOR:
-                regressions.append(
-                    (f"{cell['game']}.n{cell['n']}.{field}",
-                     old[field], cell[field]))
-    return regressions
-
-
-def disabled_overhead_vs_kernel(summary: dict, kernel_baseline: dict) -> list:
-    """Cells where disabled-mode seconds exceed the committed kernel
-    incremental cell by more than :data:`DISABLED_OVERHEAD_FACTOR`."""
-    kernel_cells = {(c["game"], c["n"]): c
-                    for c in kernel_baseline.get("trajectories", [])}
-    violations = []
-    for cell in summary.get("trajectories", []):
-        old = kernel_cells.get((cell["game"], cell["n"]))
-        if old is None or old["incremental_s"] < MIN_GATE_SECONDS:
-            continue
-        if cell["disabled_s"] > old["incremental_s"] * DISABLED_OVERHEAD_FACTOR:
-            violations.append((f"{cell['game']}.n{cell['n']}",
-                               old["incremental_s"], cell["disabled_s"]))
-    return violations
-
-
-def main(smoke: bool = False, write_baseline: Optional[bool] = None,
-         force: bool = False) -> int:
-    ns = TRAJECTORY_NS[:1] if smoke else TRAJECTORY_NS
-    summary = {
-        "micro": _micro(n=50_000 if smoke else 200_000),
-        "trajectories": [
-            # the gated n=120 cells sit under a 2% cross-check against
-            # BENCH_kernel.json: give them enough best-of repetitions
-            # for the timing floor to converge through scheduler noise
-            bench_trajectory_cell(game_kind, n,
-                                  reps=2 if smoke else (10 if n >= 120 else 6))
-            for game_kind in ("asg", "gbg")
-            for n in ns
-        ],
-    }
-    print("micro:", json.dumps(summary["micro"]))
-    for cell in summary["trajectories"]:
-        print(f"{cell['game']:>4} n={cell['n']:>3}: "
-              f"disabled={cell['disabled_s']:.4f}s "
-              f"enabled={cell['enabled_s']:.4f}s "
-              f"traced={cell['traced_s']:.4f}s "
-              f"(+{cell['enabled_overhead_pct']:.1f}% enabled)")
-
-    violations = []
-    if KERNEL_BASELINE_PATH.exists():
-        kernel = json.loads(KERNEL_BASELINE_PATH.read_text())
-        violations = disabled_overhead_vs_kernel(summary, kernel)
-        for key, old, new in violations:
-            print(f"DISABLED-MODE OVERHEAD {key}: kernel {old}s -> "
-                  f"disabled {new}s (allowed "
-                  f"{old * DISABLED_OVERHEAD_FACTOR:.4f}s = +2%)")
-        if not violations:
-            print(f"disabled-mode overhead <=2% vs "
-                  f"{KERNEL_BASELINE_PATH.name} on every gated cell")
-
-    regressions = []
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        regressions = compare_to_baseline(summary, baseline)
-        for key, old, new in regressions:
-            print(f"REGRESSION {key}: {old} -> {new} "
-                  f"(allowed {REGRESSION_FACTOR:.2f}x = "
-                  f"{old * REGRESSION_FACTOR:.4g})")
-        if not regressions:
-            print(f"no >25% regressions vs {BASELINE_PATH.name}")
-    else:
-        print("no committed baseline found; skipping regression check")
-
-    failed = regressions or (violations if not smoke else [])
-    if write_baseline is None:
-        write_baseline = not smoke
-    if write_baseline and failed and not force:
-        print("baseline NOT rewritten: failures above; fix them or rerun "
-              "with --force-write to accept the new numbers")
-    elif write_baseline:
-        BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    else:
-        print("baseline not rewritten")
-    return 1 if failed else 0
-
-
 if __name__ == "__main__":
-    if "--force-write" in sys.argv:
-        sys.exit(main(smoke="--smoke" in sys.argv, write_baseline=True,
-                      force=True))
-    sys.exit(main(smoke="--smoke" in sys.argv,
-                  write_baseline=False if "--no-write" in sys.argv else None))
+    sys.exit(harness.main(CELLS, harness.REPO_ROOT / "BENCH_obs.json"))

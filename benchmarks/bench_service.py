@@ -1,12 +1,10 @@
 """Service benchmarks: concurrent admission, frame codec, stream replay.
 
-Mirrors ``bench_fabric.py``'s baseline discipline: run standalone
-(``python benchmarks/bench_service.py``) to measure the cells and diff
-them against the committed ``BENCH_service.json`` at the repo root.
-Any cell more than 25% slower than its baseline exits non-zero; a
-regressed run never rewrites the baseline.  ``--smoke`` (CI) runs the
-cheap cells only and never writes; ``--no-write`` measures without
-rewriting; ``--force-write`` accepts regressed numbers.
+Each cell is timed against a stdlib reference doing the same network
+I/O or encoding with no ``repro`` code, and gated on that ratio by
+``benchmarks/harness.py``; run it standalone (``python
+benchmarks/bench_service.py [--smoke|--no-write|--force-write]``) to
+diff against ``BENCH_service.json``.
 
 Every timed cell is also *verified*: the admission cell pins zero
 lost/duplicated jobs (accepted responses and on-disk job directories
@@ -17,12 +15,14 @@ of every streamed record.
 
 import asyncio
 import json
-import pathlib
-import shutil
-import tempfile
+import os
+import socket
+import struct
+import sys
+import threading
 import time
-from typing import Optional
 
+import harness
 from repro.experiments.campaign import encode_record_line
 from repro.service import QuotaPolicy, ServiceConfig, ServiceThread
 from repro.service.jobs import JobManager
@@ -36,18 +36,10 @@ from repro.service.protocol import (
 )
 from repro.service.stream import stream_job
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
-
-REGRESSION_FACTOR = 1.25
-
-#: cells whose *baseline* time is below this are too fast to time
-#: reliably; they are reported but not gated (same rule as bench_fabric).
-MIN_GATE_SECONDS = 0.1
-
 SUBMISSIONS = 1000
 MAX_QUEUED = 512
 #: generous ceiling on p99 admission latency — the pin is "bounded",
-#: the regression gate on total seconds tracks the trend
+#: the ratio gate on total seconds tracks the trend
 P99_CEILING_SECONDS = 5.0
 
 CODEC_FRAMES = 20_000
@@ -56,19 +48,20 @@ REPLAY_RECORDS = 2_000
 SPEC = {"game": {"name": "sg", "params": {"mode": "sum"}},
         "topology": {"name": "budget", "params": {"budget": 2}}}
 PAYLOAD = {"kind": "trial", "spec": SPEC, "n": 8, "trials": 3, "seed": 5}
+BODY = json.dumps(PAYLOAD).encode()
 
 
-async def _submit_once(host: str, port: int, body: bytes, token: str):
+async def _submit_once(host: str, port: int, token: str):
     """One raw POST /jobs over its own connection; returns
-    (status, parsed body, seconds)."""
+    (status, parsed body, headers, seconds)."""
     t0 = time.perf_counter()
     reader, writer = await asyncio.open_connection(host, port)
     try:
         head = (f"POST /jobs HTTP/1.1\r\nHost: bench\r\n"
                 f"X-Client-Token: {token}\r\n"
-                f"Content-Length: {len(body)}\r\n"
+                f"Content-Length: {len(BODY)}\r\n"
                 f"Connection: close\r\n\r\n").encode()
-        writer.write(head + body)
+        writer.write(head + BODY)
         await writer.drain()
         raw = await reader.read()
     finally:
@@ -83,24 +76,22 @@ async def _submit_once(host: str, port: int, body: bytes, token: str):
     return status, json.loads(payload), headers.decode(), seconds
 
 
-def bench_admission(root) -> dict:
+async def _storm(host: str, port: int):
+    return await asyncio.gather(*(
+        _submit_once(host, port, f"client-{i % 16}")
+        for i in range(SUBMISSIONS)))
+
+
+def bench_admission(root, clock) -> dict:
     """SUBMISSIONS concurrent submissions against an admission-only
     server: zero lost or duplicated jobs, quotas enforced, p99 bounded."""
     config = ServiceConfig(
         state_dir=root / "state", workers=0,
         quota=QuotaPolicy(max_queued=MAX_QUEUED,
                           max_jobs_per_client=SUBMISSIONS))
-    body = json.dumps(PAYLOAD).encode()
-
-    async def storm(host, port):
-        return await asyncio.gather(*(
-            _submit_once(host, port, body, f"client-{i % 16}")
-            for i in range(SUBMISSIONS)))
-
     with ServiceThread(config) as svc:
-        t0 = time.perf_counter()
-        results = asyncio.run(storm(config.host, svc.port))
-        seconds = time.perf_counter() - t0
+        with clock:
+            results = asyncio.run(_storm(config.host, svc.port))
 
     accepted = [p["id"] for status, p, _, _ in results if status == 201]
     rejected = [(p, headers) for status, p, headers, _ in results
@@ -118,33 +109,116 @@ def bench_admission(root) -> dict:
         assert payload["error"] == "saturated"
         assert "retry-after:" in headers.lower()
     assert p99 < P99_CEILING_SECONDS, f"p99 admission latency {p99:.3f}s"
-    return {"seconds": seconds, "accepted": len(accepted),
-            "rejected": len(rejected), "p99_ms": round(p99 * 1000, 1)}
+    return {"accepted": len(accepted), "rejected": len(rejected),
+            "p99_ms": round(p99 * 1000, 1)}
 
 
-def bench_ws_codec(root) -> dict:
+def stdlib_admission(root, clock) -> None:
+    """The same storm against a bare asyncio server on its own thread,
+    as the service is: parse each request, persist the first MAX_QUEUED
+    as job files and answer 201, refuse the rest with 503."""
+    accepted, stop = [], threading.Event()
+
+    async def handle(reader, writer):
+        head = await reader.readuntil(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+        job = json.loads(await reader.readexactly(length))
+        if len(accepted) < MAX_QUEUED:
+            accepted.append(os.urandom(8).hex())
+            tmp = root / f"{accepted[-1]}.tmp"
+            tmp.write_text(json.dumps({"id": accepted[-1], **job}))
+            os.replace(tmp, tmp.with_suffix(".json"))
+            status, body = b"201 Created", {"id": accepted[-1]}
+        else:
+            status, body = b"503 Unavailable\r\nRetry-After: 1", {"error": "saturated"}
+        payload = json.dumps(body).encode()
+        writer.write(b"HTTP/1.1 %s\r\nContent-Length: %d\r\n"
+                     b"Connection: close\r\n\r\n%s" % (status, len(payload), payload))
+        await writer.drain()
+        writer.close()
+
+    async def serve(sock):
+        server = await asyncio.start_server(handle, sock=sock)
+        while not stop.is_set():
+            await asyncio.sleep(0.01)
+        server.close()
+        await server.wait_closed()
+
+    sock = socket.create_server(("127.0.0.1", 0))
+    thread = threading.Thread(target=asyncio.run, args=(serve(sock),))
+    thread.start()
+    try:
+        with clock:
+            asyncio.run(_storm("127.0.0.1", sock.getsockname()[1]))
+    finally:
+        stop.set()
+        thread.join()
+
+
+def _codec_payloads():
+    return [(b"%d:" % i) + b"x" * (64 + (i % 3) * 97) for i in range(CODEC_FRAMES)]
+
+
+def bench_ws_codec(root, clock) -> dict:
     """Encode + decode CODEC_FRAMES masked frames (the per-record cost
     of a stream); pins payload integrity through the mask round-trip."""
-    payloads = [
-        (b"%d:" % i) + b"x" * (64 + (i % 3) * 97) for i in range(CODEC_FRAMES)
-    ]
-    t0 = time.perf_counter()
-    wire = b"".join(
-        encode_frame(OP_BINARY, p, mask=bool(i % 2))
-        for i, p in enumerate(payloads))
-    count = 0
-    view = memoryview(wire)
+    payloads = _codec_payloads()
+    with clock:
+        wire = b"".join(
+            encode_frame(OP_BINARY, p, mask=bool(i % 2))
+            for i, p in enumerate(payloads))
+        count = 0
+        view = memoryview(wire)
+        offset = 0
+        while offset < len(wire):
+            # fixed-size window: frames here are small, and slicing the
+            # whole tail each iteration would be quadratic
+            frame, consumed = decode_frame(bytes(view[offset:offset + 1024]))
+            assert frame.payload == payloads[count]
+            offset += consumed
+            count += 1
+    assert count == CODEC_FRAMES
+    return {"frames": count}
+
+
+def _xor(data: bytes, key: bytes) -> bytes:
+    if not key:
+        return data
+    mask = int.from_bytes((key * (len(data) // 4 + 1))[:len(data)], "big")
+    return (int.from_bytes(data, "big") ^ mask).to_bytes(len(data), "big")
+
+
+def _frame(payload: bytes, opcode: int = 0x2, key: bytes = b"") -> bytes:
+    """RFC 6455 framing with struct, for payloads under 64 KiB."""
+    n = len(payload)
+    head = struct.pack("!BB", 0x80 | opcode,
+                       (0x80 if key else 0) | (n if n < 126 else 126))
+    if n >= 126:
+        head += struct.pack("!H", n)
+    return head + key + _xor(payload, key)
+
+
+def _unframe(wire: bytes):
     offset = 0
     while offset < len(wire):
-        # fixed-size window: frames here are small, and slicing the
-        # whole tail each iteration would be quadratic
-        frame, consumed = decode_frame(bytes(view[offset:offset + 1024]))
-        assert frame.payload == payloads[count]
-        offset += consumed
-        count += 1
-    seconds = time.perf_counter() - t0
-    assert count == CODEC_FRAMES
-    return {"seconds": seconds, "frames": count}
+        b1 = wire[offset + 1]
+        n, offset = b1 & 0x7F, offset + 2
+        if n == 126:
+            n, offset = struct.unpack_from("!H", wire, offset)[0], offset + 2
+        key = b""
+        if b1 & 0x80:
+            key, offset = wire[offset:offset + 4], offset + 4
+        yield _xor(wire[offset:offset + n], key)
+        offset += n
+
+
+def stdlib_codec(root, clock) -> None:
+    """The same frames through a struct-and-XOR codec."""
+    payloads = _codec_payloads()
+    with clock:
+        wire = b"".join(_frame(p, key=os.urandom(4) if i % 2 else b"")
+                        for i, p in enumerate(payloads))
+        assert list(_unframe(wire)) == payloads
 
 
 class _SinkWriter:
@@ -160,7 +234,13 @@ class _SinkWriter:
         pass
 
 
-def bench_stream_replay(root) -> dict:
+def _replay_lines():
+    return [encode_record_line({"cell": "bench-n8", "trial": i,
+                                "steps": i % 40, "status": "converged"})
+            for i in range(REPLAY_RECORDS)]
+
+
+def bench_stream_replay(root, clock) -> dict:
     """Replay REPLAY_RECORDS stored records through stream_job; pins
     byte-identity of every streamed line."""
     manager = JobManager(root / "state", workers=0)
@@ -168,9 +248,7 @@ def bench_stream_replay(root) -> dict:
     job = manager.submit({**PAYLOAD, "trials": REPLAY_RECORDS}, client="bench")
     store = manager.store_dir(job.id)
     store.mkdir(parents=True)
-    lines = [encode_record_line({"cell": "bench-n8", "trial": i,
-                                 "steps": i % 40, "status": "converged"})
-             for i in range(REPLAY_RECORDS)]
+    lines = _replay_lines()
     (store / "trials-0of1.jsonl").write_text("".join(l + "\n" for l in lines))
     job.state = "done"
     manager._persist(job)
@@ -182,9 +260,8 @@ def bench_stream_replay(root) -> dict:
         await stream_job(manager, job, WebSocket(reader, writer),
                          poll=0.001, queue_limit=REPLAY_RECORDS + 16)
 
-    t0 = time.perf_counter()
-    asyncio.run(asyncio.wait_for(run(), timeout=120))
-    seconds = time.perf_counter() - t0
+    with clock:
+        asyncio.run(asyncio.wait_for(run(), timeout=120))
 
     got, closed = [], False
     buf = bytes(writer.sent)
@@ -192,7 +269,7 @@ def bench_stream_replay(root) -> dict:
         decoded = decode_frame(buf)
         if decoded is None:
             break
-        frame, consumed = decode_frame(buf)
+        frame, consumed = decoded
         buf = buf[consumed:]
         if frame.opcode == OP_CLOSE:
             closed = True
@@ -202,99 +279,36 @@ def bench_stream_replay(root) -> dict:
                 got.append(text)
     assert got == lines, "streamed records diverged from the store"
     assert closed
-    return {"seconds": seconds, "records": len(got)}
+    return {"records": len(got)}
 
 
-CELLS = {
-    "admit-1k-concurrent": bench_admission,
-    "ws-codec-20k": bench_ws_codec,
-    "stream-replay-2k": bench_stream_replay,
-}
+def stdlib_replay(root, clock) -> None:
+    """Read the same stored lines, frame each as text, read them back."""
+    path = root / "trials-0of1.jsonl"
+    path.write_text("".join(l + "\n" for l in _replay_lines()))
+    with clock:
+        with open(path, "rb") as fh:
+            lines = [line.rstrip(b"\n") for line in fh]
+        wire = b"".join(_frame(line, opcode=0x1) for line in lines)
+        assert list(_unframe(wire)) == lines
 
-SMOKE_CELLS = ("admit-1k-concurrent", "ws-codec-20k")
 
-
-def run_cell(name: str) -> dict:
-    """Time one cell in a throwaway directory; verify its pins."""
-    fn = CELLS[name]
-    tmp = tempfile.mkdtemp(prefix=f"bench-service-{name}-")
-    try:
-        measured = fn(pathlib.Path(tmp))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    measured["cell"] = name
-    measured["seconds"] = round(measured["seconds"], 4)
-    return measured
+CELLS = [
+    # CPU seconds: the storm overflows the listen backlog, and the 1 s
+    # SYN retransmits that follow land in either wall time at random
+    harness.Cell("admit-1k-concurrent", bench_admission, stdlib_admission,
+                 smoke=True, reps=(7, 5), cpu=True),
+    harness.Cell("ws-codec-20k", bench_ws_codec, stdlib_codec, smoke=True),
+    harness.Cell("stream-replay-2k", bench_stream_replay, stdlib_replay),
+]
 
 
 def test_bench_cells_verify():
     """Every cell's identity pins hold (timings ignored)."""
-    for name in sorted(CELLS):
-        run_cell(name)
-
-
-def compare_to_baseline(summary: dict, baseline: dict) -> list:
-    """Cells >25% slower than the committed baseline (above the noise
-    floor).  Returns ``[(cell, old, new), ...]``."""
-    old_cells = {c["cell"]: c for c in baseline.get("cells", [])}
-    regressions = []
-    for cell in summary.get("cells", []):
-        old = old_cells.get(cell["cell"])
-        if old is None or old["seconds"] < MIN_GATE_SECONDS:
-            continue
-        if cell["seconds"] > old["seconds"] * REGRESSION_FACTOR:
-            regressions.append((cell["cell"], old["seconds"], cell["seconds"]))
-    return regressions
-
-
-def main(smoke: bool = False, write_baseline: Optional[bool] = None,
-         force: bool = False) -> int:
-    """Measure the cells, diff against ``BENCH_service.json``."""
-    names = SMOKE_CELLS if smoke else sorted(CELLS)
-    reps = 2 if smoke else 3
-    cells = []
-    for name in names:
-        best = None
-        for _ in range(reps):  # best-of: deterministic work, noisy clock
-            measured = run_cell(name)
-            if best is None or measured["seconds"] < best["seconds"]:
-                best = measured
-        cells.append(best)
-        detail = " ".join(f"{k}={v}" for k, v in sorted(best.items())
-                          if k not in ("cell", "seconds"))
-        print(f"{best['cell']:>20}: {best['seconds']:.3f}s {detail}")
-    summary = {"cells": cells}
-
-    regressions = []
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        regressions = compare_to_baseline(summary, baseline)
-        for key, old, new in regressions:
-            print(f"REGRESSION {key}: {old}s -> {new}s "
-                  f"(allowed {REGRESSION_FACTOR:.2f}x = {old * REGRESSION_FACTOR:.4g}s)")
-        if not regressions:
-            print(f"no >25% regressions vs {BASELINE_PATH.name}")
-    else:
-        print("no committed baseline found; skipping regression check")
-
-    if write_baseline is None:
-        write_baseline = not smoke
-    if write_baseline and regressions and not force:
-        print("baseline NOT rewritten: regressions above; fix them or "
-              "rerun with --force-write to accept the new numbers")
-    elif write_baseline:
-        BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    else:
-        print("baseline not rewritten")
-    return 1 if regressions else 0
+    for cell in CELLS:
+        harness.time_once(cell.run)
+        harness.time_once(cell.reference)
 
 
 if __name__ == "__main__":
-    import sys
-
-    if "--force-write" in sys.argv:
-        sys.exit(main(smoke="--smoke" in sys.argv, write_baseline=True,
-                      force=True))
-    sys.exit(main(smoke="--smoke" in sys.argv,
-                  write_baseline=False if "--no-write" in sys.argv else None))
+    sys.exit(harness.main(CELLS, harness.REPO_ROOT / "BENCH_service.json"))

@@ -1,27 +1,22 @@
 """Statespace-explorer benchmarks: exhaustive census wall time per cell.
 
-Mirrors ``bench_kernel.py``'s baseline discipline: run standalone
-(``python benchmarks/bench_statespace.py``) to measure the census grid
-and diff it against the committed ``BENCH_statespace.json`` at the repo
-root.  Any cell more than 25% slower than its baseline number exits
-non-zero; a regressed run never rewrites the baseline.  ``--smoke``
-(CI) runs the smallest cells only and never writes; ``--no-write``
-measures the full grid without rewriting; ``--force-write`` accepts
-regressed numbers as the new baseline.
+Each census is timed against the naive census of the same game
+(``tests.reference``, which shares no code with the explorer) and gated
+on that ratio by ``benchmarks/harness.py``; run it standalone
+(``python benchmarks/bench_statespace.py [--smoke|--no-write|--force-write]``)
+to diff against ``BENCH_statespace.json``.
 
-Every timed cell is also *verified*: the census must report the exact
-state/equilibrium counts pinned here (they are mathematical facts about
-the games, not tunables), so a perf "win" from exploring the wrong
-graph can never pass.
+Every cell is also *verified*: the census must report the exact
+state/equilibrium counts pinned here, and the naive census must count
+the same (they are mathematical facts about the games, not tunables),
+so a perf "win" from exploring the wrong graph can never pass.
 """
 
-import json
-import pathlib
-import time
-from typing import Optional
+import sys
 
 import pytest
 
+import harness
 from repro.core.games import (
     AsymmetricSwapGame,
     BuyGame,
@@ -31,158 +26,74 @@ from repro.core.games import (
 )
 from repro.instances.figures import fig3_sum_asg_cycle
 from repro.statespace import explore, verify_sinks
+from tests.reference import Reference, state_of
 
-BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_statespace.json"
+BASELINE_PATH = harness.REPO_ROOT / "BENCH_statespace.json"
 
-REGRESSION_FACTOR = 1.25
-
-#: cells whose *baseline* time is below this are too fast to time
-#: reliably; they are reported but not gated (same rule as bench_kernel).
-MIN_GATE_SECONDS = 0.1
-
-#: the census grid: (cell name, expected states, expected equilibria).
+#: cell name: (game factory, explore arguments, states, equilibria).
 #: The expectations pin graph identity — see the module docstring.
-CELLS = {
-    "sg-sum-n4": (lambda: explore(SwapGame("sum"), n=4), 38, 26),
-    "asg-sum-n4": (lambda: explore(AsymmetricSwapGame("sum"), n=4), 624, 552),
-    "asg-sum-n4-incremental": (
-        lambda: explore(AsymmetricSwapGame("sum"), n=4, backend="incremental"),
-        624, 552,
-    ),
-    "gbg-sum-n4-a1": (lambda: explore(GreedyBuyGame("sum", alpha=1.0), n=4), 624, 528),
-    "sg-sum-n5": (lambda: explore(SwapGame("sum"), n=5), 728, 368),
+CENSUS = {
+    "sg-sum-n4": (lambda: SwapGame("sum"), {"n": 4}, 38, 26),
+    "asg-sum-n4": (lambda: AsymmetricSwapGame("sum"), {"n": 4}, 624, 552),
+    "asg-sum-n4-incremental": (lambda: AsymmetricSwapGame("sum"),
+                               {"n": 4, "backend": "incremental"}, 624, 552),
+    "gbg-sum-n4-a1": (lambda: GreedyBuyGame("sum", alpha=1.0), {"n": 4}, 624, 528),
+    "sg-sum-n5": (lambda: SwapGame("sum"), {"n": 5}, 728, 368),
     # greedy-equilibrium census: the BG's 104 GE strictly contain its 62
     # NE at alpha=2, n=4 — the gap the greedy moveset exists to measure
-    "bg-sum-n4-a2-greedy": (
-        lambda: explore(BuyGame("sum", alpha=2.0), n=4, moves="greedy"),
-        624, 104,
-    ),
-    "coop-sum-n4-a2": (
-        lambda: explore(CooperativeBuyGame("sum", alpha=2.0), n=4),
-        624, 528,
-    ),
-    "fig3-reachable": (
-        lambda: explore(fig3_sum_asg_cycle().game, start=fig3_sum_asg_cycle().network),
-        4, 0,
-    ),
+    "bg-sum-n4-a2-greedy": (lambda: BuyGame("sum", alpha=2.0),
+                            {"n": 4, "moves": "greedy"}, 624, 104),
+    "coop-sum-n4-a2": (lambda: CooperativeBuyGame("sum", alpha=2.0), {"n": 4}, 624, 528),
+    "fig3-reachable": (lambda: fig3_sum_asg_cycle().game,
+                       {"start": fig3_sum_asg_cycle().network}, 4, 0),
 }
 
-SMOKE_CELLS = ("sg-sum-n4", "asg-sum-n4", "bg-sum-n4-a2-greedy",
-               "fig3-reachable")
+SMOKE = ("sg-sum-n4", "asg-sum-n4", "bg-sum-n4-a2-greedy", "fig3-reachable")
 
 
-def run_cell(name: str, report=None) -> dict:
-    """Time one census cell and verify its pinned identity.
-
-    Pass an already-computed ``report`` to verify without re-exploring
-    (``seconds`` is then 0 and meaningless).
-    """
-    fn, want_states, want_eq = CELLS[name]
-    if report is None:
-        t0 = time.perf_counter()
-        report = fn()
-        seconds = time.perf_counter() - t0
-    else:
-        seconds = 0.0
+def census(name):
+    """Explore one cell; returns ``(game, report, pins)``."""
+    make_game, kwargs, states, equilibria = CENSUS[name]
+    game = make_game()
+    report = explore(game, **kwargs)
     assert report.complete and not report.truncated, name
-    assert report.n_states == want_states, (
-        f"{name}: {report.n_states} states, expected {want_states}")
-    assert report.n_equilibria == want_eq, (
-        f"{name}: {report.n_equilibria} equilibria, expected {want_eq}")
-    return {
-        "cell": name,
-        "seconds": round(seconds, 4),
-        "states": report.n_states,
-        "edges": report.n_edges,
-        "equilibria": report.n_equilibria,
-        "cycles": len(report.cycles),
-    }
+    assert report.n_states == states, (
+        f"{name}: {report.n_states} states, expected {states}")
+    assert report.n_equilibria == equilibria, (
+        f"{name}: {report.n_equilibria} equilibria, expected {equilibria}")
+    return game, report, {"states": report.n_states, "edges": report.n_edges,
+                          "equilibria": report.n_equilibria,
+                          "cycles": len(report.cycles)}
 
 
-@pytest.mark.parametrize("name", sorted(CELLS))
+def naive_census(name):
+    """The same question asked of the naive model."""
+    make_game, kwargs, states, equilibria = CENSUS[name]
+    ref = Reference.of(make_game())
+    if "start" in kwargs:
+        # a reachable component has no naive census: price its start
+        start = state_of(kwargs["start"])
+        for u in range(start.n):
+            ref.best_response(start, u)
+        return
+    total, stable = ref.census(kwargs["n"], greedy=kwargs.get("moves") == "greedy")
+    assert (total, len(stable)) == (states, equilibria), f"{name}: naive census"
+
+
+CELLS = [
+    harness.Cell(name, lambda tmp, clock, name=name: census(name)[2],
+                 lambda tmp, clock, name=name: naive_census(name),
+                 smoke=name in SMOKE)
+    for name in sorted(CENSUS)
+]
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
 def test_census_cell(name):
     """Identity-pinned census per cell, plus a brute-force sink check."""
-    fn, _, _ = CELLS[name]
-    report = fn()
-    run_cell(name, report=report)  # pins states/equilibria
-    game = (fig3_sum_asg_cycle().game if name == "fig3-reachable"
-            else None)
-    if game is None:
-        # reconstruct the cell's game for the oracle check
-        game = {
-            "sg-sum-n4": SwapGame("sum"),
-            "asg-sum-n4": AsymmetricSwapGame("sum"),
-            "asg-sum-n4-incremental": AsymmetricSwapGame("sum"),
-            "gbg-sum-n4-a1": GreedyBuyGame("sum", alpha=1.0),
-            "sg-sum-n5": SwapGame("sum"),
-            "bg-sum-n4-a2-greedy": BuyGame("sum", alpha=2.0),
-            "coop-sum-n4-a2": CooperativeBuyGame("sum", alpha=2.0),
-        }[name]
+    game, report, _ = census(name)
     verify_sinks(report, game)
 
 
-def compare_to_baseline(summary: dict, baseline: dict) -> list:
-    """Cells >25% slower than the committed baseline (above the noise
-    floor).  Returns ``[(cell, old, new), ...]``."""
-    old_cells = {c["cell"]: c for c in baseline.get("cells", [])}
-    regressions = []
-    for cell in summary.get("cells", []):
-        old = old_cells.get(cell["cell"])
-        if old is None or old["seconds"] < MIN_GATE_SECONDS:
-            continue
-        if cell["seconds"] > old["seconds"] * REGRESSION_FACTOR:
-            regressions.append((cell["cell"], old["seconds"], cell["seconds"]))
-    return regressions
-
-
-def main(smoke: bool = False, write_baseline: Optional[bool] = None,
-         force: bool = False) -> int:
-    """Measure the grid, diff against ``BENCH_statespace.json``."""
-    names = SMOKE_CELLS if smoke else sorted(CELLS)
-    reps = 2 if smoke else 3
-    cells = []
-    for name in names:
-        best = None
-        for _ in range(reps):  # best-of: deterministic work, noisy clock
-            measured = run_cell(name)
-            if best is None or measured["seconds"] < best["seconds"]:
-                best = measured
-        cells.append(best)
-        print(f"{best['cell']:>24}: {best['seconds']:.3f}s "
-              f"states={best['states']} edges={best['edges']} "
-              f"eq={best['equilibria']} cycles={best['cycles']}")
-    summary = {"cells": cells}
-
-    regressions = []
-    if BASELINE_PATH.exists():
-        baseline = json.loads(BASELINE_PATH.read_text())
-        regressions = compare_to_baseline(summary, baseline)
-        for key, old, new in regressions:
-            print(f"REGRESSION {key}: {old}s -> {new}s "
-                  f"(allowed {REGRESSION_FACTOR:.2f}x = {old * REGRESSION_FACTOR:.4g}s)")
-        if not regressions:
-            print(f"no >25% regressions vs {BASELINE_PATH.name}")
-    else:
-        print("no committed baseline found; skipping regression check")
-
-    if write_baseline is None:
-        write_baseline = not smoke
-    if write_baseline and regressions and not force:
-        print("baseline NOT rewritten: regressions above; fix them or "
-              "rerun with --force-write to accept the new numbers")
-    elif write_baseline:
-        BASELINE_PATH.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    else:
-        print("baseline not rewritten")
-    return 1 if regressions else 0
-
-
 if __name__ == "__main__":
-    import sys
-
-    if "--force-write" in sys.argv:
-        sys.exit(main(smoke="--smoke" in sys.argv, write_baseline=True,
-                      force=True))
-    sys.exit(main(smoke="--smoke" in sys.argv,
-                  write_baseline=False if "--no-write" in sys.argv else None))
+    sys.exit(harness.main(CELLS, BASELINE_PATH))

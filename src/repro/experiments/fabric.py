@@ -69,6 +69,7 @@ the coordinator knobs as the ``drain`` workload component.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -905,6 +906,41 @@ class _HeartbeatThread(threading.Thread):
         self.join(timeout=5.0)
 
 
+#: the signals a coordinator holds across a fork (see :func:`_signals_held`)
+_HELD_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextlib.contextmanager
+def _signals_held():
+    """Defer SIGINT and SIGTERM until the block has finished.
+
+    An interrupt landing inside ``Process.start`` after the fork but
+    before the parent records the child would leave a running worker
+    that ``is_alive()`` denies.  The signal mask keeps the kernel from
+    delivering to this thread, and a forked child inherits it (the
+    worker lifts it once its handlers are in).  On the main thread the
+    Python-level SIGINT handler is swapped for a recorder too, since a
+    signal another thread takes still runs its handler here; a recorded
+    interrupt is raised again once the block is done.
+    """
+    main = threading.current_thread() is threading.main_thread()
+    pending = []
+    if main:
+        previous = signal.signal(
+            signal.SIGINT, lambda signum, frame: pending.append(signum))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
+    try:
+        yield
+    finally:
+        # unmask first: a held signal then reaches the recorder, which
+        # cannot raise half-way through this cleanup
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        if main:
+            signal.signal(signal.SIGINT, previous)
+            if pending:
+                signal.raise_signal(signal.SIGINT)
+
+
 def worker_main(
     source: FabricSource,
     root,
@@ -952,6 +988,8 @@ def worker_main(
                 previous[sig] = signal.signal(sig, _on_signal)
         except ValueError:
             previous = {}  # not the main thread — run signal-less
+    # a coordinator forks with both signals held; the handlers are in now
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _HELD_SIGNALS)
     try:
         while True:
             if draining["asked"]:
@@ -1117,7 +1155,8 @@ class Coordinator:
         # not leave a running worker the graceful stop cannot see
         self.procs[slot] = proc
         self.slot_owner[slot] = worker_id
-        proc.start()
+        with _signals_held():
+            proc.start()
 
     def _run_round(self) -> None:
         """Run the fleet until the queue drains, reaping and respawning."""

@@ -220,3 +220,21 @@ def test_census_coop_n4():
     states, stable = Reference.of(game).census(4)
     assert (states, len(stable)) == (624, 528)
     assert _explored(game, 4) == (states, set(stable))
+
+
+def test_census_asg_n4():
+    """ASG (SUM), n = 4: 552 equilibria among 624 owned networks."""
+    game = AsymmetricSwapGame("sum")
+    states, stable = Reference.of(game).census(4)
+    assert (states, len(stable)) == (624, 552)
+    assert _explored(game, 4) == (states, set(stable))
+
+
+def test_census_sg_n5():
+    """SG (SUM), n = 5: 368 equilibria among the 728 connected graphs."""
+    game = SwapGame("sum")
+    states, stable = Reference.of(game).census(5)
+    assert (states, len(stable)) == (728, 368)
+    explored_states, explored = _explored(game, 5)
+    assert explored_states == states
+    assert {_topology(s) for s in explored} == {_topology(s) for s in stable}

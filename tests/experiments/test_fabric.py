@@ -842,6 +842,43 @@ class TestCoordinatorEdges:
         assert resumed.complete and not resumed.interrupted
         assert result_payload(resumed.result) == serial
 
+    def test_sigint_inside_process_start_leaves_no_worker(self, tmp_path,
+                                                          monkeypatch):
+        """An interrupt delivered inside ``Process.start`` — the child
+        forked, the parent not yet holding it — must not leave a worker
+        running that the graceful stop cannot see."""
+        source = _SlowCampaignSource(tiny_spec(), seed=5, unit_trials=1,
+                                     delay=0.4)
+        coord = Coordinator(source, tmp_path / "fab", workers=1,
+                            lease_ttl=10.0, poll=0.02, drain_grace=30.0)
+        real_fork, children = os.fork, []
+
+        def fork_then_interrupt():
+            pid = real_fork()
+            if pid:
+                children.append(pid)
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        def running(pid):
+            try:
+                return os.waitpid(pid, os.WNOHANG) == (0, 0)
+            except ChildProcessError:
+                return False  # the coordinator reaped it
+
+        monkeypatch.setattr(os, "fork", fork_then_interrupt)
+        try:
+            report = coord.drain()
+        finally:
+            monkeypatch.undo()
+            leaked = [pid for pid in children if running(pid)]
+            for pid in leaked:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert report.interrupted and len(children) == 1
+        assert not leaked, "a worker outlived the interrupted drain"
+        assert coord.queue.counts()["leased"] == 0
+
 
 # ---------------------------------------------------------------------------
 # columnar edge cases and the parquet path (via a stand-in pyarrow)
