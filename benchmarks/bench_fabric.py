@@ -97,7 +97,7 @@ def drain_cell() -> harness.Cell:
         _same_aggregate(run_campaign(figure7_spec(), root / "serial", trials=4,
                                      n_values=(10,), n_jobs=1).result, seen)
 
-    return harness.Cell("drain-fig7-2w", drain, serial)
+    return harness.Cell("drain-fig7-2w", drain, serial, floor=0.0)
 
 
 def _synthetic_store(root) -> CampaignStore:
@@ -175,7 +175,8 @@ def stdlib_scan(root, clock) -> None:
 CELLS = [
     harness.Cell("queue-1k-units", bench_queue, stdlib_queue, smoke=True),
     drain_cell(),
-    harness.Cell("compact-20k-rows", bench_compact, stdlib_compact, smoke=True),
+    harness.Cell("compact-20k-rows", bench_compact, stdlib_compact, smoke=True,
+                 floor=0.0),
     harness.Cell("columnar-scan-20k", bench_columnar_scan, stdlib_scan),
 ]
 

@@ -19,8 +19,12 @@ another.
 ratio by more than :data:`REGRESSION_FACTOR`.  Cells whose baseline
 timings (cell and reference) both sit below the cell's noise floor
 (:data:`MIN_GATE_SECONDS` unless the cell sets its own) are reported but
-not gated.  A cell may also carry a ``bound``: a cap on its same-run
-ratio that needs no baseline at all (the <=2% disabled-telemetry check).
+not gated.  A cell whose timings lie near that floor sets its own —
+``0`` to gate it always, ``math.inf`` never — so that which cells are
+gated is decided in its definition, not by how fast the host that
+recorded the baseline was.  A cell may also carry a ``bound``: a cap on
+its same-run ratio, checked on every run whatever the floor, that needs
+no baseline at all (the <=2% disabled-telemetry check).
 
 **Runs.**  Standalone runs measure every cell and rewrite the baseline
 unless a gate fired; ``--smoke`` (CI) runs the cells flagged ``smoke``
@@ -62,20 +66,18 @@ MIN_GATE_SECONDS = 0.1
 
 
 class Clock:
-    """Times the region a cell marks with ``with clock:``.  A cell that
-    marks no region is timed whole; setup outside the region (fixtures,
-    servers, synthetic stores) is not timed."""
+    """Times the one region a cell marks with ``with clock:``.  A cell
+    that marks no region is timed whole; setup outside the region
+    (fixtures, servers, synthetic stores) is not timed."""
 
-    def __init__(self, timer=time.perf_counter) -> None:
-        self.timer = timer
-        self.seconds: Optional[float] = None
+    seconds: Optional[float] = None
 
     def __enter__(self) -> "Clock":
-        self._t0 = self.timer()
+        self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
-        self.seconds = (self.seconds or 0.0) + self.timer() - self._t0
+        self.seconds = time.perf_counter() - self._t0
 
 
 #: the work of a cell or a reference: ``fn(tmp_dir, clock) -> pins``
@@ -91,21 +93,18 @@ class Cell:
     #: interleaved pairs in (full, smoke) runs
     reps: Tuple[int, int] = (9, 7)
     floor: float = MIN_GATE_SECONDS
-    #: same-run cap on ``cell / reference``, checked whenever gated
+    #: same-run cap on ``cell / reference``, checked on every run
     bound: Optional[float] = None
-    #: time in CPU seconds of this process rather than wall seconds, for
-    #: work whose wall time is dominated by kernel timers (TCP retransmits)
-    cpu: bool = False
 
 
-def time_once(work: Work, timer=time.perf_counter) -> Tuple[float, Optional[dict]]:
+def time_once(work: Work) -> Tuple[float, Optional[dict]]:
     """Seconds and pins of one call of ``work`` in a fresh scratch dir."""
-    clock = Clock(timer)
+    clock = Clock()
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench-"))
     try:
-        t0 = timer()
+        t0 = time.perf_counter()
         pins = work(tmp, clock)
-        whole = timer() - t0
+        whole = time.perf_counter() - t0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return (whole if clock.seconds is None else clock.seconds), pins
@@ -118,13 +117,12 @@ def measure(cell: Cell, reps: int) -> dict:
     halves of a pair share the host's current speed, which on a shared
     VM drifts by half over seconds, and the median drops the pairs a
     burst split.  ``seconds`` and ``reference_s`` are best-of-``reps``."""
-    timer = time.process_time if cell.cpu else time.perf_counter
     time_once(cell.run)
     time_once(cell.reference)
     pairs, pins = [], None
     for _ in range(reps):
-        seconds, pins = time_once(cell.run, timer)
-        pairs.append((seconds, time_once(cell.reference, timer)[0]))
+        seconds, pins = time_once(cell.run)
+        pairs.append((seconds, time_once(cell.reference)[0]))
     return {"seconds": round(min(a for a, _ in pairs), 6),
             "reference_s": round(min(b for _, b in pairs), 6),
             "ratio": round(statistics.median(a / b for a, b in pairs), 4),
@@ -137,19 +135,18 @@ def check(cells, measured: dict, baseline: Optional[dict]) -> Tuple[list, list]:
     failures, ungated = [], []
     for cell in cells:
         new, old = measured[cell.name], old_cells.get(cell.name)
+        if cell.bound is not None and new["ratio"] > cell.bound:
+            failures.append(f"BOUND {cell.name}: ratio {new['ratio']} > "
+                            f"{cell.bound} in the same run")
         scale = max(old["seconds"], old["reference_s"]) if old else \
             max(new["seconds"], new["reference_s"])
         if scale < cell.floor:
             ungated.append(cell.name)
-            continue
-        if old and new["ratio"] > old["ratio"] * REGRESSION_FACTOR:
+        elif old and new["ratio"] > old["ratio"] * REGRESSION_FACTOR:
             failures.append(
                 f"REGRESSION {cell.name}: ratio {old['ratio']} -> {new['ratio']} "
                 f"(allowed {REGRESSION_FACTOR:.2f}x = "
                 f"{old['ratio'] * REGRESSION_FACTOR:.4g})")
-        if cell.bound is not None and new["ratio"] > cell.bound:
-            failures.append(f"BOUND {cell.name}: ratio {new['ratio']} > "
-                            f"{cell.bound} in the same run")
     return failures, ungated
 
 

@@ -60,6 +60,20 @@ def test_cell_below_the_floor_is_reported_not_gated(baseline, capsys):
     assert "not gated: tiny" in capsys.readouterr().out
 
 
+def test_cell_floor_zero_gates_a_tiny_cell(baseline, capsys):
+    cells = [_cell("tiny", floor=0.0)]
+    assert _run(baseline, {"tiny": _result(0.09, 4.0)}, "--smoke",
+                cells=cells) == 1
+    assert "REGRESSION tiny: ratio 2.0 -> 4.0" in capsys.readouterr().out
+
+
+def test_same_run_bound_holds_below_the_floor(baseline, capsys):
+    cells = [_cell("tiny", bound=1.02)]
+    assert _run(baseline, {"tiny": _result(0.05, 2.1)}, "--smoke",
+                cells=cells) == 1
+    assert "BOUND tiny: ratio 2.1 > 1.02" in capsys.readouterr().out
+
+
 def test_same_run_bound_needs_no_baseline(tmp_path, capsys):
     cells = [_cell("off", bound=1.02)]
     assert _run(tmp_path / "none.json", {"off": _result(0.3, 1.05)},
@@ -114,3 +128,30 @@ def test_clock_times_only_the_marked_region():
 
     seconds, pins = harness.time_once(work)
     assert pins == {"ok": True} and 0.0 <= seconds < 0.05
+
+
+BENCH_SCRIPTS = ["kernel", "statespace", "fabric", "service", "obs"]
+
+
+@pytest.mark.parametrize("name", BENCH_SCRIPTS)
+def test_default_floor_cells_sit_clear_of_the_floor(name, monkeypatch):
+    """A cell left on the default floor must sit at least 2x above or
+    below it in the committed baseline, so a regeneration on a somewhat
+    faster or slower host cannot move it in or out of the gate; a cell
+    nearer the floor sets its own (0 or inf) in its definition."""
+    bench_dir = HARNESS_PATH.parent
+    monkeypatch.syspath_prepend(str(bench_dir))
+    monkeypatch.setitem(sys.modules, "harness", harness)
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", bench_dir / f"bench_{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    committed = json.loads(
+        (bench_dir.parent / f"BENCH_{name}.json").read_text())["cells"]
+    floor = harness.MIN_GATE_SECONDS
+    for cell in module.CELLS:
+        assert cell.name in committed, cell.name
+        if cell.floor == floor:
+            old = committed[cell.name]
+            scale = max(old["seconds"], old["reference_s"])
+            assert not floor / 2 < scale < floor * 2, (cell.name, scale)
