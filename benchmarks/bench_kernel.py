@@ -33,7 +33,7 @@ from repro.core.policies import MaxCostPolicy
 from repro.graphs import adjacency as adj
 from repro.graphs import bitkernel
 from repro.graphs.generators import random_budget_network, random_m_edge_network
-from repro.graphs.incremental import DenseBackend
+from tests.helpers import NoMemoBackend
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +100,8 @@ TRAJECTORY_NS = (30, 60, 120)
 TRAJECTORY_SEED = 7
 
 
-class RebuildBackend(DenseBackend):
+class RebuildBackend(NoMemoBackend):
     """Every query one routed APSP rebuild: no memo, no blocks."""
-
-    name = "rebuild"
 
     def full_distances(self, net):
         return adj.all_pairs_distances_fast(net.A)
@@ -128,13 +126,14 @@ def _trajectory_setup(game_kind: str, n: int):
 
 
 def replay(game_kind: str, n: int, backend: str, seen: dict) -> dict:
-    """Run one trajectory cell under ``backend``; its moves and final
-    state must equal those of the first replay recorded in ``seen``."""
+    """Run one trajectory cell on the ``"memo"`` (the default backend) or
+    on ``"rebuild"``; its moves and final state must equal those of the
+    first replay recorded in ``seen``."""
     game, net, max_steps = _trajectory_setup(game_kind, n)
     result = run_dynamics(
         game, net, MaxCostPolicy(), seed=TRAJECTORY_SEED,
         max_steps=max_steps,
-        backend=RebuildBackend() if backend == "rebuild" else backend,
+        backend=RebuildBackend() if backend == "rebuild" else None,
     )
     got = ([(r.agent, r.move) for r in result.trajectory],
            result.final.state_key())
@@ -147,7 +146,7 @@ def trajectory_cell(game_kind: str, n: int) -> harness.Cell:
     seen = {}
     return harness.Cell(
         f"trajectory-{game_kind}-n{n}",
-        lambda tmp, clock: replay(game_kind, n, "incremental", seen),
+        lambda tmp, clock: replay(game_kind, n, "memo", seen),
         lambda tmp, clock: replay(game_kind, n, "rebuild", seen),
         smoke=n == TRAJECTORY_NS[0], floor=0.0 if n >= 60 else math.inf)
 

@@ -129,8 +129,7 @@ def replay(game_kind: str, n: int, variant: str, seen: dict, tmp, clock) -> dict
         with stubbed_obs() if variant == "stubbed" else contextlib.nullcontext():
             with clock:
                 result = run_dynamics(game, net, MaxCostPolicy(),
-                                      seed=TRAJECTORY_SEED, max_steps=max_steps,
-                                      backend="incremental")
+                                      seed=TRAJECTORY_SEED, max_steps=max_steps)
     finally:
         M.DEFAULT.enabled = was_enabled
         T.configure(None)

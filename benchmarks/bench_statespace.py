@@ -35,8 +35,6 @@ BASELINE_PATH = harness.REPO_ROOT / "BENCH_statespace.json"
 CENSUS = {
     "sg-sum-n4": (lambda: SwapGame("sum"), {"n": 4}, 38, 26),
     "asg-sum-n4": (lambda: AsymmetricSwapGame("sum"), {"n": 4}, 624, 552),
-    "asg-sum-n4-incremental": (lambda: AsymmetricSwapGame("sum"),
-                               {"n": 4, "backend": "incremental"}, 624, 552),
     "gbg-sum-n4-a1": (lambda: GreedyBuyGame("sum", alpha=1.0), {"n": 4}, 624, 528),
     "sg-sum-n5": (lambda: SwapGame("sum"), {"n": 5}, 728, 368),
     # greedy-equilibrium census: the BG's 104 GE strictly contain its 62

@@ -166,7 +166,7 @@ def observability_layer(n: int, budget: int, seed: int) -> None:
     """Telemetry riding along with a run: tracing spans + the meter.
 
     Everything below is permanently compiled into the dynamics, the
-    distance backends and the explorer — ``configure_tracing`` merely
+    distance memo and the explorer — ``configure_tracing`` merely
     switches where spans go, and the meter counts whenever ``REPRO_OBS``
     isn't 0.  The same snapshot renders as a Prometheus page on the
     service's ``GET /metrics`` and as the ``repro top`` console.

@@ -6,8 +6,8 @@ Usage::
     PYTHONPATH=src python scripts/regen_golden.py [--check] [case ...]
 
 Runs every case in :data:`tests.golden.cases.CASES` (or only the named
-ones) on the *dense* backend — the equivalence oracle — and rewrites its
-fixture file.  ``--check`` instead verifies the committed fixtures match
+ones) through the default distance backend and rewrites its fixture
+file.  ``--check`` instead verifies the committed fixtures match
 what the current code produces and exits non-zero on any diff, without
 writing anything.
 
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     failures = 0
     for case in selected:
         initial = generate_initial(case)
-        result = run_case(case, initial, backend="dense")
+        result = run_case(case, initial)
         if args.check:
             path = FIXTURE_DIR / f"{case.name}.json"
             if not path.exists():

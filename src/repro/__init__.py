@@ -57,11 +57,9 @@ from .core import (
     SwapGame,
     agent_cost,
     choose_move,
-    cost_vector,
     move_kind,
     run_dynamics,
     run_simultaneous_dynamics,
-    social_cost,
 )
 from .graphs.generators import (
     directed_line_network,
@@ -135,8 +133,6 @@ __all__ = [
     "StrategyChange",
     "move_kind",
     "agent_cost",
-    "cost_vector",
-    "social_cost",
     "MovePolicy",
     "MaxCostPolicy",
     "RandomPolicy",

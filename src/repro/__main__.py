@@ -43,10 +43,11 @@ Commands
 ``explore --game sg --n 4 [--moves best] [--policy all] [--shard i/k]``
     Exhaustive response-graph exploration: equilibrium and cycle census
     over every connected configuration at size n (or the reachable
-    component of a paper instance via ``--figure``), persisted to a
-    kill-safe sharded store; ``--resume`` continues with zero
-    recomputation and reports are byte-identical however the work was
-    scheduled.
+    component of a paper instance via ``--figure``), priced through the
+    per-state distance memo and persisted to a kill-safe sharded store;
+    ``--resume`` continues with zero recomputation and reports are
+    byte-identical however the work was scheduled (``--jobs``,
+    ``--shard``, kills).
 """
 
 from __future__ import annotations
@@ -749,9 +750,9 @@ def cmd_explore(args) -> int:
                 "continue it, or choose a fresh --results-dir"
             )
         report = workload(
-            game, store=store, shard=shard, backend=args.backend,
-            n_jobs=args.jobs, max_expansions=args.max_expansions,
-            game_name=game_name, **seed_kwargs,
+            game, store=store, shard=shard, n_jobs=args.jobs,
+            max_expansions=args.max_expansions, game_name=game_name,
+            **seed_kwargs,
         )
     except (CampaignMismatch, ValueError) as exc:
         print(f"error: {exc}")
@@ -997,9 +998,6 @@ def main(argv=None) -> int:
     p.add_argument("--policy", default="all",
                    choices=["all", "maxcost", "first_unhappy"],
                    help="which unhappy agents may move")
-    p.add_argument("--backend", default=None,
-                   choices=["dense", "incremental"],
-                   help="distance engine (the graph is identical either way)")
     p.add_argument("--max-states", type=int, default=200_000)
     p.add_argument("--max-expansions", type=int, default=None,
                    help="cap on new expansions this invocation")

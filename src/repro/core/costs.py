@@ -27,8 +27,6 @@ __all__ = [
     "distance_cost_from_vector",
     "distance_costs",
     "agent_cost",
-    "cost_vector",
-    "social_cost",
     "EdgeCostRule",
     "SharedEdgeCostRule",
     "SWAP_EDGE_COST",
@@ -244,23 +242,3 @@ def agent_cost(
     dist = adj.bfs_distances(net.A, u)
     return edge_rule(net, u, alpha) + mode.aggregate(dist)
 
-
-def cost_vector(
-    net: Network,
-    mode: DistanceMode,
-    alpha: float = 0.0,
-    edge_rule: EdgeCostRule = SWAP_EDGE_COST,
-) -> np.ndarray:
-    """Vector of all agents' costs."""
-    delta = distance_costs(net, mode)
-    return edge_rule.vector(net, alpha) + delta
-
-
-def social_cost(
-    net: Network,
-    mode: DistanceMode,
-    alpha: float = 0.0,
-    edge_rule: EdgeCostRule = SWAP_EDGE_COST,
-) -> float:
-    """Sum of all agents' costs (the paper's social welfare measure)."""
-    return float(cost_vector(net, mode, alpha=alpha, edge_rule=edge_rule).sum())

@@ -23,14 +23,13 @@ docstring).  Cycles are then detected on round-boundary states.
 
 from __future__ import annotations
 
-import inspect
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..graphs.incremental import DistanceBackend, make_backend
+from ..graphs.incremental import DistanceBackend, IncrementalBackend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..statespace.encode import state_key
@@ -48,14 +47,7 @@ __all__ = [
     "run_dynamics",
     "run_simultaneous_dynamics",
     "choose_move",
-    "resolve_backend",
-    "resolve_auto_backend",
-    "AUTO_BACKEND_MIN_N",
 ]
-
-#: below this many agents the incremental backend's bookkeeping (state
-#: byte comparisons, memo upkeep) costs more than re-running tiny BFSes.
-AUTO_BACKEND_MIN_N = 32
 
 # run-level telemetry: one span + a handful of counter updates per run
 # (never per step), so the disabled-mode cost stays under the
@@ -86,48 +78,6 @@ _LAST_STEPS = obs_metrics.gauge(
 _ROUND_MOVERS = obs_metrics.gauge(
     "repro_dynamics_round_movers",
     "Unhappy-set size of the most recent simultaneous round")
-
-
-def _select_caller(policy: MovePolicy):
-    """Adapter calling ``policy.select`` with or without ``backend``.
-
-    In-tree policies take the keyword; user subclasses written against
-    the original three-argument signature keep working (they simply
-    price densely inside their own calls).
-    """
-    try:
-        params = inspect.signature(policy.select).parameters
-    except (TypeError, ValueError):  # builtins / C-implemented callables
-        params = {}
-    accepts = "backend" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    if accepts:
-        return policy.select
-    return lambda game, net, rng, backend=None: policy.select(game, net, rng)
-
-
-def resolve_auto_backend(net: Network, backend) -> DistanceBackend:
-    """Resolve the ``"auto"`` size heuristic and build the backend.
-
-    The single owner of the auto policy — every dynamics loop
-    (sequential and simultaneous) resolves through here so they can
-    never drift apart.
-    """
-    if backend == "auto":
-        backend = "incremental" if net.n >= AUTO_BACKEND_MIN_N else "dense"
-    return make_backend(backend)
-
-
-def resolve_backend(policy: MovePolicy, net: Network, backend):
-    """Shared bootstrap for the sequential dynamics loops: resolve the
-    ``"auto"`` size heuristic, build the backend, and wrap
-    ``policy.select`` so legacy three-argument policies keep working.
-
-    Returns ``(backend_obj, select)`` where ``select(game, net, rng,
-    backend=...)`` is always safe to call.
-    """
-    return resolve_auto_backend(net, backend), _select_caller(policy)
 
 
 @dataclass
@@ -228,7 +178,7 @@ def run_dynamics(
     record_trajectory: bool = True,
     detect_cycles: bool = False,
     copy_initial: bool = True,
-    backend: Union[str, DistanceBackend, None] = "auto",
+    backend: Optional[DistanceBackend] = None,
 ) -> RunResult:
     """Run the sequential-move process until stability (or not).
 
@@ -249,20 +199,18 @@ def run_dynamics(
     copy_initial:
         work on a copy of ``initial`` (default) or mutate it in place.
     backend:
-        distance engine: ``"incremental"`` memoises ``D(G)``, one block
-        of ``D(G - u)`` and the best responses of the current state;
-        ``"dense"`` recomputes everything from scratch each query (the
-        equivalence oracle — both produce bit-identical trajectories);
-        ``"auto"`` (default) picks incremental from
-        ``AUTO_BACKEND_MIN_N`` agents upwards; or a prebuilt
-        :class:`~repro.graphs.incremental.DistanceBackend`.
+        the :class:`~repro.graphs.incremental.DistanceBackend` pricing
+        every query; ``None`` (default) builds a fresh
+        :class:`~repro.graphs.incremental.IncrementalBackend`, the memo
+        of ``D(G)``, one block of ``D(G - u)`` and the best responses of
+        the current state.
     """
     if rng is not None and seed is not None:
         raise ValueError("pass either rng or seed, not both")
     if rng is None:
         rng = np.random.default_rng(seed)
     net = initial.copy() if copy_initial else initial
-    backend_obj, select = resolve_backend(policy, net, backend)
+    backend = IncrementalBackend() if backend is None else backend
     policy.reset()
     trajectory: List[StepRecord] = []
     # visited states are keyed by the canonical bit-packed digest shared
@@ -282,10 +230,9 @@ def run_dynamics(
             cycle_end=steps if cycle_start is not None else None,
         )
 
-    with obs_tracing.span("dynamics.run", game=type(game).__name__,
-                          n=net.n, backend=backend_obj.name):
+    with obs_tracing.span("dynamics.run", game=type(game).__name__, n=net.n):
         for step in range(max_steps):
-            br = select(game, net, rng, backend=backend_obj)
+            br = policy.select(game, net, rng, backend=backend)
             if br is None:
                 return finish("converged", step)
             move = choose_move(br, rng, move_tie_break)
@@ -443,16 +390,16 @@ class SimultaneousDynamics:
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
         copy_initial: bool = True,
-        backend: Union[str, DistanceBackend, None] = "auto",
+        backend: Optional[DistanceBackend] = None,
     ) -> SimultaneousResult:
         """Run rounds until stability, a repeated round state, or
-        ``max_rounds``."""
+        ``max_rounds``; ``backend`` as in :func:`run_dynamics`."""
         if rng is not None and seed is not None:
             raise ValueError("pass either rng or seed, not both")
         if rng is None:
             rng = np.random.default_rng(seed)
         net = initial.copy() if copy_initial else initial
-        backend_obj = resolve_auto_backend(net, backend)
+        backend = IncrementalBackend() if backend is None else backend
         records: List[RoundRecord] = []
         seen: Dict[bytes, int] = {state_key(net): 0}
         steps = 0
@@ -471,7 +418,7 @@ class SimultaneousDynamics:
                               collision=self.collision):
             for rnd in range(max_rounds):
                 planned: List[tuple] = []
-                for br in scan_best_responses(game, net, range(net.n), backend_obj):
+                for br in scan_best_responses(game, net, range(net.n), backend):
                     if br.is_improving:
                         planned.append(
                             (br.agent, choose_move(br, rng, self.move_tie_break), br))
@@ -494,16 +441,16 @@ class SimultaneousDynamics:
                         record.skipped.append((u, "blocked"))
                         _SKIPPED["blocked"].inc()
                         continue
-                    cost_before = game.current_cost(net, u, backend=backend_obj)
+                    cost_before = game.current_cost(net, u, backend=backend)
                     if self.collision == "forfeit":
-                        new_cost = game.evaluate_move(net, u, move, backend=backend_obj)
+                        new_cost = game.evaluate_move(net, u, move, backend=backend)
                         if new_cost >= cost_before - EPS:
                             record.skipped.append((u, "stale"))
                             _SKIPPED["stale"].inc()
                             continue
                     kind = move_kind(move, net)
                     move.apply(net)
-                    cost_after = game.current_cost(net, u, backend=backend_obj)
+                    cost_after = game.current_cost(net, u, backend=backend)
                     record.applied.append(
                         StepRecord(steps, u, move, kind, cost_before, cost_after)
                     )
@@ -530,7 +477,7 @@ def run_simultaneous_dynamics(
     move_tie_break: str = "random",
     detect_cycles: bool = True,
     copy_initial: bool = True,
-    backend: Union[str, DistanceBackend, None] = "auto",
+    backend: Optional[DistanceBackend] = None,
 ) -> SimultaneousResult:
     """Functional wrapper around :class:`SimultaneousDynamics`."""
     engine = SimultaneousDynamics(

@@ -17,8 +17,8 @@ of the host graph.
 All distance-dependent methods accept an optional ``backend`` — a
 :class:`repro.graphs.incremental.DistanceBackend` — through which every
 APSP/deviation query is routed.  ``None`` (the default) recomputes
-densely; passing an
-:class:`~repro.graphs.incremental.IncrementalBackend` reuses the
+densely, for one-shot callers; every dynamics run and census passes an
+:class:`~repro.graphs.incremental.IncrementalBackend`, which reuses the
 distances of the current network state across calls and memoises whole
 best responses per agent for that state.
 

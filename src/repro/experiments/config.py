@@ -19,8 +19,8 @@ simultaneous rounds, tree/star topologies, extra metrics — live on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..registry.builtin import resolve_alpha_spec, resolve_m_spec
 from ..registry.scenario import ScenarioSpec, policy_series_label
@@ -51,12 +51,6 @@ class ExperimentConfig:
     m_edges: Optional[str] = None  # "n" | "2n" | "4n"
     alpha: Optional[str] = None  # "n" | "n/2" | "n/4" | "n/10" or float-string
     label: str = ""
-    #: distance engine for the dynamics runs ("auto" | "incremental" |
-    #: "dense"); all produce identical trajectories — "dense" is the
-    #: slow recompute oracle.  repr=False keeps the field out of the
-    #: runner's repr-based seed digest: the backend must never change
-    #: which instances are drawn.
-    backend: str = field(default="auto", repr=False)
 
     def resolve_alpha(self, n: int) -> float:
         """Edge price for ``n`` agents (resolves "n/4"-style specs)."""
@@ -143,7 +137,6 @@ class ExperimentConfig:
             game_params=game_params,
             topology_params=topology_params,
             label=self.label,
-            backend=self.backend,
         )
 
 

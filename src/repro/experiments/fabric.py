@@ -756,7 +756,6 @@ class ExplorationSource(FabricSource):
     moves: str = "best"
     agent_filter: str = "all"
     max_states: int = 200_000
-    backend: Optional[str] = None
     shards: int = 2
     unit_budget: int = 200
     game_name: Optional[str] = None
@@ -789,7 +788,6 @@ class ExplorationSource(FabricSource):
             n=self.n,
             moves=self.moves,
             agent_filter=self.agent_filter,
-            backend=self.backend,
             max_states=self.max_states,
             store=store,
             shard=tuple(unit["shard"]),
@@ -824,7 +822,6 @@ class ExplorationSource(FabricSource):
             n=self.n,
             moves=self.moves,
             agent_filter=self.agent_filter,
-            backend=self.backend,
             max_states=self.max_states,
             store=store,
             game_name=self.game_name,

@@ -224,9 +224,7 @@ def _execute(spec: ScenarioSpec, n: int, max_steps: int,
     # configured policy is not even built (building consumes no RNG, so
     # this cannot shift any trajectory either way)
     policy = build_policy(spec) if dynamics.uses_policy else None
-    outcome = dynamics.run(
-        game, net, policy, max_steps=max_steps, rng=rng, backend=spec.backend
-    )
+    outcome = dynamics.run(game, net, policy, max_steps=max_steps, rng=rng)
     ctx = TrialContext(spec=spec, n=n, game=game, policy=policy, outcome=outcome)
     metrics = {
         name: REGISTRY.build("metric", name)(ctx) for name in spec.metrics

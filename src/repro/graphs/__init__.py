@@ -1,13 +1,11 @@
 """Graph substrate: dense adjacency kernel, bit-packed word-parallel
-kernel, distance backends, properties and generators."""
+kernel, the distance backend, properties and generators."""
 
 from . import adjacency, bitkernel, incremental, properties  # noqa: F401
 from .incremental import (  # noqa: F401
-    DenseBackend,
     DistanceBackend,
     IncrementalAPSP,
     IncrementalBackend,
-    make_backend,
 )
 
 __all__ = [
@@ -17,10 +15,8 @@ __all__ = [
     "properties",
     "generators",
     "DistanceBackend",
-    "DenseBackend",
     "IncrementalBackend",
     "IncrementalAPSP",
-    "make_backend",
 ]
 
 

@@ -1,22 +1,20 @@
-"""Distance backends: the queries the game layer is generic over.
+"""The distance backend: the queries the game layer is generic over.
 
 Every distance a game needs is ``D(G)`` (cost vectors) or ``D(G - u)``:
 a shortest path from ``u`` never revisits ``u``, so one APSP of
 ``G - u`` prices *every* deviation of ``u`` (see
 :mod:`repro.core.best_response`).  A :class:`DistanceBackend` answers
-both queries and may memoise whole best responses:
+both queries and may memoise whole best responses.
 
-* :class:`DenseBackend` recomputes every query through the
-  boolean-matmul APSP — the equivalence oracle.
-* :class:`IncrementalBackend` memoises for the *current* network state
-  only, keyed on its adjacency and ownership bytes and dropped by the
-  first query on any other state.  ``D(G)`` is one routed rebuild
-  (:class:`IncrementalAPSP`); ``D(G - u)`` is one rebuild per agent or,
-  for a block of agents a scan announces through
-  :meth:`~IncrementalBackend.prefetch_deviations`, one packed pass of
-  :func:`bitkernel.deviation_distances_block`; best responses are
-  memoised per ``(game rules, agent)``.  It never holds more than one
-  block of ``D(G - u)`` matrices.
+:class:`IncrementalBackend` is the one implementation every run uses.
+It memoises for the *current* network state only, keyed on its
+adjacency and ownership bytes and dropped by the first query on any
+other state.  ``D(G)`` is one routed rebuild (:class:`IncrementalAPSP`);
+``D(G - u)`` is one rebuild per agent or, for a block of agents a scan
+announces through :meth:`~IncrementalBackend.prefetch_deviations`, one
+packed pass of :func:`bitkernel.deviation_distances_block`; best
+responses are memoised per ``(game rules, agent)``.  It never holds
+more than one block of ``D(G - u)`` matrices.
 
 Nothing is repaired or kept across moves: a converging move changes
 ``D(G - u)`` for almost every ``u``, so distances of earlier states are
@@ -40,22 +38,18 @@ from . import bitkernel
 __all__ = [
     "IncrementalAPSP",
     "DistanceBackend",
-    "DenseBackend",
     "IncrementalBackend",
-    "make_backend",
 ]
 
 # pre-bound obs handles: per-event cost is one attribute load + one
 # enabled-branch + one dict update (nothing when the meter is off)
 _BACKEND_CALLS = obs_metrics.counter(
     "repro_backend_calls_total",
-    "DistanceBackend queries by backend and operation",
-    ("backend", "op"))
-_DENSE_FULL = _BACKEND_CALLS.labels(backend="dense", op="full")
-_DENSE_DEV = _BACKEND_CALLS.labels(backend="dense", op="deviation")
-_INC_FULL = _BACKEND_CALLS.labels(backend="incremental", op="full")
-_INC_DEV = _BACKEND_CALLS.labels(backend="incremental", op="deviation")
-_INC_BLOCK = _BACKEND_CALLS.labels(backend="incremental", op="deviation_block")
+    "DistanceBackend queries by operation",
+    ("op",))
+_FULL = _BACKEND_CALLS.labels(op="full")
+_DEVIATION = _BACKEND_CALLS.labels(op="deviation")
+_BLOCK = _BACKEND_CALLS.labels(op="deviation_block")
 
 
 class IncrementalAPSP:
@@ -83,8 +77,6 @@ class IncrementalAPSP:
 class DistanceBackend(Protocol):
     """The distance/deviation queries the game layer is generic over."""
 
-    name: str
-
     def full_distances(self, net) -> np.ndarray:
         """APSP matrix of the current network."""
 
@@ -101,34 +93,6 @@ class DistanceBackend(Protocol):
         """Record a freshly computed best response."""
 
 
-class DenseBackend:
-    """Recompute-from-scratch backend — the equivalence oracle.
-
-    Every query runs a full boolean-matmul APSP, and an announced block
-    is served agent by agent as it is asked for.  Stateless, so sharing
-    one instance across runs is always safe.
-    """
-
-    name = "dense"
-
-    def full_distances(self, net) -> np.ndarray:
-        _DENSE_FULL.inc()
-        return adj.all_pairs_distances(net.A)
-
-    def deviation_distances(self, net, u: int) -> np.ndarray:
-        _DENSE_DEV.inc()
-        return adj.distances_without_vertex(net.A, u)
-
-    def prefetch_deviations(self, net, agents: Sequence[int]) -> None:
-        pass
-
-    def cached_best_response(self, game, net, u: int):
-        return None
-
-    def store_best_response(self, game, net, u: int, br) -> None:
-        pass
-
-
 class IncrementalBackend:
     """``D(G)``, one block of ``D(G - u)`` and the best responses of the
     current network state.
@@ -138,8 +102,6 @@ class IncrementalBackend:
     only ever served in the state it was computed in.  An instance is
     cheap to create; give each run its own.
     """
-
-    name = "incremental"
 
     def __init__(self) -> None:
         self._full = IncrementalAPSP()
@@ -161,11 +123,11 @@ class IncrementalBackend:
     def full_distances(self, net) -> np.ndarray:
         # D(G) has its own snapshot key; the memo below is synced by
         # every other query
-        _INC_FULL.inc()
+        _FULL.inc()
         return self._full.distances(net.A)
 
     def deviation_distances(self, net, u: int) -> np.ndarray:
-        _INC_DEV.inc()
+        _DEVIATION.inc()
         self._sync(net)
         u = int(u)
         D = self._deviation.get(u)
@@ -187,7 +149,7 @@ class IncrementalBackend:
         agents = [int(u) for u in agents]
         if not bitkernel.enabled_block(net.A.shape[0], len(agents)):
             return
-        _INC_BLOCK.inc()
+        _BLOCK.inc()
         block = bitkernel.deviation_distances_block(net.A, agents)
         self._deviation = dict(zip(agents, block))
 
@@ -199,17 +161,3 @@ class IncrementalBackend:
         self._sync(net)
         self._best[(game.cache_token(), int(u))] = br
 
-
-def make_backend(spec) -> DistanceBackend:
-    """Resolve a backend spec: ``"dense"``, ``"incremental"``, ``None``
-    (= dense) or an already-built backend instance (returned as-is)."""
-    if spec is None or spec == "dense":
-        return DenseBackend()
-    if spec == "incremental":
-        return IncrementalBackend()
-    if hasattr(spec, "full_distances") and hasattr(spec, "deviation_distances"):
-        return spec
-    raise ValueError(
-        f"unknown distance backend {spec!r}: expected 'dense', 'incremental' "
-        "or a DistanceBackend instance"
-    )

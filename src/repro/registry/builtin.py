@@ -300,7 +300,7 @@ class DynamicsKind:
     uses_policy: bool = True
 
     def run(self, game: Game, net: Network, policy: MovePolicy, max_steps: int,
-            rng: np.random.Generator, backend) -> TrialOutcome:
+            rng: np.random.Generator) -> TrialOutcome:
         raise NotImplementedError
 
 
@@ -311,11 +311,11 @@ class _SequentialKind(DynamicsKind):
         self.move_tie_break = move_tie_break
         self.detect_cycles = detect_cycles
 
-    def run(self, game, net, policy, max_steps, rng, backend) -> TrialOutcome:
+    def run(self, game, net, policy, max_steps, rng) -> TrialOutcome:
         result = run_dynamics(
             game, net, policy, max_steps=max_steps, rng=rng,
             move_tie_break=self.move_tie_break, detect_cycles=self.detect_cycles,
-            record_trajectory=False, copy_initial=False, backend=backend,
+            record_trajectory=False, copy_initial=False,
         )
         return TrialOutcome(result.status, result.steps, result.final, result=result)
 
@@ -328,14 +328,14 @@ class _SimultaneousKind(DynamicsKind):
         self.move_tie_break = move_tie_break
         self.detect_cycles = detect_cycles
 
-    def run(self, game, net, policy, max_steps, rng, backend) -> TrialOutcome:
+    def run(self, game, net, policy, max_steps, rng) -> TrialOutcome:
         # the step budget bounds *rounds* here; each round applies at
         # least one move, so max_steps rounds can never under-run the
         # sequential budget of the same cell.
         result = run_simultaneous_dynamics(
             game, net, max_rounds=max_steps, rng=rng, collision=self.collision,
             move_tie_break=self.move_tie_break, detect_cycles=self.detect_cycles,
-            copy_initial=False, backend=backend,
+            copy_initial=False,
         )
         return TrialOutcome(result.status, result.steps, result.final,
                             rounds=result.rounds, result=result)
@@ -532,7 +532,7 @@ class ExploreWorkload:
     The workload binds the transition rules (moveset, agent filter,
     state budget); the call supplies the game and the seed (a start
     network or an exhaustive size ``n``) plus execution details (store,
-    shard, backend, jobs) that never change the resulting graph.
+    shard, jobs) that never change the resulting graph.
     """
 
     moves: str

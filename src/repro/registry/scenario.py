@@ -27,18 +27,16 @@ golden fixture, campaign cell key and resumable store — is unchanged
 byte for byte.  Scenarios outside the legacy surface canonicalize to a
 versioned sorted-JSON form instead.
 
-Two fields are deliberately **excluded** from the canonical form:
-``backend`` (an execution detail that must never change which instances
-are drawn — same rule as the legacy ``repr=False`` field) and
-``metrics`` (observational outputs; adding a metric to a running
-campaign must not invalidate its stored trials).
+``metrics`` are deliberately **excluded** from the canonical form
+(observational outputs; adding a metric to a running campaign must not
+invalidate its stored trials).
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .base import REGISTRY
@@ -101,9 +99,6 @@ class ScenarioSpec:
     dynamics_params: ParamsInput = ()
     metrics: Tuple[str, ...] = DEFAULT_METRICS
     label: str = ""
-    #: distance engine ("auto" | "incremental" | "dense"); excluded from
-    #: the canonical form — it must never change which instances are drawn.
-    backend: str = field(default="auto", compare=False)
     version: int = SCENARIO_VERSION
 
     _AXES = (("game", "game_params"), ("policy", "policy_params"),
@@ -150,12 +145,15 @@ class ScenarioSpec:
             "topology": {"name": self.topology, "params": self.params_for("topology")},
             "metrics": list(self.metrics),
             "label": self.label,
-            "backend": self.backend,
         }
 
     @classmethod
     def from_json(cls, payload: Mapping[str, Any]) -> "ScenarioSpec":
-        """Parse and validate a payload produced by :meth:`to_json`."""
+        """Parse and validate a payload produced by :meth:`to_json`.
+
+        A ``"backend"`` key, written by builds that had a distance
+        backend choice, is accepted and ignored.
+        """
         if not isinstance(payload, Mapping):
             raise ValueError(f"scenario payload must be an object, got {type(payload).__name__}")
         version = payload.get("scenario_version", SCENARIO_VERSION)
@@ -190,7 +188,6 @@ class ScenarioSpec:
             topology_params=topology_params, dynamics_params=dynamics_params,
             metrics=tuple(payload.get("metrics", DEFAULT_METRICS)),
             label=str(payload.get("label", "")),
-            backend=str(payload.get("backend", "auto")),
             version=int(version),
         )
 
@@ -209,8 +206,8 @@ class ScenarioSpec:
         default sequential dynamics; ``maxcost``/``random`` policy with
         default parameters; a ``budget``/``random``/``rl``/``dl``
         topology with legacy-shaped parameters; and game parameters
-        limited to ``mode``/``alpha``.  Metrics and backend never block
-        the mapping (both are outside the canonical form).
+        limited to ``mode``/``alpha``.  Metrics never block the mapping
+        (they are outside the canonical form).
         """
         from ..experiments.config import ExperimentConfig  # local: avoids cycle
 
@@ -239,7 +236,7 @@ class ScenarioSpec:
         return ExperimentConfig(
             game=self.game, mode=gp["mode"], policy=self.policy,
             topology=self.topology, budget=budget, m_edges=m_edges,
-            alpha=gp.get("alpha"), label=self.label, backend=self.backend,
+            alpha=gp.get("alpha"), label=self.label,
         )
 
     # -- canonical identity -------------------------------------------------
@@ -249,7 +246,7 @@ class ScenarioSpec:
         Legacy-expressible specs return the exact pre-registry
         ``repr(ExperimentConfig(...))`` string; everything else returns
         a ``ScenarioSpec/v1:`` sorted-JSON form that excludes
-        ``metrics`` and ``backend``.
+        ``metrics``.
         """
         legacy = self.as_experiment_config()
         if legacy is not None:

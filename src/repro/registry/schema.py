@@ -125,7 +125,6 @@ def scenario_json_schema() -> Dict[str, Any]:
                 "default": list(DEFAULT_METRICS),
             },
             "label": {"type": "string", "default": ""},
-            "backend": {"type": "string", "default": "auto"},
         },
         "required": ["game"],
         "additionalProperties": False,

@@ -33,12 +33,12 @@ the unhappy test and the transitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple
 
 from ..core.games import EPS, Game
 from ..core.moves import Move, move_to_dict
 from ..core.network import Network
-from ..graphs.incremental import DistanceBackend, make_backend
+from ..graphs.incremental import DistanceBackend, IncrementalBackend
 from .encode import state_key
 
 __all__ = [
@@ -91,9 +91,9 @@ class Expander:
         ``"all"`` | ``"maxcost"`` | ``"first_unhappy"`` — which unhappy
         agents may move (see the module docstring).
     backend:
-        distance engine spec (``"dense"`` | ``"incremental"`` | a
-        prebuilt backend | ``None`` = dense).  All backends produce
-        bit-identical transitions; the choice is purely performance.
+        the :class:`~repro.graphs.incremental.DistanceBackend` pricing
+        every state; ``None`` builds a fresh
+        :class:`~repro.graphs.incremental.IncrementalBackend`.
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class Expander:
         game: Game,
         moves: str = "best",
         agent_filter: str = "all",
-        backend: Union[str, DistanceBackend, None] = None,
+        backend: Optional[DistanceBackend] = None,
     ):
         if moves not in MOVESETS:
             raise ValueError(f"moves must be one of {MOVESETS}, got {moves!r}")
@@ -112,7 +112,7 @@ class Expander:
         self.game = game
         self.moves = moves
         self.agent_filter = agent_filter
-        self.backend = make_backend(backend)
+        self.backend = IncrementalBackend() if backend is None else backend
         self.with_ownership = ownership_matters(game)
 
     # -- keys --------------------------------------------------------------

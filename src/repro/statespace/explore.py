@@ -11,9 +11,8 @@ through it.  :func:`explore` builds the transition system explicitly:
   connected configuration at size ``n`` (:func:`enumerate_states` — the
   full state space, making the census genuinely exhaustive);
 * **expanded** through :class:`~repro.statespace.expand.Expander`
-  (priced through any
-  :class:`~repro.graphs.incremental.DistanceBackend` — all backends
-  produce the same graph bit for bit);
+  (priced through the per-state memo,
+  :class:`~repro.graphs.incremental.IncrementalBackend`);
 * **analysed** by an iterative Tarjan SCC pass into an
   :class:`ExplorationReport`: all equilibria (sinks), all best-response
   cycles (non-trivial SCCs, each with a deterministic replayable witness
@@ -45,6 +44,7 @@ from ..core.games import Game
 from ..core.moves import move_from_dict
 from ..core.network import Network
 from ..graphs import adjacency as adj
+from ..graphs.incremental import DistanceBackend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .encode import decode_state, encode_state
@@ -366,8 +366,8 @@ class ExplorationReport:
 
     All state references are canonical key hex digests; every field is
     a pure function of the graph (never of discovery order), so two
-    explorations of the same triple — resumed, sharded, or run under
-    different distance backends — serialize to identical bytes.
+    explorations of the same triple — resumed, sharded, or spread over
+    worker processes — serialize to identical bytes.
     """
 
     game: str
@@ -590,12 +590,11 @@ def _expand_chunk(args) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
     """Worker body: expand a chunk of states with a fresh expander.
 
     Returns, per state, ``(key hex, succ rows, successor (key, blob)
-    hex pairs)``.  Expansion is deterministic, so worker-local backend
+    hex pairs)``.  Expansion is deterministic, so worker-local memo
     state affects speed only.
     """
-    game, moves, agent_filter, backend_spec, chunk = args
-    expander = Expander(game, moves=moves, agent_filter=agent_filter,
-                        backend=backend_spec)
+    game, moves, agent_filter, chunk = args
+    expander = Expander(game, moves=moves, agent_filter=agent_filter)
     out = []
     for key_hex, blob_hex in chunk:
         net = decode_state(bytes.fromhex(blob_hex))
@@ -615,7 +614,7 @@ def explore(
     n: Optional[int] = None,
     moves: str = "best",
     agent_filter: str = "all",
-    backend: Union[str, None] = None,
+    backend: Optional[DistanceBackend] = None,
     max_states: int = DEFAULT_MAX_STATES,
     store: Union[ExplorationStore, str, None] = None,
     shard: Tuple[int, int] = (0, 1),
@@ -635,7 +634,9 @@ def explore(
     moves / agent_filter:
         the transition rules (see :mod:`.expand`).
     backend:
-        distance engine spec; all backends yield bit-identical graphs.
+        the :class:`~repro.graphs.incremental.DistanceBackend` of the
+        serial path; ``None`` builds a fresh memo.  Worker processes
+        (``n_jobs > 1``) always build their own.
     max_states:
         discovery budget; exceeding it drops further new states and
         marks the report ``truncated`` (conclusions are then partial).
@@ -653,7 +654,7 @@ def explore(
         cap on *new* expansions this invocation (drain in slices).
     n_jobs:
         worker processes per BFS layer (1 = serial in-process, keeping
-        one expander with warm backend caches).
+        one expander and its memo).
     """
     if (start is None) == (n is None):
         raise ValueError("pass exactly one of start= or n=")
@@ -666,9 +667,9 @@ def explore(
     i_shard, k_shard = shard
     if not (0 <= i_shard < k_shard):
         raise ValueError(f"shard must satisfy 0 <= i < k, got {i_shard}/{k_shard}")
-    if n_jobs > 1 and backend is not None and not isinstance(backend, str):
-        raise ValueError("n_jobs > 1 requires a string backend spec "
-                         "(backends are rebuilt inside worker processes)")
+    if n_jobs > 1 and backend is not None:
+        raise ValueError("n_jobs > 1 requires backend=None "
+                         "(worker processes build their own memo)")
 
     expander = Expander(game, moves=moves, agent_filter=agent_filter, backend=backend)
     with_ownership = expander.with_ownership
@@ -751,7 +752,7 @@ def explore(
                         for c in range(jobs)
                     ]
                     args = [
-                        (game, moves, agent_filter, backend, chunk)
+                        (game, moves, agent_filter, chunk)
                         for chunk in chunks if chunk
                     ]
                     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -759,7 +760,7 @@ def explore(
                     results.sort(key=lambda r: r[0])
                 else:
                     # serial path: one persistent expander keeps its
-                    # backend caches warm across layers
+                    # memo across layers
                     results = []
                     for i in pending:
                         net = decode_state(graph.blobs[i])

@@ -24,14 +24,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.best_response import DeviationEvaluator
 from ..core.costs import DistanceMode
-from ..core.dynamics import RunResult, run_dynamics
+from ..core.dynamics import RunResult, StepRecord, choose_move, run_dynamics
 from ..core.games import EPS, BestResponse, Game, SwapGame
-from ..core.moves import Swap
+from ..core.moves import Swap, move_kind
 from ..core.network import Network
 from ..core.policies import MovePolicy, first_improving
 from ..graphs import adjacency as adj
+from ..graphs.incremental import DistanceBackend, IncrementalBackend
 from ..graphs.properties import sorted_cost_vector
 
 __all__ = [
@@ -95,19 +95,18 @@ def run_tree_dynamics(
     max_steps: int = 200_000,
     seed: Optional[int] = None,
     check_potential: bool = True,
-    backend: str = "auto",
+    backend: Optional[DistanceBackend] = None,
 ) -> TreeRunReport:
     """Run dynamics on a tree while recording diameters and checking the
     potential-decrease property step by step.
 
     Works for any game but the potential semantics follow the game's
-    distance mode (Lemma 2.6 for MAX, social cost for SUM).
+    distance mode (Lemma 2.6 for MAX, social cost for SUM).  ``backend``
+    as in :func:`~repro.core.dynamics.run_dynamics`.
     """
-    from ..core.dynamics import resolve_backend
-
     rng = np.random.default_rng(seed)
     net = initial.copy()
-    backend_obj, select = resolve_backend(policy, net, backend)
+    backend = IncrementalBackend() if backend is None else backend
     policy.reset()
     diameters = [adj.diameter(net.A)]
     trajectory = []
@@ -116,13 +115,10 @@ def run_tree_dynamics(
     step = 0
     status = "exhausted"
     while step < max_steps:
-        br = select(game, net, rng, backend=backend_obj)
+        br = policy.select(game, net, rng, backend=backend)
         if br is None:
             status = "converged"
             break
-        from ..core.dynamics import StepRecord, choose_move
-        from ..core.moves import move_kind
-
         move = choose_move(br, rng)
         before = net.copy() if check_potential else None
         kind = move_kind(move, net)

@@ -10,7 +10,6 @@ and that the backend never holds more than one block of ``D(G - u)``.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.dynamics import run_dynamics
 from repro.core.games import AsymmetricSwapGame, BilateralGame, GreedyBuyGame
@@ -19,8 +18,9 @@ from repro.core.network import Network
 from repro.core.policies import SCAN_BLOCK_CAP, ScriptedPolicy, scan_best_responses
 from repro.graphs import adjacency as adj
 from repro.graphs.generators import random_m_edge_network
-from repro.graphs.incremental import DenseBackend, IncrementalBackend, make_backend
-from tests.helpers import network_from_adjacency, random_connected_adjacency
+from repro.graphs.incremental import IncrementalBackend
+from repro.statespace.explore import explore
+from tests.helpers import NoMemoBackend, network_from_adjacency, random_connected_adjacency
 
 
 def same(a, b):
@@ -102,8 +102,8 @@ class TestStateMemo:
 
 class TestDeviationBlocks:
     def test_full_scan_holds_at_most_one_block(self):
-        """A scan over all n = 100 agents prices each like the dense
-        oracle, leaves at most one block of D(G - u) behind, and the
+        """A scan over all n = 100 agents prices each like the no-memo
+        reference, leaves at most one block of D(G - u) behind, and the
         next move drops it."""
         n = 100
         net = random_m_edge_network(n, 2 * n, seed=5)
@@ -112,9 +112,9 @@ class TestDeviationBlocks:
         scanned = list(scan_best_responses(game, net, range(n), backend))
         assert [br.agent for br in scanned] == list(range(n))
         assert 1 < len(backend._deviation) <= SCAN_BLOCK_CAP
-        dense = DenseBackend()
+        reference = NoMemoBackend()
         for br in scanned:
-            assert same(br, game.best_responses(net, br.agent, backend=dense))
+            assert same(br, game.best_responses(net, br.agent, backend=reference))
         Buy(0, int(np.flatnonzero(~net.A[0])[1])).apply(net)
         assert backend.cached_best_response(game, net, 0) is None
         assert not backend._deviation
@@ -144,30 +144,37 @@ class TestDeviationBlocks:
 
 
 class TestDynamicsLevel:
-    def test_scripted_run_matches_dense_with_cycles(self):
-        """A run revisiting states must still match dense."""
+    def test_scripted_run_matches_no_memo_with_cycles(self):
+        """A run revisiting states must still match the no-memo run."""
         rng = np.random.default_rng(21)
         A = random_connected_adjacency(10, 5, rng)
         net = network_from_adjacency(A, rng)
         game = AsymmetricSwapGame("max")
         schedule = [int(rng.integers(10)) for _ in range(30)]
-        runs = {}
-        for name in ("dense", "incremental"):
-            policy = ScriptedPolicy(schedule, strict=False)
-            runs[name] = run_dynamics(
-                game, net, policy, seed=4, max_steps=200, backend=name
-            )
-        rd, ri = runs["dense"], runs["incremental"]
+        rd, ri = (
+            run_dynamics(game, net, ScriptedPolicy(schedule, strict=False),
+                         seed=4, max_steps=200, backend=backend)
+            for backend in (NoMemoBackend(), None)
+        )
         assert [(r.agent, r.move) for r in rd.trajectory] == [
             (r.agent, r.move) for r in ri.trajectory
         ]
         assert rd.final.state_key() == ri.final.state_key()
 
-    def test_make_backend_specs(self):
-        assert make_backend(None).name == "dense"
-        assert make_backend("dense").name == "dense"
-        assert make_backend("incremental").name == "incremental"
-        b = IncrementalBackend()
-        assert make_backend(b) is b
-        with pytest.raises(ValueError):
-            make_backend("warp-drive")
+    def test_small_runs_and_censuses_price_through_the_memo(self, monkeypatch):
+        """Without a backend, even the smallest run and census build a
+        memo of their own."""
+        stored = []
+        store = IncrementalBackend.store_best_response
+
+        def spy(self, game, net, u, br):
+            stored.append(self)
+            store(self, game, net, u, br)
+
+        monkeypatch.setattr(IncrementalBackend, "store_best_response", spy)
+        net = Network.from_owned_edges(4, [(0, 1), (1, 2), (2, 3)])
+        game = AsymmetricSwapGame("sum")
+        run_dynamics(game, net, ScriptedPolicy([0, 3], strict=False), seed=0)
+        assert stored
+        explore(game, n=3)
+        assert len(set(map(id, stored))) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import costs
 from repro.core.costs import EQUAL_SPLIT, OWNER_PAYS, SWAP_EDGE_COST, DistanceMode
+from repro.core.games import BuyGame, SwapGame
 from repro.core.network import Network
 from repro.graphs.generators import path_network, star_network
 
@@ -65,15 +66,15 @@ class TestAgentCost:
 class TestVectorised:
     def test_cost_vector_matches_agent_cost(self):
         net = path_network(6, "alternate")
-        vec = costs.cost_vector(net, DistanceMode.SUM, alpha=1.5, edge_rule=OWNER_PAYS)
+        vec = BuyGame("sum", alpha=1.5).cost_vector(net)
         for u in range(6):
             assert vec[u] == costs.agent_cost(net, u, DistanceMode.SUM, alpha=1.5, edge_rule=OWNER_PAYS)
 
     def test_social_cost(self):
         net = path_network(3)
         # distances: 0: 1+2, 1: 1+1, 2: 2+1 => 8
-        assert costs.social_cost(net, DistanceMode.SUM) == 8
-        assert costs.social_cost(net, DistanceMode.MAX) == 2 + 1 + 2
+        assert SwapGame("sum").social_cost(net) == 8
+        assert SwapGame("max").social_cost(net) == 2 + 1 + 2
 
     def test_distance_costs_max(self):
         net = path_network(4)

@@ -26,7 +26,8 @@ from repro.core.games import (
 )
 from repro.core.moves import StrategyChange
 from repro.core.network import Network
-from repro.graphs.incremental import make_backend
+from repro.graphs.incremental import IncrementalBackend
+from repro.statespace.encode import state_key
 from repro.statespace.explore import explore
 
 from tests.reference import Reference, State, state_of
@@ -118,16 +119,16 @@ def _same_scored(got, want):
     alpha=st.integers(1, 4),
     max_swaps=st.integers(2, 3),
     owner_share=st.sampled_from([0.5, 0.25, 1.0]),
-    backend=st.sampled_from([None, "incremental"]),
+    memo=st.booleans(),
 )
-def test_game_matches_reference(kind, instance, mode, alpha, max_swaps, owner_share, backend):
+def test_game_matches_reference(kind, instance, mode, alpha, max_swaps, owner_share, memo):
     """Move set, improving and greedy-improving lists (in order), best
     responses (cost, tie set and order) and both stability notions."""
     net, host = instance
     game = _game(kind, mode, float(alpha), host, max_swaps, owner_share)
     ref = Reference.of(game)
     state = state_of(net)
-    engine = make_backend(backend) if backend else None
+    engine = IncrementalBackend() if memo else None
     for u in range(net.n):
         _same_scored(list(game._scored_moves(net, u)), ref.scored(state, u))
         _same_scored(game.improving_moves(net, u, backend=engine), ref.improving(state, u))
@@ -190,6 +191,22 @@ def _explored(game, n, moves="best"):
     graph, sinks = report.graph, set(report.equilibria)
     return report.n_states, {state_of(graph.network(i)) for i in range(graph.n_states)
                              if graph.keys[i].hex() in sinks}
+
+
+@pytest.mark.parametrize("game", [SwapGame("sum"), AsymmetricSwapGame("sum"),
+                                  GreedyBuyGame("sum", alpha=2.0)],
+                         ids=["sg", "asg", "gbg-a2"])
+def test_equilibrium_keys_match_reference(game):
+    """The explorer's equilibrium *key set* at n = 4 is exactly the set
+    of states the reference finds stable, keyed under the reference's
+    own state notion — so the census is checked against code that does
+    not share ``Game.is_stable`` (which ``verify_sinks`` relies on)."""
+    ref = Reference.of(game)
+    _, stable = ref.census(4)
+    with_ownership = ref.kind not in ("sg", "bilateral")
+    want = {state_key(Network.from_owned_edges(s.n, sorted(s.owned)),
+                      with_ownership=with_ownership).hex() for s in stable}
+    assert want and set(explore(game, n=4).equilibria) == want
 
 
 def test_census_sg_n4():

@@ -159,13 +159,16 @@ def test_invalid_shard_rejected(tmp_path):
         run_campaign(tiny_spec(), tmp_path / "c", shard=(3, 3), n_jobs=1)
 
 
-def test_cell_key_ignores_backend_field():
-    """The backend must never change which trials a cell draws — it is
-    excluded from the config repr, hence from the cell key."""
-    a = ExperimentConfig(game="asg", mode="sum", policy="maxcost", budget=1)
-    b = ExperimentConfig(game="asg", mode="sum", policy="maxcost", budget=1,
-                         backend="dense")
-    assert cell_key(a, 10) == cell_key(b, 10)
+def test_cell_key_ignores_legacy_backend_key():
+    """A spec payload written with the retired ``"backend"`` key loads
+    to the same cell, so stores written before keep resuming."""
+    from repro.registry import ScenarioSpec
+
+    spec = ExperimentConfig(game="asg", mode="sum", policy="maxcost",
+                            budget=1).to_scenario()
+    legacy = ScenarioSpec.from_json({**spec.to_json(), "backend": "dense"})
+    assert legacy == spec
+    assert cell_key(legacy, 10) == cell_key(spec, 10)
 
 
 def scenario_spec():

@@ -4,8 +4,8 @@ A *golden case* is one small, fully seeded ``(game, policy, initial,
 seed)`` dynamics cell whose complete trajectory — every mover, move,
 operation kind and exact cost — is committed as a JSON fixture under
 ``tests/golden/fixtures/``.  The regression suite replays each fixture
-on all three distance-backend stacks (dense / incremental /
-bitkernel-routed incremental) and asserts bit-identical reproduction,
+through the per-state memo, the memo with the bitkernel forced, and the
+no-memo reference backend, and asserts bit-identical reproduction,
 so *any* behavioural drift in the kernels, the games, the tie-breaking
 rules or the policies shows up as a fixture diff instead of silently
 changing the paper's dynamics.
@@ -133,8 +133,9 @@ def generate_initial(case: GoldenCase) -> Network:
     raise ValueError(f"unknown initial kind {kind!r}")
 
 
-def run_case(case: GoldenCase, initial: Network, backend) -> RunResult:
-    """One seeded dynamics run of the case on the given backend."""
+def run_case(case: GoldenCase, initial: Network, backend=None) -> RunResult:
+    """One seeded dynamics run of the case (``backend`` as in
+    :func:`~repro.core.dynamics.run_dynamics`)."""
     return run_dynamics(
         build_game(case),
         initial,

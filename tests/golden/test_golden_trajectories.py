@@ -1,8 +1,8 @@
 """Golden-trajectory regression harness.
 
-Every committed fixture is replayed on the three distance-backend
-stacks — dense, incremental, and bitkernel-routed incremental — and the
-full trace (movers, moves, operation kinds, *exact* float costs, cycle
+Every committed fixture is replayed three ways — through the per-state
+memo, through the memo with the bitkernel forced, and through the
+no-memo reference backend of :mod:`tests.helpers` — and the full trace (movers, moves, operation kinds, *exact* float costs, cycle
 bookkeeping, final state) must be bit-identical to the stored one.  A
 failure here means the dynamics changed: either a genuine regression,
 or an intended semantic change that must be accompanied by a reviewed
@@ -25,8 +25,9 @@ from tests.golden.cases import (
     expected_payload,
     run_case,
 )
+from tests.helpers import NoMemoBackend
 
-BACKENDS = ["dense", "incremental", "bitkernel"]
+LEGS = ["memo", "bitkernel", "no-memo"]
 
 
 def _fixture_paths():
@@ -40,12 +41,10 @@ def _load(path):
     return case, initial, payload["expect"]
 
 
-def _run(case, initial, backend_name):
-    if backend_name == "bitkernel":
-        with bitkernel.forced(True):
-            return run_case(case, initial, backend="incremental")
-    with bitkernel.forced(False):
-        return run_case(case, initial, backend=backend_name)
+def _run(case, initial, leg):
+    with bitkernel.forced(leg == "bitkernel"):
+        return run_case(case, initial,
+                        backend=NoMemoBackend() if leg == "no-memo" else None)
 
 
 def test_fixture_set_matches_case_list():
@@ -56,12 +55,12 @@ def test_fixture_set_matches_case_list():
     assert on_disk == declared
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("path", _fixture_paths(), ids=lambda p: p.stem)
-def test_golden_trajectory(path, backend):
-    """The run reproduces the stored trace exactly on this backend."""
+def test_golden_trajectory(path, leg):
+    """The run reproduces the stored trace exactly on this leg."""
     case, initial, expect = _load(path)
-    result = _run(case, initial, backend)
+    result = _run(case, initial, leg)
     # normalise through json so float/int comparison semantics are the
     # fixture file's own (shortest-repr floats round-trip exactly)
     produced = json.loads(json.dumps(expected_payload(result)))

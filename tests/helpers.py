@@ -1,4 +1,5 @@
-"""Shared test helpers: random network builders used across the suite.
+"""Shared test helpers: random network builders and the no-memo
+distance backend used across the suite.
 
 Kept in a plain importable module (not ``conftest.py``) so every test
 package can ``from tests.helpers import ...`` — relative imports from a
@@ -10,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.network import Network
+from repro.graphs import adjacency as adj
 
-__all__ = ["random_connected_adjacency", "network_from_adjacency"]
+__all__ = ["random_connected_adjacency", "network_from_adjacency", "NoMemoBackend"]
 
 
 def random_connected_adjacency(n: int, extra_edges: int, rng: np.random.Generator) -> np.ndarray:
@@ -44,3 +46,30 @@ def network_from_adjacency(A: np.ndarray, rng: np.random.Generator) -> Network:
         else:
             O[v, u] = True
     return Network(A.copy(), O)
+
+
+class NoMemoBackend:
+    """A distance backend that remembers nothing.
+
+    Every query is a from-scratch boolean-matmul APSP
+    (:func:`repro.graphs.adjacency.all_pairs_distances`); announced
+    blocks are ignored and no best response is memoised.  Runs priced
+    through it are the reference the per-state memo
+    (:class:`~repro.graphs.incremental.IncrementalBackend`) must
+    reproduce move for move.
+    """
+
+    def full_distances(self, net) -> np.ndarray:
+        return adj.all_pairs_distances(net.A)
+
+    def deviation_distances(self, net, u: int) -> np.ndarray:
+        return adj.distances_without_vertex(net.A, u)
+
+    def prefetch_deviations(self, net, agents) -> None:
+        pass
+
+    def cached_best_response(self, game, net, u: int):
+        return None
+
+    def store_best_response(self, game, net, u: int, br) -> None:
+        pass

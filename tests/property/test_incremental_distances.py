@@ -2,9 +2,9 @@
 
 After arbitrary random move sequences on random connected networks, the
 incremental backend's distance matrices, agent costs and whole
-trajectories must *exactly* match a fresh dense recompute — SUM and MAX
-modes, including disconnecting deletions (``inf`` entries).  The dense
-path is the oracle.
+trajectories must *exactly* match a fresh boolean-matmul recompute —
+SUM and MAX modes, including disconnecting deletions (``inf`` entries).
+The no-memo backend of :mod:`tests.helpers` is the reference.
 """
 
 import numpy as np
@@ -18,12 +18,8 @@ from repro.core.games import AsymmetricSwapGame, GreedyBuyGame
 from repro.core.network import Network
 from repro.core.policies import FirstUnhappyPolicy, MaxCostPolicy
 from repro.graphs import adjacency as adj
-from repro.graphs.incremental import (
-    DenseBackend,
-    IncrementalAPSP,
-    IncrementalBackend,
-)
-from tests.helpers import network_from_adjacency, random_connected_adjacency
+from repro.graphs.incremental import IncrementalAPSP, IncrementalBackend
+from tests.helpers import NoMemoBackend, network_from_adjacency, random_connected_adjacency
 from tests.reference import Reference, state_of
 
 
@@ -115,7 +111,7 @@ def test_agent_costs_match_dense_after_random_moves(case, mode):
     net = network_from_adjacency(A, rng)
     game = AsymmetricSwapGame(mode)
     backend = IncrementalBackend()
-    dense = DenseBackend()
+    reference = NoMemoBackend()
     for v, targets in steps:
         apply_mutation(net.A, v, targets)
         # rebuild ownership for toggled edges (mutations bypass Move.apply)
@@ -123,7 +119,7 @@ def test_agent_costs_match_dense_after_random_moves(case, mode):
         missing = net.A & ~(net.owner | net.owner.T)
         net.owner |= np.triu(missing)
         got = game.cost_vector(net, backend=backend)
-        want = game.cost_vector(net, backend=dense)
+        want = game.cost_vector(net, backend=reference)
         assert np.array_equal(got, want)
         for u in range(net.n):
             assert game.current_cost(net, u, backend=backend) == game.current_cost(net, u)
@@ -143,13 +139,11 @@ def test_dynamics_trajectories_identical_across_backends(mode, game_kind):
         else:
             game = GreedyBuyGame(mode, alpha=float(rng.integers(1, 8)))
         seed = int(rng.integers(1 << 30))
-        runs = {
-            name: run_dynamics(
-                game, net, MaxCostPolicy(), seed=seed, max_steps=60 * n, backend=name
-            )
-            for name in ("dense", "incremental")
-        }
-        rd, ri = runs["dense"], runs["incremental"]
+        rd, ri = (
+            run_dynamics(game, net, MaxCostPolicy(), seed=seed, max_steps=60 * n,
+                         backend=backend)
+            for backend in (NoMemoBackend(), None)
+        )
         assert rd.status == ri.status
         assert rd.steps == ri.steps
         assert [(r.agent, r.move, r.cost_before, r.cost_after) for r in rd.trajectory] == [
@@ -158,19 +152,18 @@ def test_dynamics_trajectories_identical_across_backends(mode, game_kind):
         assert rd.final.state_key() == ri.final.state_key()
 
 
-def test_trajectories_identical_above_auto_threshold():
-    """Equivalence at a size the 'auto' mode actually runs incrementally
-    (n >= AUTO_BACKEND_MIN_N) — the tiny hypothesis grids above all sit
-    below it, and this must be covered by the tier-1 suite, not only by
-    the explicitly-invoked benchmark file."""
-    from repro.core.dynamics import AUTO_BACKEND_MIN_N
+def test_trajectories_identical_at_n64():
+    """Equivalence on a network well beyond the hypothesis grids above —
+    this must be covered by the tier-1 suite, not only by the
+    explicitly-invoked benchmark file."""
     from repro.graphs.generators import random_budget_network
 
-    n = 2 * AUTO_BACKEND_MIN_N
+    n = 64
     net = random_budget_network(n, 3, seed=13)
     game = AsymmetricSwapGame("sum")
-    rd = run_dynamics(game, net, MaxCostPolicy(), seed=13, max_steps=2 * n, backend="dense")
-    ri = run_dynamics(game, net, MaxCostPolicy(), seed=13, max_steps=2 * n, backend="incremental")
+    rd = run_dynamics(game, net, MaxCostPolicy(), seed=13, max_steps=2 * n,
+                      backend=NoMemoBackend())
+    ri = run_dynamics(game, net, MaxCostPolicy(), seed=13, max_steps=2 * n)
     assert [(r.agent, r.move, r.cost_before, r.cost_after) for r in rd.trajectory] == [
         (r.agent, r.move, r.cost_before, r.cost_after) for r in ri.trajectory
     ]
@@ -182,7 +175,7 @@ def test_trajectories_identical_above_auto_threshold():
 def test_unchanged_state_is_served_from_memo(case, mode):
     """Re-pricing an unchanged state returns the memoised answers
     themselves; after a real move every agent is priced afresh and
-    matches the dense oracle."""
+    matches the one-shot pricing."""
     A, steps = case
     rng = np.random.default_rng(1)
     net = network_from_adjacency(A, rng)
@@ -240,9 +233,9 @@ def test_batched_collector_matches_reference(n, seed, mode, game_kind):
 
 @pytest.mark.parametrize("game_kind", ["asg", "gbg"])
 def test_trajectories_identical_across_all_three_kernels(game_kind):
-    """dense / incremental / bitkernel-backed incremental must produce
-    bit-identical seeded runs — the word-parallel kernel is a pure
-    performance substrate, never a behaviour change."""
+    """no-memo / memo / bitkernel-backed memo must produce bit-identical
+    seeded runs — the word-parallel kernel is a pure performance
+    substrate, never a behaviour change."""
     from repro.graphs import bitkernel
     from repro.graphs.generators import random_budget_network, random_m_edge_network
 
@@ -256,20 +249,15 @@ def test_trajectories_identical_across_all_three_kernels(game_kind):
 
     runs = {}
     with bitkernel.forced(False):
-        runs["dense"] = run_dynamics(
-            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend="dense"
+        runs["no-memo"] = run_dynamics(
+            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend=NoMemoBackend()
         )
-        runs["incremental"] = run_dynamics(
-            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend="incremental"
-        )
+        runs["memo"] = run_dynamics(game, net, MaxCostPolicy(), seed=23, max_steps=3 * n)
     with bitkernel.forced(True):
         runs["bitkernel"] = run_dynamics(
-            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend="incremental"
+            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n
         )
-        runs["bitkernel-dense"] = run_dynamics(
-            game, net, MaxCostPolicy(), seed=23, max_steps=3 * n, backend="dense"
-        )
-    reference = runs["dense"]
+    reference = runs["no-memo"]
     for name, run in runs.items():
         assert run.status == reference.status, name
         assert [(r.agent, r.move, r.cost_before, r.cost_after) for r in run.trajectory] == [
@@ -283,8 +271,8 @@ def test_deterministic_policy_trajectories_identical():
     A = random_connected_adjacency(12, 6, rng)
     net = network_from_adjacency(A, rng)
     game = GreedyBuyGame("sum", alpha=3.0)
-    rd = run_dynamics(game, net, FirstUnhappyPolicy(), seed=1, backend="dense")
-    ri = run_dynamics(game, net, FirstUnhappyPolicy(), seed=1, backend="incremental")
+    rd = run_dynamics(game, net, FirstUnhappyPolicy(), seed=1, backend=NoMemoBackend())
+    ri = run_dynamics(game, net, FirstUnhappyPolicy(), seed=1)
     assert [(r.agent, r.move) for r in rd.trajectory] == [
         (r.agent, r.move) for r in ri.trajectory
     ]

@@ -32,7 +32,7 @@ from repro.core.policies import (
 )
 from repro.instances.figures import fig3_sum_asg_cycle
 
-from tests.helpers import network_from_adjacency, random_connected_adjacency
+from tests.helpers import NoMemoBackend, network_from_adjacency, random_connected_adjacency
 
 
 def _random_setup(n, seed, mode, game_kind):
@@ -220,15 +220,15 @@ def test_noisy_exploration_does_not_advance_a_stateful_base():
 def test_evaluate_move_backend_path_only_prices_own_moves():
     """The D(G-u) fast path is only valid for u's own moves; pricing
     another agent's move must fall back to the copy path and agree with
-    the dense answer."""
+    the one-shot answer."""
     from repro.core.moves import Swap
     from repro.graphs.generators import path_network
-    from repro.graphs.incremental import make_backend
+    from repro.graphs.incremental import IncrementalBackend
 
     net = path_network(5)
     game = SwapGame("sum")
     move = Swap(4, 3, 1)
-    for backend in (make_backend("dense"), make_backend("incremental")):
+    for backend in (NoMemoBackend(), IncrementalBackend()):
         for u in range(net.n):
             assert game.evaluate_move(net, u, move, backend=backend) == \
                 game.evaluate_move(net, u, move)
@@ -270,11 +270,11 @@ def test_greedy_improvement_never_increases_mover_cost(n, seed, mode, game_kind,
 @settings(max_examples=15, deadline=None)
 @given(st.integers(4, 9), st.integers(0, 2**31 - 1))
 def test_greedy_is_backend_equivalent(n, seed):
-    """Like every policy, greedy must be identical across backends."""
+    """Like every policy, greedy must be identical with and without the memo."""
     game, net = _random_setup(n, seed, "sum", "gbg")
     kwargs = dict(seed=seed, max_steps=60 * n, move_tie_break="first")
-    rd = run_dynamics(game, net, GreedyImprovementPolicy(), backend="dense", **kwargs)
-    ri = run_dynamics(game, net, GreedyImprovementPolicy(), backend="incremental", **kwargs)
+    rd = run_dynamics(game, net, GreedyImprovementPolicy(), backend=NoMemoBackend(), **kwargs)
+    ri = run_dynamics(game, net, GreedyImprovementPolicy(), **kwargs)
     assert [(r.agent, r.move) for r in rd.trajectory] == [
         (r.agent, r.move) for r in ri.trajectory
     ]

@@ -20,6 +20,7 @@ from repro.core.network import Network
 from repro.statespace import explore
 from repro.statespace.encode import decode_state, encode_state, state_key
 from repro.statespace.expand import ownership_matters
+from tests.helpers import NoMemoBackend
 
 
 @st.composite
@@ -110,11 +111,11 @@ def test_every_explored_state_round_trips_the_encoding(net, game):
 @given(small_networks(), st.sampled_from(["sum", "max"]))
 @settings(max_examples=20, deadline=None)
 def test_backend_equivalence_on_random_instances(net, mode):
-    """Dense and incremental pricing explore bit-identical graphs."""
+    """Pricing with and without the memo explores bit-identical graphs."""
     game = AsymmetricSwapGame(mode)
-    dense = explore(game, start=net, backend="dense")
-    incremental = explore(game, start=net, backend="incremental")
-    assert dense.json_bytes() == incremental.json_bytes()
+    no_memo = explore(game, start=net, backend=NoMemoBackend())
+    memo = explore(game, start=net)
+    assert no_memo.json_bytes() == memo.json_bytes()
 
 
 @given(small_networks(min_n=3, max_n=4), small_games())

@@ -233,12 +233,12 @@ class TestPinnedDigests:
             for cfg in fn().configs:
                 assert cfg.to_scenario().digest() == _config_digest(cfg)
 
-    def test_metrics_and_backend_outside_canonical_form(self):
+    def test_metrics_and_legacy_backend_key_outside_canonical_form(self):
         cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
         spec = cfg.to_scenario()
         observed = spec.with_(metrics=("steps", "status", "social_cost",
                                        "diameter", "cost_ratio"))
-        dense = spec.with_(backend="dense")
+        dense = ScenarioSpec.from_json({**spec.to_json(), "backend": "dense"})
         assert observed.digest() == dense.digest() == spec.digest()
         # and for genuinely new-style scenarios too
         novel = ScenarioSpec(game="gbg", policy="noisy", dynamics="simultaneous",
@@ -247,7 +247,8 @@ class TestPinnedDigests:
                              policy_params={"epsilon": 0.2})
         assert novel.with_(metrics=("steps", "status", "rounds")).digest() == \
             novel.digest()
-        assert novel.with_(backend="dense").digest() == novel.digest()
+        legacy = ScenarioSpec.from_json({**novel.to_json(), "backend": "auto"})
+        assert legacy == novel and legacy.digest() == novel.digest()
 
     def test_novel_scenarios_get_versioned_canonical_form(self):
         novel = ScenarioSpec(game="gbg", policy="noisy", dynamics="simultaneous",

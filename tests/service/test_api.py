@@ -196,6 +196,15 @@ class TestJobLifecycle:
         assert result["total"] == 2
         assert "aggregate" in result
 
+    def test_legacy_backend_key_runs_to_done(self, service_factory):
+        """A client still sending the retired ``"backend"`` key gets a
+        job that runs, not one that fails inside its worker."""
+        svc = service_factory(workers=1)
+        client = svc.client()
+        job = client.submit(trial_payload(
+            n=6, trials=1, spec={**SG_SPEC, "backend": "warp-drive"}))
+        assert client.wait(job["id"], timeout=60)["state"] == "done"
+
     def test_stream_route_over_plain_http_is_426(self, service_factory):
         svc = service_factory(workers=0)
         client = svc.client()

@@ -137,6 +137,36 @@ class TestManagerDurability:
         assert "truncated" in job.error["detail"]
 
 
+class TestLegacyPayloads:
+    LEGACY_BACKENDS = ("auto", "dense", "warp-drive")
+
+    def test_recovered_jobs_with_a_backend_key_run_to_done(self, tmp_path):
+        """Control records whose specs carry the retired ``"backend"``
+        key — as every record written before it was retired does — are
+        recovered and run; the key is ignored, whatever its value."""
+        writer = JobManager(tmp_path, workers=0)
+        writer.recover()
+        for backend in self.LEGACY_BACKENDS:
+            job = writer.submit(trial_payload(n=6, trials=1), client="t")
+            path = writer.job_dir(job.id) / "job.json"
+            stored = json.loads(path.read_text())
+            for spec in stored["request"]["specs"]:
+                spec["backend"] = backend
+            path.write_text(json.dumps(stored, sort_keys=True) + "\n")
+        manager = JobManager(tmp_path, workers=1)
+        assert manager.recover() == {"jobs": 3, "requeued": 0}
+        jobs = list(manager.jobs.values())
+        drive(manager, lambda: all(j.state in ("done", "failed") for j in jobs))
+        assert [(j.state, j.error) for j in jobs] == [("done", None)] * 3
+
+    def test_submitted_backend_key_is_ignored(self):
+        for backend in self.LEGACY_BACKENDS:
+            request = parse_job_request(
+                trial_payload(spec={**SG_SPEC, "backend": backend}))
+            assert request == parse_job_request(trial_payload())
+            assert "backend" not in request.payload()["specs"][0]
+
+
 class TestCancelMidRun:
     def test_cancel_running_job_stops_worker(self, tmp_path):
         manager = JobManager(tmp_path, workers=1)

@@ -1,6 +1,6 @@
 """The response-graph explorer: census correctness and the acceptance
-criteria (brute-force-identical equilibria across backends, the fig3
-adversarial cycle as an SCC, deterministic reports)."""
+criteria (brute-force-identical equilibria with and without the memo,
+the fig3 adversarial cycle as an SCC, deterministic reports)."""
 
 import json
 
@@ -18,6 +18,7 @@ from repro.statespace import (
     verify_sinks,
 )
 from repro.statespace.encode import state_key_hex
+from tests.helpers import NoMemoBackend
 
 
 class TestEnumeration:
@@ -41,23 +42,21 @@ class TestEnumeration:
 class TestCensus:
     """`repro explore --game sg --n 4` semantics, as a library call."""
 
-    @pytest.mark.parametrize("backend", ["dense", "incremental"])
+    @pytest.mark.parametrize("no_memo", [True, False], ids=["no-memo", "memo"])
     @pytest.mark.parametrize("game", [SwapGame("sum"), SwapGame("max"),
                                       AsymmetricSwapGame("sum")])
-    def test_sinks_match_brute_force(self, game, backend):
-        report = explore(game, n=4, backend=backend)
+    def test_sinks_match_brute_force(self, game, no_memo):
+        report = explore(game, n=4, backend=NoMemoBackend() if no_memo else None)
         assert report.complete and not report.truncated
         verify_sinks(report, game)
 
     def test_backends_bit_identical_including_bitkernel(self):
         game = SwapGame("sum")
-        dense = explore(game, n=4, backend="dense")
-        incremental = explore(game, n=4, backend="incremental")
+        no_memo = explore(game, n=4, backend=NoMemoBackend())
+        memo = explore(game, n=4)
         with bitkernel.forced(True):
-            bit = explore(game, n=4, backend="dense")
-            bit_inc = explore(game, n=4, backend="incremental")
-        assert (dense.json_bytes() == incremental.json_bytes()
-                == bit.json_bytes() == bit_inc.json_bytes())
+            bit = explore(game, n=4)
+        assert no_memo.json_bytes() == memo.json_bytes() == bit.json_bytes()
 
     def test_sg_census_shape(self):
         report = explore(SwapGame("sum"), n=4)

@@ -1,6 +1,6 @@
 """Greedy-equilibrium census: the GE sinks must match an independent
-brute-force single-edge-deviation scan, NE ⊆ GE must hold on every
-backend, and reports carrying the GE field must round-trip."""
+brute-force single-edge-deviation scan, NE ⊆ GE must hold with and
+without the memo, and reports carrying the GE field must round-trip."""
 
 import json
 
@@ -16,6 +16,7 @@ from repro.core.games import (
 from repro.core.moves import Buy, Delete, Swap
 from repro.graphs import bitkernel
 from repro.statespace import Expander, ExplorationReport, explore, verify_sinks
+from tests.helpers import NoMemoBackend
 
 
 def _brute_single_edge_candidates(game, net, u):
@@ -96,21 +97,22 @@ class TestGreedyCensusBruteForce:
 
 
 class TestNeSubsetGeInvariant:
-    @pytest.mark.parametrize("backend", ["dense", "incremental"])
+    @pytest.mark.parametrize("no_memo", [True, False], ids=["no-memo", "memo"])
     @pytest.mark.parametrize("forced_bitkernel", [False, True])
-    def test_ne_subset_ge_all_backends(self, backend, forced_bitkernel):
+    def test_ne_subset_ge_all_backends(self, no_memo, forced_bitkernel):
         game = BuyGame("sum", alpha=1.5)
         with bitkernel.forced(forced_bitkernel):
-            report = explore(game, n=4, moves="best", backend=backend)
+            report = explore(game, n=4, moves="best",
+                             backend=NoMemoBackend() if no_memo else None)
         assert report.greedy_equilibria is not None
         assert set(report.equilibria) <= set(report.greedy_equilibria)
         verify_sinks(report, game)  # includes the NE ⊆ GE assertion
 
     def test_backends_bit_identical_with_ge_field(self):
         game = BuyGame("sum", alpha=2.0)
-        dense = explore(game, n=3, moves="greedy", backend="dense")
-        incr = explore(game, n=3, moves="greedy", backend="incremental")
-        assert dense.json_bytes() == incr.json_bytes()
+        no_memo = explore(game, n=3, moves="greedy", backend=NoMemoBackend())
+        memo = explore(game, n=3, moves="greedy")
+        assert no_memo.json_bytes() == memo.json_bytes()
 
 
 class TestReportRoundTrip:

@@ -100,10 +100,10 @@ class TestParallelFrontier:
         report = explore(game, n=3, store=tmp_path / "par", n_jobs=2)
         assert report.json_bytes() == reference.json_bytes()
 
-    def test_n_jobs_requires_spec_backend(self, game):
+    def test_n_jobs_requires_default_backend(self, game):
         from repro.graphs.incremental import IncrementalBackend
 
-        with pytest.raises(ValueError, match="string backend"):
+        with pytest.raises(ValueError, match="backend=None"):
             explore(game, n=3, backend=IncrementalBackend(), n_jobs=2)
 
 

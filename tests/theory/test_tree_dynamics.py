@@ -119,8 +119,8 @@ class TestTheorem211:
         deg_at_move = []
 
         class SpyPolicy(Theorem211Policy):
-            def select(self, game, net_, rng):
-                br = super().select(game, net_, rng)
+            def select(self, game, net_, rng, backend=None):
+                br = super().select(game, net_, rng, backend=backend)
                 if br is not None:
                     deg_at_move.append(net_.degree(br.agent))
                 return br
