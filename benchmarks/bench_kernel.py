@@ -33,6 +33,7 @@ from repro.core.policies import MaxCostPolicy
 from repro.graphs import adjacency as adj
 from repro.graphs import bitkernel
 from repro.graphs.generators import random_budget_network, random_m_edge_network
+from repro.graphs.incremental import IncrementalBackend
 from tests.helpers import NoMemoBackend
 
 
@@ -59,11 +60,14 @@ def test_apsp_without_vertex_n100(benchmark, net100):
 
 
 def test_deviation_evaluator_build_n100(benchmark, net100):
-    benchmark(DeviationEvaluator, net100, 10, DistanceMode.SUM)
+    """One evaluator the way a game builds it: ``D(G - u)`` from a fresh memo."""
+    benchmark(lambda: DeviationEvaluator(
+        net100, 10, DistanceMode.SUM, IncrementalBackend().deviation_distances(net100, 10)))
 
 
 def test_deviation_batch_n100(benchmark, net100):
-    ev = DeviationEvaluator(net100, 10, DistanceMode.SUM)
+    ev = DeviationEvaluator(net100, 10, DistanceMode.SUM,
+                            adj.distances_without_vertex(net100.A, 10))
     kept = net100.neighbors(10)[:-1]
     base = ev.base_vector(kept)
     candidates = np.arange(20, 90)

@@ -55,7 +55,6 @@ from .core import (
     StrategyChange,
     Swap,
     SwapGame,
-    agent_cost,
     choose_move,
     move_kind,
     run_dynamics,
@@ -132,7 +131,6 @@ __all__ = [
     "Delete",
     "StrategyChange",
     "move_kind",
-    "agent_cost",
     "MovePolicy",
     "MaxCostPolicy",
     "RandomPolicy",

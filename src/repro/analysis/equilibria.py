@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from ..core.games import EPS, BilateralGame, Game
+from ..core.moves import StrategyChange
 from ..core.network import Network
-from ..graphs import adjacency as adj
+from ..graphs.incremental import IncrementalBackend
 from ..graphs.properties import is_double_star, is_star, is_tree
 
 __all__ = [
@@ -80,13 +79,14 @@ def is_pairwise_stable(game: BilateralGame, net: Network) -> Tuple[bool, Optiona
     violated condition.
     """
     n = net.n
-    base = [game.current_cost(net, u) for u in range(n)]
-    # deletions
+    backend = IncrementalBackend()
+    base = game.cost_vector(net, backend)
+    # deletions: u's own moves, all priced from one D(G - u)
     for u in range(n):
-        for v in net.neighbors(u):
-            work = net.copy()
-            work.remove_edge(u, int(v))
-            if game.current_cost(work, u) < base[u] - EPS:
+        nbrs = set(net.neighbors(u).tolist())
+        for v in sorted(nbrs):
+            delete = StrategyChange.of(u, nbrs - {v}, bilateral=True)
+            if game.evaluate_move(net, u, delete, backend) < base[u] - EPS:
                 return False, f"{net.label(u)} gains by deleting {{{net.label(u)},{net.label(int(v))}}}"
     # additions (bilateral consent)
     for u in range(n):
@@ -97,7 +97,8 @@ def is_pairwise_stable(game: BilateralGame, net: Network) -> Tuple[bool, Optiona
                 continue
             work = net.copy()
             work.add_edge(u, v)
-            cu, cv = game.current_cost(work, u), game.current_cost(work, v)
+            after = game.cost_vector(work)
+            cu, cv = after[u], after[v]
             better_u, better_v = cu < base[u] - EPS, cv < base[v] - EPS
             nohurt_u, nohurt_v = cu <= base[u] + EPS, cv <= base[v] + EPS
             if (better_u and nohurt_v) or (better_v and nohurt_u):

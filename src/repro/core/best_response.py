@@ -12,7 +12,8 @@ neighbour set ``N'`` of ``u``::
 
 where ``G - u`` is ``G`` with ``u`` removed — a graph that does not
 depend on the candidate strategy at all.  So one APSP of ``G - u``
-(`~diameter` boolean matmuls) prices *every* deviation of ``u``:
+(the distance backend's ``deviation_distances``) prices *every*
+deviation of ``u``, and ``u``'s current cost with them:
 
 * a single candidate set costs one ``min`` reduction over its rows;
 * all ``O(n)`` single-edge variants (the swap/buy/delete moves) cost one
@@ -27,7 +28,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..graphs import adjacency as adj
 from ..obs import metrics as obs_metrics
 from .costs import DistanceMode
 from .network import Network
@@ -56,26 +56,25 @@ class DeviationEvaluator:
     mode:
         SUM or MAX distance aggregation.
     D:
-        optional precomputed ``APSP(G - u)`` matrix (row/column ``u``
-        ``inf``), e.g. from an incremental
-        :class:`repro.graphs.incremental.DistanceBackend`.  The
-        evaluator reads but never writes it.
+        the ``APSP(G - u)`` matrix (row/column ``u`` ``inf``), as a
+        :class:`repro.graphs.incremental.DistanceBackend` answers
+        ``deviation_distances``.  The evaluator reads but never writes it.
 
     Notes
     -----
-    Without ``D`` the evaluator computes ``APSP(G - u)`` once at
-    construction.  All methods then treat a *strategy* as the full
-    neighbour set the agent would have after the deviation (callers add
-    back the incident edges owned by other agents, which the deviator
-    cannot touch).
+    All methods treat a *strategy* as the full neighbour set the agent
+    would have after the deviation (callers add back the incident edges
+    owned by other agents, which the deviator cannot touch).  The
+    agent's current strategy is one such set, so ``c_G(u)`` itself is
+    priced here too.
     """
 
-    def __init__(self, net: Network, u: int, mode: DistanceMode, D: np.ndarray | None = None):
+    def __init__(self, net: Network, u: int, mode: DistanceMode, D: np.ndarray):
         self.net = net
         self.u = int(u)
         self.n = net.n
         self.mode = mode
-        self.D = adj.distances_without_vertex(net.A, self.u) if D is None else D
+        self.D = D
         _EVAL_BUILDS.inc()
 
     # -- scalar evaluation -------------------------------------------------

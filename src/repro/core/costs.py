@@ -19,14 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..graphs import adjacency as adj
 from .network import Network
 
 __all__ = [
     "DistanceMode",
-    "distance_cost_from_vector",
-    "distance_costs",
-    "agent_cost",
     "EdgeCostRule",
     "SharedEdgeCostRule",
     "SWAP_EDGE_COST",
@@ -216,29 +212,3 @@ _BUILTIN_RULES = {
 
 def _rule_by_name(name: str) -> EdgeCostRule:
     return _BUILTIN_RULES[name]
-
-
-def distance_costs(net: Network, mode: DistanceMode) -> np.ndarray:
-    """Distance-cost of every agent (vector of length ``n``)."""
-    D = adj.all_pairs_distances(net.A)
-    if mode is DistanceMode.SUM:
-        return D.sum(axis=1)
-    return D.max(axis=1)
-
-
-def distance_cost_from_vector(dist_row: np.ndarray, mode: DistanceMode) -> float:
-    """Distance-cost from a precomputed single-source distance vector."""
-    return mode.aggregate(dist_row)
-
-
-def agent_cost(
-    net: Network,
-    u: int,
-    mode: DistanceMode,
-    alpha: float = 0.0,
-    edge_rule: EdgeCostRule = SWAP_EDGE_COST,
-) -> float:
-    """Full cost ``c_G(u)`` of a single agent."""
-    dist = adj.bfs_distances(net.A, u)
-    return edge_rule(net, u, alpha) + mode.aggregate(dist)
-

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..graphs.incremental import DistanceBackend, IncrementalBackend
+from ..graphs.incremental import DistanceBackend, resolve_backend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..statespace.encode import state_key
@@ -210,7 +210,7 @@ def run_dynamics(
     if rng is None:
         rng = np.random.default_rng(seed)
     net = initial.copy() if copy_initial else initial
-    backend = IncrementalBackend() if backend is None else backend
+    backend = resolve_backend(backend)
     policy.reset()
     trajectory: List[StepRecord] = []
     # visited states are keyed by the canonical bit-packed digest shared
@@ -399,7 +399,7 @@ class SimultaneousDynamics:
         if rng is None:
             rng = np.random.default_rng(seed)
         net = initial.copy() if copy_initial else initial
-        backend = IncrementalBackend() if backend is None else backend
+        backend = resolve_backend(backend)
         records: List[RoundRecord] = []
         seen: Dict[bytes, int] = {state_key(net): 0}
         steps = 0

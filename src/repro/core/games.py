@@ -16,11 +16,16 @@ of the host graph.
 
 All distance-dependent methods accept an optional ``backend`` — a
 :class:`repro.graphs.incremental.DistanceBackend` — through which every
-APSP/deviation query is routed.  ``None`` (the default) recomputes
-densely, for one-shot callers; every dynamics run and census passes an
-:class:`~repro.graphs.incremental.IncrementalBackend`, which reuses the
-distances of the current network state across calls and memoises whole
-best responses per agent for that state.
+APSP/deviation query is routed.  ``None`` (the default) means a fresh
+:class:`~repro.graphs.incremental.IncrementalBackend`, resolved once by
+the outermost public method and handed down; a dynamics run or census
+passes its own, which reuses the distances of the current network state
+across calls and memoises whole best responses per agent for that state.
+
+``c_G(u)`` is priced one way: from ``D(G - u)``, like every deviation of
+``u`` (its current neighbourhood is one more strategy).  ``D(G)`` serves
+only :meth:`Game.cost_vector`, which callers needing many agents' costs
+read instead.
 
 Tolerance: costs are sums of integers and multiples of ``alpha``; all
 strict comparisons use ``EPS = 1e-9``.
@@ -35,7 +40,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..graphs import adjacency as adj
-from ..graphs.incremental import DistanceBackend
+from ..graphs.incremental import DistanceBackend, resolve_backend
 from .best_response import DeviationEvaluator
 from .costs import (
     EQUAL_SPLIT,
@@ -50,7 +55,9 @@ from .network import Network
 
 __all__ = [
     "EPS",
+    "SCAN_BLOCK_CAP",
     "BestResponse",
+    "scan_best_responses",
     "Game",
     "SwapGame",
     "AsymmetricSwapGame",
@@ -209,6 +216,36 @@ def _improving(
     return out
 
 
+#: the largest block of agents whose ``D(G - u)`` a scan requests at once
+SCAN_BLOCK_CAP = 32
+
+
+def scan_best_responses(
+    game: "Game",
+    net: Network,
+    order: Iterable[int],
+    backend: Optional[DistanceBackend] = None,
+) -> Iterator[BestResponse]:
+    """Best responses of the agents in ``order``, lazily and in order.
+
+    Before pricing them, the next agents are announced to the backend
+    (``prefetch_deviations``) in blocks of 1, 2, 4, ... up to
+    :data:`SCAN_BLOCK_CAP`, so a scan that stops early has computed at
+    most about as many ``D(G - u)`` as it used.  The network must not
+    change while the scan runs.
+    """
+    order = [int(u) for u in order]
+    backend = resolve_backend(backend)
+    start, size = 0, 1
+    while start < len(order):
+        block = order[start:start + size]
+        backend.prefetch_deviations(net, block)
+        for u in block:
+            yield game.best_responses(net, u, backend=backend)
+        start += size
+        size = min(2 * size, SCAN_BLOCK_CAP)
+
+
 class Game:
     """Common behaviour of all game types."""
 
@@ -262,34 +299,23 @@ class Game:
             self.edge_rule.name,
         )
 
-    def _evaluator(
-        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
-    ) -> DeviationEvaluator:
-        """Deviation evaluator for ``u``, sourcing ``D(G - u)`` from the
-        backend when one is given."""
-        D = backend.deviation_distances(net, u) if backend is not None else None
-        return DeviationEvaluator(net, u, self.mode, D=D)
+    def _evaluator(self, net: Network, u: int, backend: DistanceBackend) -> DeviationEvaluator:
+        """Deviation evaluator for ``u`` over the backend's ``D(G - u)``."""
+        return DeviationEvaluator(net, u, self.mode, backend.deviation_distances(net, u))
 
     def current_cost(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> float:
-        """``c_G(u)``: edge-cost plus SUM/MAX distance-cost."""
-        if backend is not None:
-            dist = backend.full_distances(net)[u]
-        else:
-            dist = adj.bfs_distances(net.A, u)
-        if net.n == 1:
-            return self.edge_rule(net, u, self.alpha)
-        return self.edge_rule(net, u, self.alpha) + self.mode.aggregate(dist)
+        """``c_G(u)``: edge-cost plus SUM/MAX distance-cost, priced from
+        ``D(G - u)`` like every deviation of ``u``."""
+        evaluator = self._evaluator(net, u, resolve_backend(backend))
+        return self.edge_rule(net, u, self.alpha) + evaluator.distance_cost(net.neighbors(u))
 
     def cost_vector(
         self, net: Network, backend: Optional[DistanceBackend] = None
     ) -> np.ndarray:
         """All agents' costs in one APSP pass."""
-        if backend is not None:
-            D = backend.full_distances(net)
-        else:
-            D = adj.all_pairs_distances(net.A)
+        D = resolve_backend(backend).full_distances(net)
         if self.mode is DistanceMode.SUM:
             delta = D.sum(axis=1)
         else:
@@ -302,7 +328,7 @@ class Game:
 
     # -- core API: one move enumeration per game ----------------------------
     def _scored_batches(
-        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
+        self, net: Network, u: int, backend: DistanceBackend
     ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
         """Every admissible move of ``u`` with ``u``'s cost after it, as
         ``(costs, make_move)`` batches: a float cost array and a factory
@@ -315,7 +341,7 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> Iterator[Tuple[Move, float]]:
         """Yield ``(move, new_cost_of_u)`` for every admissible move."""
-        return _flatten(self._scored_batches(net, u, backend))
+        return _flatten(self._scored_batches(net, u, resolve_backend(backend)))
 
     def candidate_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -326,25 +352,23 @@ class Game:
     def evaluate_move(
         self, net: Network, u: int, move: Move, backend: Optional[DistanceBackend] = None
     ) -> float:
-        """Cost of ``u`` after applying ``move`` (generic copy path).
+        """Cost of ``u`` after applying ``move``.
 
-        With a ``backend`` the distance term is priced through
+        For ``u``'s own move the distance term is priced through
         ``D(G - u)`` exactly like :meth:`_scored_moves` does (a shortest
         path from ``u`` never revisits ``u``, and ``D(G - u)`` is
-        unchanged by ``u``'s own moves) — no BFS runs on the throwaway
-        copy, which only supplies the new neighbourhood and edge-cost
-        term.
+        unchanged by ``u``'s own moves); the throwaway copy only supplies
+        the new neighbourhood and edge-cost term.
         """
+        backend = resolve_backend(backend)
         work = net.copy()
         move.apply(work)
-        if backend is None or move.agent != u:
-            # the D(G - u) shortcut is only valid for u's *own* moves —
-            # another agent's move can change distances in G - u, so
-            # pricing u under someone else's move takes the copy path
+        if move.agent != u:
+            # another agent's move can change distances in G - u, so the
+            # copy is priced through a fresh memo of its own — the
+            # caller's would drop the run's state to sync to the copy
             return self.current_cost(work, u)
-        evaluator = DeviationEvaluator(
-            net, u, self.mode, D=backend.deviation_distances(net, u)
-        )
+        evaluator = self._evaluator(net, u, backend)
         return self.edge_rule(work, u, self.alpha) + evaluator.distance_cost(
             work.neighbors(u)
         )
@@ -353,6 +377,7 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Admissible moves that strictly decrease ``u``'s cost."""
+        backend = resolve_backend(backend)
         cur = self.current_cost(net, u, backend=backend)
         return _improving(cur, self._scored_batches(net, u, backend))
 
@@ -361,41 +386,35 @@ class Game:
     ) -> BestResponse:
         """All cost-minimising admissible moves of ``u`` (see
         :class:`BestResponse`); empty move list when ``u`` is happy."""
-        if backend is not None:
-            cached = backend.cached_best_response(self, net, u)
-            if cached is not None:
-                return cached
-            # c_G(u) priced from D(G - u), which the move pricing reads
-            # anyway: a best response never needs the APSP of G
-            cur = self.edge_rule(net, u, self.alpha) + self._evaluator(
-                net, u, backend).distance_cost(net.neighbors(u))
-        else:
-            cur = self.current_cost(net, u)
+        backend = resolve_backend(backend)
+        cached = backend.cached_best_response(self, net, u)
+        if cached is not None:
+            return cached
+        cur = self.current_cost(net, u, backend=backend)
         br = _collect_best_batches(u, cur, self._scored_batches(net, u, backend))
-        if backend is not None:
-            backend.store_best_response(self, net, u, br)
+        backend.store_best_response(self, net, u, br)
         return br
 
     def is_unhappy(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> bool:
-        """Whether ``u`` has at least one improving move."""
-        if backend is not None:
-            # the full best response gets memoised, so later calls for
-            # the same state (e.g. by the move policy) are free
-            return self.best_responses(net, u, backend=backend).is_improving
-        cur = self.current_cost(net, u)
-        return bool(_improving(cur, self._scored_batches(net, u), first=True))
+        """Whether ``u`` has at least one improving move.  The full best
+        response gets memoised, so later calls for the same state (e.g.
+        by the move policy) are free."""
+        return self.best_responses(net, u, backend=backend).is_improving
 
     def unhappy_agents(
         self, net: Network, backend: Optional[DistanceBackend] = None
     ) -> List[int]:
         """The set ``U_i`` of Section 1.1."""
-        return [u for u in range(net.n) if self.is_unhappy(net, u, backend=backend)]
+        return [br.agent for br in scan_best_responses(self, net, range(net.n), backend)
+                if br.is_improving]
 
     def is_stable(self, net: Network, backend: Optional[DistanceBackend] = None) -> bool:
-        """``True`` iff no agent has an improving move (pure NE)."""
-        return not self.unhappy_agents(net, backend=backend)
+        """``True`` iff no agent has an improving move (pure NE); stops at
+        the first unhappy agent."""
+        return not any(br.is_improving
+                       for br in scan_best_responses(self, net, range(net.n), backend))
 
     # -- greedy (single-edge) deviations -----------------------------------
     def moves_are_greedy(self) -> bool:
@@ -409,7 +428,7 @@ class Game:
         return False
 
     def _greedy_batches(
-        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
+        self, net: Network, u: int, backend: DistanceBackend
     ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
         """:meth:`_scored_batches` cut to the *greedy* deviations: buy
         one edge, delete one owned edge, or swap one edge (Lenzner's
@@ -426,12 +445,13 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> Iterator[Tuple[Move, float]]:
         """``(move, new_cost_of_u)`` for every admissible greedy deviation."""
-        return _flatten(self._greedy_batches(net, u, backend))
+        return _flatten(self._greedy_batches(net, u, resolve_backend(backend)))
 
     def greedy_improving_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Greedy deviations that strictly decrease ``u``'s cost."""
+        backend = resolve_backend(backend)
         cur = self.current_cost(net, u, backend=backend)
         return _improving(cur, self._greedy_batches(net, u, backend))
 
@@ -439,6 +459,7 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> bool:
         """Whether ``u`` has at least one improving greedy deviation."""
+        backend = resolve_backend(backend)
         cur = self.current_cost(net, u, backend=backend)
         return bool(_improving(cur, self._greedy_batches(net, u, backend), first=True))
 
@@ -446,6 +467,7 @@ class Game:
         self, net: Network, backend: Optional[DistanceBackend] = None
     ) -> List[int]:
         """Agents with at least one improving greedy deviation."""
+        backend = resolve_backend(backend)
         return [u for u in range(net.n) if self.is_greedy_unhappy(net, u, backend=backend)]
 
     def is_greedy_stable(
@@ -501,7 +523,7 @@ class SwapGame(Game):
         """Edges ``u`` may move: in the SG, every incident edge."""
         return net.neighbors(u)
 
-    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
         """Every single swap in one batch (a row of candidates per movable
         edge, all priced in one pass), then the multi-swaps."""
         evaluator = self._evaluator(net, u, backend)
@@ -595,7 +617,7 @@ class GreedyBuyGame(Game):
         """
         return self.alpha * (k + 1), self.alpha * k, self.alpha * (k - 1)
 
-    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
         """The whole move set as one batch — the buys, then per owned
         edge its delete and its swaps — priced by one 3-D pass over
         ``D(G - u)[candidates]``."""
@@ -696,7 +718,7 @@ class BuyGame(Game):
     _edge_terms = GreedyBuyGame._edge_terms
     _greedy_batches = GreedyBuyGame._scored_batches
 
-    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
         """Every owned-target set other than the current one, as one batch
         (by size, then lexicographically)."""
         if net.n > self.max_enumeration_agents:
@@ -762,16 +784,24 @@ class BilateralGame(Game):
         Only newly added neighbours may block.  Returns an empty list for
         feasible moves.
         """
-        u = move.agent
-        old = set(net.neighbors(u).tolist())
+        return self._blockers(net, move, resolve_backend(None))
+
+    def _blockers(
+        self, net: Network, move: StrategyChange, backend: DistanceBackend
+    ) -> List[int]:
+        """:meth:`blocking_agents`, with the costs before the move read
+        from ``backend``'s ``D(G)`` of ``net`` (one APSP per state)."""
+        old = set(net.neighbors(move.agent).tolist())
         added = sorted(set(move.new_targets) - old)
         if not added:
             return []
-        before = {v: self.current_cost(net, v) for v in added}
         work = net.copy()
         move.apply(work)
-        blockers = [v for v in added if self.current_cost(work, v) > before[v] + EPS]
-        return blockers
+        # the hypothetical network is a throwaway copy: priced through a
+        # fresh memo, so the caller's keeps D(G) of ``net``
+        after = self.cost_vector(work)
+        before = self.cost_vector(net, backend)
+        return [v for v in added if after[v] > before[v] + EPS]
 
     def feasible(self, net: Network, move: StrategyChange) -> bool:
         """Whether no newly added neighbour blocks the move."""
@@ -779,7 +809,7 @@ class BilateralGame(Game):
 
     # -- enumeration ---------------------------------------------------------
     def _improving_strategies(
-        self, net: Network, u: int, backend: Optional[DistanceBackend] = None
+        self, net: Network, u: int, backend: DistanceBackend
     ) -> Iterator[Tuple[StrategyChange, float]]:
         """Every neighbourhood cheaper for ``u`` than its current one, with
         that cost, consented to or not (by size, then lexicographically)."""
@@ -804,18 +834,18 @@ class BilateralGame(Game):
                 if cost < cur - EPS:
                     yield StrategyChange(u, S, bilateral=True), cost
 
-    def _scored_batches(self, net: Network, u: int, backend: Optional[DistanceBackend] = None):
+    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
         """The feasible improving moves, as one batch.
 
         Cheap cost screening happens *before* the (expensive) consent
         check: only strategies better than the current one get a
         feasibility test.  This keeps the enumeration usable at the
-        paper's instance sizes.  The consent check itself always prices
-        hypothetical networks densely — they are throwaway copies the
-        incremental engine should not chase.
+        paper's instance sizes.  The consent check reads the costs before
+        the move from ``backend`` and prices each hypothetical network
+        through a fresh memo of its own.
         """
         scored = [(m, c) for m, c in self._improving_strategies(net, u, backend)
-                  if self.feasible(net, m)]
+                  if not self._blockers(net, m, backend)]
         yield np.array([c for _, c in scored], dtype=float), [m for m, _ in scored].__getitem__
 
     def improving_moves_with_blockers(
@@ -828,5 +858,6 @@ class BilateralGame(Game):
         about which agent blocks which strategy, and the tests verify
         those claims.
         """
-        return [(m, c, self.blocking_agents(net, m))
+        backend = resolve_backend(backend)
+        return [(m, c, self._blockers(net, m, backend))
                 for m, c in self._improving_strategies(net, u, backend)]

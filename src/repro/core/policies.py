@@ -32,9 +32,9 @@ Implemented policies:
   move checked to be a best response (or at least improving).
 
 The scanning policies walk their agent order through
-:func:`scan_best_responses`, which announces the next agents to the
-distance backend in blocks of 1, 2, 4, ... up to
-:data:`SCAN_BLOCK_CAP` before pricing them: a scan that stops at its
+:func:`~repro.core.games.scan_best_responses` (re-exported here), which
+announces the next agents to the distance backend in blocks of 1, 2, 4,
+... up to :data:`SCAN_BLOCK_CAP` before pricing them: a scan that stops at its
 first agent costs one ``D(G - u)`` rebuild, while a long one (the final
 stability check prices every agent) shares one packed kernel pass per
 block (see :mod:`repro.graphs.incremental`).
@@ -42,12 +42,20 @@ block (see :mod:`repro.graphs.incremental`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.incremental import DistanceBackend
-from .games import EPS, BestResponse, Game, _move_sort_key, _op_rank
+from .games import (
+    EPS,
+    SCAN_BLOCK_CAP,
+    BestResponse,
+    Game,
+    _move_sort_key,
+    _op_rank,
+    scan_best_responses,
+)
 from .moves import Move
 from .network import Network
 
@@ -65,35 +73,6 @@ __all__ = [
     "NoisyBestResponsePolicy",
     "AdversarialPolicy",
 ]
-
-#: the largest block of agents whose ``D(G - u)`` a scan requests at once
-SCAN_BLOCK_CAP = 32
-
-
-def scan_best_responses(
-    game: Game,
-    net: Network,
-    order: Iterable[int],
-    backend: Optional[DistanceBackend] = None,
-) -> Iterator[BestResponse]:
-    """Best responses of the agents in ``order``, lazily and in order.
-
-    Before pricing them, the next agents are announced to the backend
-    (``prefetch_deviations``) in blocks of 1, 2, 4, ... up to
-    :data:`SCAN_BLOCK_CAP`, so a scan that stops early has computed at
-    most about as many ``D(G - u)`` as it used.  The network must not
-    change while the scan runs.
-    """
-    order = [int(u) for u in order]
-    start, size = 0, 1
-    while start < len(order):
-        block = order[start:start + size]
-        if backend is not None:
-            backend.prefetch_deviations(net, block)
-        for u in block:
-            yield game.best_responses(net, u, backend=backend)
-        start += size
-        size = min(2 * size, SCAN_BLOCK_CAP)
 
 
 def first_improving(
@@ -127,7 +106,8 @@ class MovePolicy:
         network is stable (no agent is unhappy).
 
         ``backend`` routes all distance queries (see
-        :mod:`repro.graphs.incremental`); ``None`` recomputes densely.
+        :mod:`repro.graphs.incremental`); ``None`` means a fresh
+        per-state memo, as everywhere in the game layer.
         """
         raise NotImplementedError
 

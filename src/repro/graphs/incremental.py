@@ -20,6 +20,10 @@ Nothing is repaired or kept across moves: a converging move changes
 ``D(G - u)`` for almost every ``u``, so distances of earlier states are
 rarely reusable.
 
+Every entry point that prices distances takes ``backend=None``, and
+:func:`resolve_backend` gives ``None`` its one meaning: a fresh
+:class:`IncrementalBackend`.
+
 Everything here works on plain adjacency matrices plus a duck-typed
 network object exposing ``.A`` and ``.owner`` — this module must not
 import :mod:`repro.core` (the core imports the graphs layer).
@@ -39,6 +43,7 @@ __all__ = [
     "IncrementalAPSP",
     "DistanceBackend",
     "IncrementalBackend",
+    "resolve_backend",
 ]
 
 # pre-bound obs handles: per-event cost is one attribute load + one
@@ -161,3 +166,18 @@ class IncrementalBackend:
         self._sync(net)
         self._best[(game.cache_token(), int(u))] = br
 
+
+def resolve_backend(backend: Optional[DistanceBackend] = None) -> DistanceBackend:
+    """``backend`` itself, or a fresh :class:`IncrementalBackend` for ``None``.
+
+    The spec strings of earlier builds (``"dense"``, ``"auto"``,
+    ``"incremental"``) are retired; passing one raises a ``TypeError``
+    that names it instead of failing later on a missing method.
+    """
+    if backend is None:
+        return IncrementalBackend()
+    if isinstance(backend, str):
+        raise TypeError(
+            f"distance backend spec strings are retired (got {backend!r}); "
+            "pass None for the per-state memo or a DistanceBackend instance")
+    return backend

@@ -56,7 +56,7 @@ from ..core.policies import (
     RandomPolicy,
     RoundRobinPolicy,
 )
-from ..graphs import adjacency as adj
+from ..graphs.incremental import IncrementalBackend
 from ..graphs.generators import (
     directed_line_network,
     path_network,
@@ -453,19 +453,13 @@ class TrialContext:
     #: (``DynamicsKind.uses_policy`` is False, e.g. simultaneous rounds)
     policy: Optional[MovePolicy]
     outcome: TrialOutcome
-    #: distance matrix of the final network, computed once and shared by
-    #: every distance-based metric of the trial.
-    _D: Optional[np.ndarray] = field(default=None, repr=False)
+    #: the per-state memo every distance-based metric of the trial
+    #: prices through, so ``D(G_final)`` is computed once per trial
+    memo: IncrementalBackend = field(default_factory=IncrementalBackend, repr=False)
 
     @property
     def final(self) -> Network:
         return self.outcome.final
-
-    @property
-    def distances(self) -> np.ndarray:
-        if self._D is None:
-            self._D = adj.all_pairs_distances_fast(self.final.A)
-        return self._D
 
 
 def _metric(name: str, doc: str) -> Callable:
@@ -500,17 +494,17 @@ def _m_rounds(ctx: TrialContext) -> Optional[int]:
 
 @_metric("social_cost", "sum of all agents' costs in the final network")
 def _m_social_cost(ctx: TrialContext) -> float:
-    return float(ctx.game.social_cost(ctx.final))
+    return float(ctx.game.social_cost(ctx.final, backend=ctx.memo))
 
 
 @_metric("max_agent_cost", "worst single agent's cost in the final network")
 def _m_max_agent_cost(ctx: TrialContext) -> float:
-    return float(np.max(ctx.game.cost_vector(ctx.final)))
+    return float(np.max(ctx.game.cost_vector(ctx.final, backend=ctx.memo)))
 
 
 @_metric("diameter", "diameter of the final network (inf -> null)")
 def _m_diameter(ctx: TrialContext) -> Optional[float]:
-    d = float(np.max(ctx.distances))
+    d = float(np.max(ctx.memo.full_distances(ctx.final)))
     return None if not np.isfinite(d) else d
 
 
@@ -769,7 +763,7 @@ def _m_cost_ratio(ctx: TrialContext) -> Optional[float]:
     )
     if reference <= 0:
         return None
-    return float(ctx.game.social_cost(ctx.final)) / reference
+    return float(ctx.game.social_cost(ctx.final, backend=ctx.memo)) / reference
 
 
 @_metric("poa_ratio",
@@ -782,7 +776,7 @@ def _m_poa_ratio(ctx: TrialContext) -> Optional[float]:
         return None
     if reference <= 0:
         return None
-    ratio = float(ctx.game.social_cost(ctx.final)) / reference
+    ratio = float(ctx.game.social_cost(ctx.final, backend=ctx.memo)) / reference
     return ratio if np.isfinite(ratio) else None
 
 
@@ -802,7 +796,7 @@ def _m_is_tree_equilibrium(ctx: TrialContext) -> Optional[bool]:
          "single-edge deviation)? null when undecidable at this size")
 def _m_greedy_stable(ctx: TrialContext) -> Optional[bool]:
     try:
-        return bool(ctx.game.is_greedy_stable(ctx.final))
+        return bool(ctx.game.is_greedy_stable(ctx.final, backend=ctx.memo))
     except ValueError:
         # bilateral-style games decide greedy stability by strategy
         # enumeration, which is capped; past the cap the answer is

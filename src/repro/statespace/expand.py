@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 from ..core.games import EPS, Game
 from ..core.moves import Move, move_to_dict
 from ..core.network import Network
-from ..graphs.incremental import DistanceBackend, IncrementalBackend
+from ..graphs.incremental import DistanceBackend, resolve_backend
 from .encode import state_key
 
 __all__ = [
@@ -112,7 +112,7 @@ class Expander:
         self.game = game
         self.moves = moves
         self.agent_filter = agent_filter
-        self.backend = IncrementalBackend() if backend is None else backend
+        self.backend = resolve_backend(backend)
         self.with_ownership = ownership_matters(game)
 
     # -- keys --------------------------------------------------------------
@@ -138,8 +138,8 @@ class Expander:
             return [unhappy[0]]
         # maxcost: every unhappy agent whose current cost ties the max
         # (each is a possible pick of the paper's max cost policy)
-        costs = {u: self.game.current_cost(net, u, backend=self.backend) for u in unhappy}
-        top = max(costs.values())
+        costs = self.game.cost_vector(net, backend=self.backend)
+        top = max(costs[u] for u in unhappy)
         return [u for u in unhappy if costs[u] >= top - EPS]
 
     # -- expansion ---------------------------------------------------------

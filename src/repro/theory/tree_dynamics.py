@@ -31,7 +31,7 @@ from ..core.moves import Swap, move_kind
 from ..core.network import Network
 from ..core.policies import MovePolicy, first_improving
 from ..graphs import adjacency as adj
-from ..graphs.incremental import DistanceBackend, IncrementalBackend
+from ..graphs.incremental import DistanceBackend, resolve_backend
 from ..graphs.properties import sorted_cost_vector
 
 __all__ = [
@@ -106,7 +106,7 @@ def run_tree_dynamics(
     """
     rng = np.random.default_rng(seed)
     net = initial.copy()
-    backend = IncrementalBackend() if backend is None else backend
+    backend = resolve_backend(backend)
     policy.reset()
     diameters = [adj.diameter(net.A)]
     trajectory = []

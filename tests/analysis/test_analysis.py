@@ -1,6 +1,8 @@
 """Tests for the analysis layer: stability, pairwise stability, social
 cost and convergence statistics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,14 @@ from repro.analysis.social import (
     star_social_cost,
 )
 from repro.analysis.stats import ConvergenceStats
-from repro.core.games import BilateralGame, BuyGame, GreedyBuyGame, SwapGame
+from repro.core.games import EPS, BilateralGame, BuyGame, GreedyBuyGame, SwapGame
 from repro.core.network import Network
 from repro.graphs.generators import (
     double_star_network,
     path_network,
     star_network,
 )
+from tests.reference import Reference, State, enumerate_states
 
 
 class TestStability:
@@ -115,6 +118,35 @@ class TestPairwiseStability:
         game = BilateralGame("sum", alpha=50.0)
         ok, witness = is_pairwise_stable(game, net)
         assert not ok and "deleting" in witness
+
+    @pytest.mark.parametrize("mode", ["sum", "max"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 5.0])
+    def test_matches_definition_on_every_4_vertex_network(self, mode, alpha):
+        """Both conditions, evaluated with the reference model's own BFS
+        costs, agree with ``is_pairwise_stable`` on every connected
+        4-vertex network."""
+        game = BilateralGame(mode, alpha=alpha)
+        ref = Reference.of(game)
+        verdicts = set()
+        for state in enumerate_states(4, with_ownership=False):
+            base = [ref.cost(state, u) for u in range(4)]
+            deletion = any(
+                ref.cost(State(4, state.owned - {(u, v), (v, u)}), u) < base[u] - EPS
+                for u in range(4) for v in state.neighbors(u))
+            addition = False
+            for u, v in itertools.combinations(range(4), 2):
+                if v in state.neighbors(u):
+                    continue
+                added = State(4, state.owned | {(u, v)})
+                cu, cv = ref.cost(added, u), ref.cost(added, v)
+                if ((cu < base[u] - EPS and cv <= base[v] + EPS)
+                        or (cv < base[v] - EPS and cu <= base[u] + EPS)):
+                    addition = True
+            stable = not deletion and not addition
+            net = Network.from_owned_edges(4, sorted(state.owned))
+            assert is_pairwise_stable(game, net)[0] == stable, sorted(state.owned)
+            verdicts.add(stable)
+        assert verdicts == {True, False}
 
     def test_fig16_g1_not_pairwise_stable(self):
         """fig16's G1 cycles, so it cannot be pairwise stable."""

@@ -10,12 +10,18 @@ and that the backend never holds more than one block of ``D(G - u)``.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.dynamics import run_dynamics
-from repro.core.games import AsymmetricSwapGame, BilateralGame, GreedyBuyGame
+from repro.core.games import AsymmetricSwapGame, BilateralGame, GreedyBuyGame, SwapGame
 from repro.core.moves import Buy
 from repro.core.network import Network
-from repro.core.policies import SCAN_BLOCK_CAP, ScriptedPolicy, scan_best_responses
+from repro.core.policies import (
+    SCAN_BLOCK_CAP,
+    FirstUnhappyPolicy,
+    ScriptedPolicy,
+    scan_best_responses,
+)
 from repro.graphs import adjacency as adj
 from repro.graphs.generators import random_m_edge_network
 from repro.graphs.incremental import IncrementalBackend
@@ -178,3 +184,42 @@ class TestDynamicsLevel:
         assert stored
         explore(game, n=3)
         assert len(set(map(id, stored))) == 2
+
+
+class TestResolver:
+    @pytest.mark.parametrize("entry", ["run_dynamics", "explore", "best_responses"])
+    def test_retired_spec_string_is_a_named_error(self, entry):
+        """The spec strings of earlier builds fail at the entry point,
+        naming the string, not later on a missing backend method."""
+        game = SwapGame("sum")
+        net = Network.from_owned_edges(3, [(0, 1), (1, 2)])
+        calls = {
+            "run_dynamics": lambda: run_dynamics(game, net, FirstUnhappyPolicy(),
+                                                 backend="dense"),
+            "explore": lambda: explore(game, n=3, backend="dense"),
+            "best_responses": lambda: game.best_responses(net, 0, backend="dense"),
+        }
+        with pytest.raises(TypeError, match="'dense'"):
+            calls[entry]()
+
+    def test_one_shot_game_calls_never_reach_the_matmul_kernel(self, monkeypatch):
+        """``backend=None`` is a fresh memo: every distance-dependent
+        ``Game`` method prices through the routed kernels."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("boolean-matmul APSP reached from the game layer")
+
+        monkeypatch.setattr(adj, "all_pairs_distances", forbidden)
+        monkeypatch.setattr(adj, "distances_without_vertex", forbidden)
+        monkeypatch.setattr(adj, "bfs_distances", forbidden)
+        net = make_net()
+        for game in (GreedyBuyGame("sum", alpha=2.0), AsymmetricSwapGame("max"),
+                     BilateralGame("sum", alpha=2.0)):
+            game.is_stable(net)
+            game.is_greedy_stable(net)
+            game.cost_vector(net)
+            game.current_cost(net, 0)
+            game.improving_moves(net, 0)
+            move = next(iter(game.candidate_moves(net, 0)), None)
+            if move is not None:
+                game.evaluate_move(net, 0, move)
+                game.evaluate_move(net, 1, move)

@@ -35,7 +35,7 @@ def test_distance_cost_matches_brute_force(mode, n, extra, rng):
     A = random_connected_adjacency(n, extra, rng)
     net = network_from_adjacency(A, rng)
     for u in range(0, n, 2):
-        ev = DeviationEvaluator(net, u, mode)
+        ev = DeviationEvaluator(net, u, mode, adj.distances_without_vertex(net.A, u))
         for _ in range(12):
             k = int(rng.integers(1, 4))
             S = rng.choice([x for x in range(n) if x != u], size=k, replace=False)
@@ -49,7 +49,7 @@ def test_batch_costs_match_scalar(mode, rng):
     A = random_connected_adjacency(10, 5, rng)
     net = network_from_adjacency(A, rng)
     u = 3
-    ev = DeviationEvaluator(net, u, mode)
+    ev = DeviationEvaluator(net, u, mode, adj.distances_without_vertex(net.A, u))
     kept = [x for x in net.neighbors(u).tolist() if x != net.neighbors(u).tolist()[0]]
     base = ev.base_vector(kept)
     candidates = [x for x in range(10) if x != u and x not in net.neighbors(u)]
@@ -63,7 +63,7 @@ def test_stacked_bases_match_one_base_at_a_time(mode, rng):
     A = random_connected_adjacency(12, 6, rng)
     net = network_from_adjacency(A, rng)
     u = 4
-    ev = DeviationEvaluator(net, u, mode)
+    ev = DeviationEvaluator(net, u, mode, adj.distances_without_vertex(net.A, u))
     nbrs = net.neighbors(u)
     bases = np.stack([ev.base_vector(nbrs)]
                      + [ev.base_vector(nbrs[nbrs != v]) for v in nbrs])
@@ -79,39 +79,39 @@ def test_stacked_bases_match_one_base_at_a_time(mode, rng):
 def test_empty_strategy_is_disconnected(rng):
     A = random_connected_adjacency(6, 2, rng)
     net = network_from_adjacency(A, rng)
-    ev = DeviationEvaluator(net, 0, DistanceMode.SUM)
+    ev = DeviationEvaluator(net, 0, DistanceMode.SUM, adj.distances_without_vertex(net.A, 0))
     assert np.isinf(ev.distance_cost([]))
 
 
 def test_disconnecting_strategy_is_infinite():
     # path 0-1-2-3: u=1 connecting only to 0 cuts off {2,3}
     net = Network.from_owned_edges(4, [(0, 1), (1, 2), (2, 3)])
-    ev = DeviationEvaluator(net, 1, DistanceMode.SUM)
+    ev = DeviationEvaluator(net, 1, DistanceMode.SUM, adj.distances_without_vertex(net.A, 1))
     assert np.isinf(ev.distance_cost([0]))
     assert np.isfinite(ev.distance_cost([0, 2]))
 
 
 def test_base_vector_empty_is_inf():
     net = Network.from_owned_edges(3, [(0, 1), (1, 2)])
-    ev = DeviationEvaluator(net, 0, DistanceMode.SUM)
+    ev = DeviationEvaluator(net, 0, DistanceMode.SUM, adj.distances_without_vertex(net.A, 0))
     assert np.isinf(ev.base_vector([])).all()
 
 
 def test_cost_of_base_marks_self_zero():
     net = Network.from_owned_edges(3, [(0, 1), (1, 2)])
-    ev = DeviationEvaluator(net, 0, DistanceMode.SUM)
+    ev = DeviationEvaluator(net, 0, DistanceMode.SUM, adj.distances_without_vertex(net.A, 0))
     base = ev.base_vector([1])
     assert ev.cost_of_base(base) == 1 + 2
 
 
 def test_batch_empty_candidates():
     net = Network.from_owned_edges(3, [(0, 1), (1, 2)])
-    ev = DeviationEvaluator(net, 0, DistanceMode.SUM)
+    ev = DeviationEvaluator(net, 0, DistanceMode.SUM, adj.distances_without_vertex(net.A, 0))
     out = ev.batch_costs(ev.base_vector([1]), [])
     assert out.size == 0
 
 
 def test_single_vertex_graph():
     net = Network.from_owned_edges(1, [])
-    ev = DeviationEvaluator(net, 0, DistanceMode.MAX)
+    ev = DeviationEvaluator(net, 0, DistanceMode.MAX, adj.distances_without_vertex(net.A, 0))
     assert ev.distance_cost([]) == 0.0

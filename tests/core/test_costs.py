@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import costs
 from repro.core.costs import EQUAL_SPLIT, OWNER_PAYS, SWAP_EDGE_COST, DistanceMode
-from repro.core.games import BuyGame, SwapGame
+from repro.core.games import BilateralGame, BuyGame, Game, GreedyBuyGame, SwapGame
 from repro.core.network import Network
 from repro.graphs.generators import path_network, star_network
 
@@ -29,46 +28,51 @@ class TestDistanceMode:
 
 
 class TestAgentCost:
+    """``c_G(u)`` through :meth:`Game.current_cost`, the one formula."""
+
     def test_path_sum(self):
         net = path_network(5)
-        assert costs.agent_cost(net, 0, DistanceMode.SUM) == 10
-        assert costs.agent_cost(net, 2, DistanceMode.SUM) == 6
+        assert SwapGame("sum").current_cost(net, 0) == 10
+        assert SwapGame("sum").current_cost(net, 2) == 6
 
     def test_path_max(self):
         net = path_network(5)
-        assert costs.agent_cost(net, 0, DistanceMode.MAX) == 4
-        assert costs.agent_cost(net, 2, DistanceMode.MAX) == 2
+        assert SwapGame("max").current_cost(net, 0) == 4
+        assert SwapGame("max").current_cost(net, 2) == 2
 
     def test_disconnected_infinite(self):
         net = Network.from_owned_edges(3, [(0, 1)])
-        assert np.isinf(costs.agent_cost(net, 0, DistanceMode.SUM))
-        assert np.isinf(costs.agent_cost(net, 2, DistanceMode.MAX))
+        assert np.isinf(SwapGame("sum").current_cost(net, 0))
+        assert np.isinf(SwapGame("max").current_cost(net, 2))
 
     def test_owner_pays(self):
         net = star_network(5)  # centre owns 4 edges
-        c = costs.agent_cost(net, 0, DistanceMode.SUM, alpha=2.0, edge_rule=OWNER_PAYS)
-        assert c == 4 * 2.0 + 4
-        leaf = costs.agent_cost(net, 1, DistanceMode.SUM, alpha=2.0, edge_rule=OWNER_PAYS)
-        assert leaf == 0.0 + (1 + 2 * 3)
+        game = GreedyBuyGame("sum", alpha=2.0)
+        assert game.edge_rule is OWNER_PAYS
+        assert game.current_cost(net, 0) == 4 * 2.0 + 4
+        assert game.current_cost(net, 1) == 0.0 + (1 + 2 * 3)
 
     def test_equal_split(self):
         net = star_network(5)
-        c = costs.agent_cost(net, 0, DistanceMode.SUM, alpha=2.0, edge_rule=EQUAL_SPLIT)
-        assert c == 4 * 1.0 + 4
-        leaf = costs.agent_cost(net, 1, DistanceMode.SUM, alpha=2.0, edge_rule=EQUAL_SPLIT)
-        assert leaf == 1.0 + 7
+        game = BilateralGame("sum", alpha=2.0)
+        assert game.edge_rule is EQUAL_SPLIT
+        assert game.current_cost(net, 0) == 4 * 1.0 + 4
+        assert game.current_cost(net, 1) == 1.0 + 7
 
     def test_swap_games_have_no_edge_cost(self):
         net = star_network(5)
-        assert costs.agent_cost(net, 0, DistanceMode.SUM, alpha=99.0) == 4
+        game = Game("sum", alpha=99.0)
+        assert game.edge_rule is SWAP_EDGE_COST
+        assert game.current_cost(net, 0) == 4
 
 
 class TestVectorised:
-    def test_cost_vector_matches_agent_cost(self):
+    def test_cost_vector_matches_current_cost(self):
         net = path_network(6, "alternate")
-        vec = BuyGame("sum", alpha=1.5).cost_vector(net)
+        game = BuyGame("sum", alpha=1.5)
+        vec = game.cost_vector(net)
         for u in range(6):
-            assert vec[u] == costs.agent_cost(net, u, DistanceMode.SUM, alpha=1.5, edge_rule=OWNER_PAYS)
+            assert vec[u] == game.current_cost(net, u)
 
     def test_social_cost(self):
         net = path_network(3)
@@ -78,9 +82,10 @@ class TestVectorised:
 
     def test_distance_costs_max(self):
         net = path_network(4)
-        assert costs.distance_costs(net, DistanceMode.MAX).tolist() == [3, 2, 2, 3]
+        assert SwapGame("max").cost_vector(net).tolist() == [3, 2, 2, 3]
 
     def test_single_vertex(self):
         net = Network.from_owned_edges(1, [])
-        assert costs.agent_cost(net, 0, DistanceMode.SUM) == 0
-        assert costs.agent_cost(net, 0, DistanceMode.MAX) == 0
+        assert SwapGame("sum").current_cost(net, 0) == 0
+        assert SwapGame("max").current_cost(net, 0) == 0
+        assert SwapGame("max").cost_vector(net).tolist() == [0]

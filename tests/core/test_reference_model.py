@@ -30,6 +30,7 @@ from repro.graphs.incremental import IncrementalBackend
 from repro.statespace.encode import state_key
 from repro.statespace.explore import explore
 
+from tests.helpers import NoMemoBackend
 from tests.reference import Reference, State, state_of
 
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "reference.py"
@@ -111,6 +112,9 @@ def _same_scored(got, want):
     assert [c for _, c in got] == pytest.approx([c for _, c in want], abs=1e-9)
 
 
+BACKENDS = {"none": lambda: None, "no-memo": NoMemoBackend, "memo": IncrementalBackend}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=30, deadline=None)
 @given(
@@ -119,17 +123,28 @@ def _same_scored(got, want):
     alpha=st.integers(1, 4),
     max_swaps=st.integers(2, 3),
     owner_share=st.sampled_from([0.5, 0.25, 1.0]),
-    memo=st.booleans(),
+    backend=st.sampled_from(sorted(BACKENDS)),
 )
-def test_game_matches_reference(kind, instance, mode, alpha, max_swaps, owner_share, memo):
-    """Move set, improving and greedy-improving lists (in order), best
-    responses (cost, tie set and order) and both stability notions."""
+def test_game_matches_reference(kind, instance, mode, alpha, max_swaps, owner_share, backend):
+    """Costs (``current_cost``, ``cost_vector`` and ``evaluate_move``
+    over every deviation, the mover's and a bystander's), move set,
+    improving and greedy-improving lists (in order), best responses
+    (cost, tie set and order) and both stability notions."""
     net, host = instance
     game = _game(kind, mode, float(alpha), host, max_swaps, owner_share)
     ref = Reference.of(game)
     state = state_of(net)
-    engine = IncrementalBackend() if memo else None
+    engine = BACKENDS[backend]()
+    costs = game.cost_vector(net, backend=engine)
     for u in range(net.n):
+        want = ref.cost(state, u)
+        assert game.current_cost(net, u, backend=engine) == want
+        assert costs[u] == want
+        bystander = (u + 1) % net.n
+        for move, after in ref.deviations(state, u):
+            assert game.evaluate_move(net, u, move, backend=engine) == ref.cost(after, u)
+            assert game.evaluate_move(net, bystander, move, backend=engine) == ref.cost(
+                after, bystander)
         _same_scored(list(game._scored_moves(net, u)), ref.scored(state, u))
         _same_scored(game.improving_moves(net, u, backend=engine), ref.improving(state, u))
         _same_scored(game.greedy_improving_moves(net, u, backend=engine),
@@ -255,3 +270,27 @@ def test_census_sg_n5():
     explored_states, explored = _explored(game, 5)
     assert explored_states == states
     assert {_topology(s) for s in explored} == {_topology(s) for s in stable}
+
+
+def _is_tree(state: State) -> bool:
+    """Reference states are connected: a tree is one with n - 1 edges."""
+    return len(state.owned) == state.n - 1
+
+
+@pytest.mark.parametrize("alpha", [3.5, 4.0, 6.0])
+def test_bg_equilibria_are_trees_above_4n_minus_13(alpha):
+    """Bilò & Lenzner, *On the Tree Conjecture for the Network Creation
+    Game*: for alpha > 4n - 13 every NE of the SUM buy game is a tree.
+    At n = 4 that is alpha > 3: the 56 equilibria the reference finds
+    are all trees, and they are exactly the explorer's."""
+    game = BuyGame("sum", alpha=alpha)
+    states, ne = Reference.of(game).census(4)
+    assert len(ne) == 56 and all(_is_tree(s) for s in ne)
+    assert _explored(game, 4) == (states, set(ne))
+
+
+def test_bg_equilibria_below_the_tree_bound_include_non_trees():
+    """The contrast that shows the tree check can fail: at alpha = 2
+    (below 4n - 13 = 3) 6 of the 62 equilibria contain a cycle."""
+    _, ne = Reference.of(BuyGame("sum", alpha=2.0)).census(4)
+    assert (len(ne), sum(not _is_tree(s) for s in ne)) == (62, 6)

@@ -128,7 +128,7 @@ class TestFig3:
             u = net.index(lbl)
             game = fig3.game
             br = game.best_responses(net, u)
-            ev = DeviationEvaluator(net, u, game.mode)
+            ev = DeviationEvaluator(net, u, game.mode, adj.distances_without_vertex(net.A, u))
             incoming = list(net.incoming_neighbors(u))
             owned = frozenset(net.owned_targets(u).tolist())
             k = len(owned)

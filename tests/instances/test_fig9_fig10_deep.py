@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.games import EPS, BuyGame, GreedyBuyGame
 from repro.core.moves import Buy, Delete, StrategyChange, Swap
+from repro.graphs import adjacency as adj
 from repro.graphs.properties import one_median_vertices
 from repro.instances.figures import (
     FIG9_ALPHA,
@@ -40,7 +41,7 @@ class TestFig9ProofDetails:
         assert medians == {"c", "d"}
         from repro.core.best_response import DeviationEvaluator
 
-        ev = DeviationEvaluator(net, g, fig9.game.mode)
+        ev = DeviationEvaluator(net, g, fig9.game.mode, adj.distances_without_vertex(net.A, g))
         assert ev.distance_cost([net.index("c")]) == 15
         assert ev.distance_cost([net.index("d")]) == 15
 
@@ -101,7 +102,7 @@ class TestFig10ProofDetails:
 
         net = fig10.network
         g, h = net.index("g"), net.index("h")
-        ev = DeviationEvaluator(net, g, fig10.game.mode)
+        ev = DeviationEvaluator(net, g, fig10.game.mode, adj.distances_without_vertex(net.A, g))
         best = min(
             ev.distance_cost([h, w]) for w in range(net.n) if w not in (g, h)
         )

@@ -6,6 +6,7 @@ import pytest
 from repro.core.classify import classify_reachable
 from repro.core.games import AsymmetricSwapGame
 from repro.core.moves import Swap
+from repro.graphs import adjacency as adj
 from repro.instances.figures import (
     fig5_sum_asg_unit_budget_cycle,
     fig6_max_asg_unit_budget_cycle,
@@ -69,7 +70,7 @@ class TestFig5:
         for _, mv in fig5.moves()[:3]:
             mv.apply(net)  # state 4: a1@b1, b1@a4
         b1, a4, d1 = (net.index(x) for x in ("b1", "a4", "d1"))
-        ev = DeviationEvaluator(net, b1, fig5.game.mode)
+        ev = DeviationEvaluator(net, b1, fig5.game.mode, adj.distances_without_vertex(net.A, b1))
         incoming = list(net.incoming_neighbors(b1))
         with_a4 = ev.distance_cost(incoming + [a4])
         without = ev.distance_cost(incoming)

@@ -116,7 +116,7 @@ def test_max_cost_agent_on_tree_is_leaf_or_happy(net):
 def test_deviation_evaluator_agrees_with_rebuild(net, mode):
     rng = np.random.default_rng(0)
     u = int(rng.integers(net.n))
-    ev = DeviationEvaluator(net, u, mode)
+    ev = DeviationEvaluator(net, u, mode, adj.distances_without_vertex(net.A, u))
     others = [x for x in range(net.n) if x != u]
     for _ in range(5):
         k = int(rng.integers(1, min(4, len(others)) + 1))

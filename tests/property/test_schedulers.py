@@ -250,8 +250,8 @@ def test_evaluate_move_backend_path_only_prices_own_moves():
 )
 def test_greedy_improvement_never_increases_mover_cost(n, seed, mode, game_kind, order, choice):
     """The defining invariant: every greedy step strictly decreases the
-    mover's cost (recorded *and* recomputed densely), and termination
-    means stability."""
+    mover's cost (recorded *and* recomputed by a one-shot
+    ``current_cost``), and termination means stability."""
     game, net = _random_setup(n, seed, mode, game_kind)
     policy = GreedyImprovementPolicy(order=order, move_choice=choice)
     result = run_dynamics(game, net, policy, seed=seed, max_steps=60 * n)

@@ -58,10 +58,34 @@ def small_games(draw):
     return GreedyBuyGame(mode, alpha=alpha)
 
 
-@given(small_networks(), small_games(), st.sampled_from(["best", "improving"]))
+@st.composite
+def explorable_instances(draw):
+    """A (network, game, moveset) triple whose reachable state space fits
+    under the 50,000-state cap, so an exploration from it always completes.
+
+    A swap keeps the edge count: on 5 vertices that is at most
+    ``max_m C(10, m) 2^m = 15,360`` owned networks.  A GBG buys and
+    deletes edges, and there are 55,248 connected owned networks on 5
+    vertices.  Under *improving* moves at alpha 0.4 or 2.5 it can reach
+    most of them (a 5-vertex path in the MAX-GBG at alpha 0.4 takes
+    about 100 s to hit the cap), so those GBG draws at n = 5 take best
+    responses.  Over 150 random 5-vertex starts per alpha and mode, the
+    largest best-response component had 1,955 states, and the largest
+    improving-move component at alpha 1.0 had 208.
+    """
+    game = draw(small_games())
+    net = draw(small_networks())
+    moves = draw(st.sampled_from(["best", "improving"]))
+    if isinstance(game, GreedyBuyGame) and net.n == 5 and game.alpha != 1.0:
+        moves = "best"
+    return net, game, moves
+
+
+@given(explorable_instances())
 @settings(max_examples=25, deadline=None)
-def test_sinks_equal_brute_force_over_reachable_states(net, game, moves):
+def test_sinks_equal_brute_force_over_reachable_states(instance):
     """Explorer sinks == brute-force is_stable over every reachable state."""
+    net, game, moves = instance
     report = explore(game, start=net, moves=moves, max_states=50_000)
     assert report.complete and not report.truncated
     graph = report.graph

@@ -159,6 +159,35 @@ class TestRegistry:
         assert game.alpha == 10.0
 
 
+class TestTrialContextMemo:
+    def test_distance_metrics_share_one_apsp_of_the_final_network(self, monkeypatch):
+        """Every distance metric of a trial prices through the context's
+        one memo, so ``D(G_final)`` is computed once, not per metric."""
+        from repro.core.games import GreedyBuyGame
+        from repro.graphs import adjacency as adj
+        from repro.graphs.generators import path_network
+        from repro.registry.builtin import TrialContext, TrialOutcome
+
+        calls = []
+
+        def counted(kernel):
+            def run(A, mask=None):
+                calls.append(mask)
+                return kernel(A, mask=mask)
+            return run
+
+        for name in ("all_pairs_distances", "all_pairs_distances_fast"):
+            monkeypatch.setattr(adj, name, counted(getattr(adj, name)))
+        final = path_network(6)
+        ctx = TrialContext(spec=None, n=6, game=GreedyBuyGame("sum", alpha=2.0),
+                           policy=None, outcome=TrialOutcome("converged", 0, final))
+        values = {name: REGISTRY.build("metric", name)(ctx)
+                  for name in ("diameter", "social_cost", "max_agent_cost", "cost_ratio")}
+        assert values["diameter"] == 5.0
+        assert values["social_cost"] == 2.0 * 5 + 2 * (15 + 11 + 9)
+        assert calls == [None]
+
+
 class TestSpecResolvers:
     def test_alpha_specs(self):
         assert resolve_alpha_spec("n", 40) == 40.0
