@@ -85,7 +85,6 @@ from .registry import (
     Param,
     Registry,
     ScenarioSpec,
-    as_scenario,
 )
 from .service import (
     JobManager,
@@ -155,7 +154,6 @@ __all__ = [
     "Param",
     "CATEGORIES",
     "ScenarioSpec",
-    "as_scenario",
     # statespace explorer
     "state_key",
     "encode_state",

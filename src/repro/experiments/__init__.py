@@ -26,7 +26,7 @@ from . import (  # noqa: F401
     runner,
     topology,
 )
-from .config import CellConfig, ExperimentConfig, FigureSpec
+from .config import FigureSpec
 from .runner import TrialRecord
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "topology",
     "runner",
     "report",
-    "ExperimentConfig",
     "FigureSpec",
-    "CellConfig",
     "TrialRecord",
 ]

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .config import ExperimentConfig, FigureSpec
+from ..registry.scenario import ScenarioSpec
+from .config import FigureSpec
 
 __all__ = ["figure7_spec", "figure8_spec", "PAPER_BUDGETS", "DEFAULT_BUDGETS"]
 
@@ -29,16 +30,13 @@ PAPER_BUDGETS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 10)
 DEFAULT_BUDGETS: Tuple[int, ...] = (1, 2, 4)
 
 
-def _budget_configs(mode: str, budgets: Sequence[int]) -> Tuple[ExperimentConfig, ...]:
-    out = []
-    for policy in ("maxcost", "random"):
-        for k in budgets:
-            out.append(
-                ExperimentConfig(
-                    game="asg", mode=mode, policy=policy, topology="budget", budget=k
-                )
-            )
-    return tuple(out)
+def _budget_configs(mode: str, budgets: Sequence[int]) -> Tuple[ScenarioSpec, ...]:
+    return tuple(
+        ScenarioSpec(game="asg", policy=policy, topology="budget",
+                     game_params={"mode": mode}, topology_params={"budget": k})
+        for policy in ("maxcost", "random")
+        for k in budgets
+    )
 
 
 def figure7_spec(

@@ -43,11 +43,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import ConvergenceStats
 from ..testing.faults import resolve_fs
-from .config import CellConfig, ExperimentConfig, FigureSpec
+from ..registry.scenario import ScenarioSpec
+from .config import FigureSpec
 from .runner import (
     FigureResult,
     TrialRecord,
-    _config_digest,
     resolve_n_jobs,
     run_trial,
     trial_jobs,
@@ -123,35 +123,21 @@ class CampaignMismatch(RuntimeError):
     """The directory holds a different campaign than the one requested."""
 
 
-def cell_key(cfg: CellConfig, n: int) -> str:
-    """Stable identifier of one (config, n) cell.
+def cell_key(cfg: ScenarioSpec, n: int) -> str:
+    """Stable identifier of one (scenario, n) cell.
 
-    Built from the same canonical digest that seeds the trials
-    (``crc32`` of the legacy config repr, which
-    ``ScenarioSpec.digest()`` reproduces for legacy-expressible specs),
-    so two cell configs share a key iff they draw identical trial
-    sequences — regardless of which spec surface described them.
+    Built from the digest that seeds the trials
+    (:meth:`~repro.registry.ScenarioSpec.digest`), so two cells share a
+    key iff they draw identical trial sequences.
     """
-    return f"{_config_digest(cfg):08x}-n{n}"
-
-
-def _cell_manifest_repr(cfg: CellConfig) -> str:
-    """The manifest's human-readable cell identity string.
-
-    Legacy configs keep the historical ``repr`` form byte-for-byte (a
-    pre-registry store must validate and resume unchanged); scenario
-    cells store their canonical form.
-    """
-    if isinstance(cfg, ExperimentConfig):
-        return repr(cfg)
-    return cfg.canonical()
+    return f"{cfg.digest():08x}-n{n}"
 
 
 @dataclass(frozen=True)
 class _CellPlan:
     key: str
     series: str
-    cfg: CellConfig
+    cfg: ScenarioSpec
     n: int
 
 
@@ -180,7 +166,7 @@ def _manifest_for(
         "n_values": list(n_values),
         "max_steps_factor": max_steps_factor,
         "cells": [
-            {"key": c.key, "series": c.series, "n": c.n, "cfg": _cell_manifest_repr(c.cfg)}
+            {"key": c.key, "series": c.series, "n": c.n, "cfg": c.cfg.canonical()}
             for c in cells
         ],
     }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.stats import ConvergenceStats
-from .config import ExperimentConfig
+from ..registry.scenario import ScenarioSpec
 from .runner import run_cell
 
 __all__ = ["DensityPoint", "density_sweep", "peak_density"]
@@ -59,8 +59,9 @@ def density_sweep(
     The initial networks have ``m = n * k`` edges, so the density is
     ``2k / (n - 1)`` — sweeping ``n`` sweeps the density.
     """
-    cfg = ExperimentConfig(game="asg", mode=mode, policy=policy,
-                           topology="budget", budget=budget)
+    cfg = ScenarioSpec(game="asg", policy=policy, topology="budget",
+                       game_params={"mode": mode},
+                       topology_params={"budget": budget})
     out: List[DensityPoint] = []
     for n in n_values:
         if n <= 2 * budget:

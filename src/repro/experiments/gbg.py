@@ -28,7 +28,8 @@ from ..core.dynamics import run_dynamics
 from ..core.games import GreedyBuyGame
 from ..core.policies import MaxCostPolicy, RandomPolicy
 from ..graphs.generators import random_m_edge_network
-from .config import ExperimentConfig, FigureSpec
+from ..registry.scenario import ScenarioSpec
+from .config import FigureSpec
 
 __all__ = [
     "figure11_spec",
@@ -43,18 +44,15 @@ PAPER_ALPHAS: Tuple[str, ...] = ("n/10", "n/4", "n")
 PAPER_MS: Tuple[str, ...] = ("n", "4n")
 
 
-def _gbg_configs(mode: str, ms: Sequence[str], alphas: Sequence[str]) -> Tuple[ExperimentConfig, ...]:
-    out = []
-    for policy in ("maxcost", "random"):
-        for m in ms:
-            for a in alphas:
-                out.append(
-                    ExperimentConfig(
-                        game="gbg", mode=mode, policy=policy,
-                        topology="random", m_edges=m, alpha=a,
-                    )
-                )
-    return tuple(out)
+def _gbg_configs(mode: str, ms: Sequence[str], alphas: Sequence[str]) -> Tuple[ScenarioSpec, ...]:
+    return tuple(
+        ScenarioSpec(game="gbg", policy=policy, topology="random",
+                     game_params={"mode": mode, "alpha": a},
+                     topology_params={"m_edges": m})
+        for policy in ("maxcost", "random")
+        for m in ms
+        for a in alphas
+    )
 
 
 def figure11_spec(

@@ -6,16 +6,13 @@ every sweep is exactly reproducible, including under multiprocessing
 (each trial's seed is independent of scheduling).
 
 Everything instantiates through :data:`repro.registry.REGISTRY`: a cell
-configuration is a :class:`~repro.registry.ScenarioSpec` (or the legacy
-:class:`~repro.experiments.config.ExperimentConfig` shim, converted on
-entry), so every registered game × policy × dynamics kind × topology ×
-metric combination runs through the same three functions —
-:func:`trial_jobs`, :func:`run_trial`, :func:`run_cell` — with no
-per-component code here.
+is a :class:`~repro.registry.ScenarioSpec`, so every registered game ×
+policy × dynamics kind × topology × metric combination runs through the
+same three functions — :func:`trial_jobs`, :func:`run_trial`,
+:func:`run_cell` — with no per-component code here.
 
-:func:`run_trial` returns a :class:`TrialRecord`: the classic
-``(steps, status)`` pair (it still unpacks like the old 2-tuple) plus
-the scenario's registered per-trial metrics.
+:func:`run_trial` returns a :class:`TrialRecord`: the run's steps and
+status plus the scenario's registered per-trial metrics.
 
 The runner follows the hpc-parallel guidance: the inner loop is the
 vectorized best-response engine; parallelism is process-level over
@@ -25,10 +22,9 @@ trials (``n_jobs``), communication is one small record per trial.
 from __future__ import annotations
 
 import os
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +32,9 @@ from ..analysis.stats import ConvergenceStats
 from ..core.games import Game
 from ..core.network import Network
 from ..core.policies import MovePolicy
-from ..registry import REGISTRY, ScenarioSpec, as_scenario
+from ..registry import REGISTRY, ScenarioSpec
 from ..registry.builtin import DynamicsKind, TrialContext, TrialOutcome
-from .config import CellConfig, ExperimentConfig, FigureSpec
+from .config import FigureSpec
 
 __all__ = [
     "build_game",
@@ -97,56 +93,30 @@ def resolve_n_jobs(n_jobs: Optional[int], trials: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _axis(cfg: CellConfig, category: str) -> Tuple[str, Dict[str, Any]]:
-    """``(component name, params)`` of one axis of a cell config.
-
-    Legacy configs are read per axis (so e.g. :func:`build_policy`
-    never validates the topology, exactly as pre-registry);
-    :class:`ScenarioSpec` cells were fully validated at construction.
-    """
-    if isinstance(cfg, ExperimentConfig):
-        return cfg.scenario_axis(category)
-    spec = as_scenario(cfg)
-    return getattr(spec, category), spec.params_for(category)
+def _build(spec: ScenarioSpec, category: str, **kwargs: Any):
+    """Instantiate the registered component of one axis of ``spec``."""
+    return REGISTRY.build(category, getattr(spec, category),
+                          spec.params_for(category), **kwargs)
 
 
-def build_game(cfg: CellConfig, n: int) -> Game:
+def build_game(spec: ScenarioSpec, n: int) -> Game:
     """Instantiate the configured game for ``n`` agents."""
-    name, params = _axis(cfg, "game")
-    return REGISTRY.build("game", name, params, n=n)
+    return _build(spec, "game", n=n)
 
 
-def build_policy(cfg: CellConfig) -> MovePolicy:
+def build_policy(spec: ScenarioSpec) -> MovePolicy:
     """Instantiate the configured move policy."""
-    name, params = _axis(cfg, "policy")
-    return REGISTRY.build("policy", name, params)
+    return _build(spec, "policy")
 
 
-def build_initial(cfg: CellConfig, n: int, seed: np.random.Generator) -> Network:
+def build_initial(spec: ScenarioSpec, n: int, seed: np.random.Generator) -> Network:
     """Draw the configured random initial network."""
-    name, params = _axis(cfg, "topology")
-    return REGISTRY.build("topology", name, params, n=n, rng=seed)
+    return _build(spec, "topology", n=n, rng=seed)
 
 
-def build_dynamics(cfg: CellConfig) -> DynamicsKind:
+def build_dynamics(spec: ScenarioSpec) -> DynamicsKind:
     """Instantiate the configured dynamics kind (activation model)."""
-    name, params = _axis(cfg, "dynamics")
-    return REGISTRY.build("dynamics", name, params)
-
-
-def _config_digest(cfg: CellConfig) -> int:
-    """Deterministic 32-bit digest of a cell configuration.
-
-    (``hash`` is randomized per process for strings, which would break
-    seed reproducibility.)  Legacy ``ExperimentConfig`` cells keep the
-    historical ``crc32(repr(cfg))`` value verbatim;
-    ``ScenarioSpec.digest()`` reproduces that exact value for every
-    legacy-expressible spec (pinned by the registry test suite), so
-    seeds never depend on which of the two surfaces described the cell.
-    """
-    if isinstance(cfg, ExperimentConfig):
-        return zlib.crc32(repr(cfg).encode())
-    return as_scenario(cfg).digest()
+    return _build(spec, "dynamics")
 
 
 # ---------------------------------------------------------------------------
@@ -155,22 +125,22 @@ def _config_digest(cfg: CellConfig) -> int:
 
 
 def trial_jobs(
-    cfg: CellConfig, n: int, trials: int, seed: int, max_steps_factor: int = 50
+    spec: ScenarioSpec, n: int, trials: int, seed: int, max_steps_factor: int = 50
 ) -> List[tuple]:
-    """Per-trial job tuples for one (config, n) cell.
+    """Per-trial job tuples for one (scenario, n) cell.
 
-    Trial ``i``'s seed derives from ``SeedSequence(seed, digest(cfg),
-    n).spawn(trials)[i]`` — a pure function of ``(cfg, n, seed, i)``,
+    Trial ``i``'s seed derives from ``SeedSequence(seed, spec.digest(),
+    n).spawn(trials)[i]`` — a pure function of ``(spec, n, seed, i)``,
     independent of worker scheduling, sharding, or which other trials
     run in the same process.  This is the property the campaign store's
     resume/shard semantics rest on: running any subset of trials in any
     order produces exactly the per-trial outcomes of a full run.
     """
     max_steps = max_steps_factor * n
-    root = np.random.SeedSequence(entropy=(seed, _config_digest(cfg), n))
+    root = np.random.SeedSequence(entropy=(seed, spec.digest(), n))
     children = root.spawn(trials)
     return [
-        (cfg, n, max_steps, (tuple(np.atleast_1d(c.entropy).tolist()), c.spawn_key))
+        (spec, n, max_steps, (tuple(np.atleast_1d(c.entropy).tolist()), c.spawn_key))
         for c in children
     ]
 
@@ -179,15 +149,12 @@ def trial_jobs(
 class TrialRecord:
     """Extensible outcome of one trial.
 
-    ``steps`` / ``status`` keep the classic contract (``status`` is the
-    dynamics-run status: ``"converged"``, ``"cycled"`` under
-    cycle-detecting dynamics, or ``"exhausted"`` at the step cap);
+    ``steps`` / ``status`` are the dynamics run's step count and status
+    (``"converged"``, ``"cycled"`` under cycle-detecting dynamics, or
+    ``"exhausted"`` at the step cap);
     ``metrics`` holds every metric the scenario requested, as
     JSON-serializable values keyed by registered metric name.
     ``rounds`` is filled by round-based dynamics kinds.
-
-    The record *iterates* as ``(steps, status)`` so call sites written
-    against the historical bare tuple keep working unchanged.
     """
 
     steps: int
@@ -202,10 +169,6 @@ class TrialRecord:
     def extra_metrics(self) -> Dict[str, Any]:
         """Metrics beyond the implicit steps/status pair (for storage)."""
         return {k: v for k, v in self.metrics.items() if k not in ("steps", "status")}
-
-    def __iter__(self) -> Iterator:
-        yield self.steps
-        yield self.status
 
 
 def _execute(spec: ScenarioSpec, n: int, max_steps: int,
@@ -238,8 +201,7 @@ def _execute(spec: ScenarioSpec, n: int, max_steps: int,
 
 def run_trial(args) -> TrialRecord:
     """Execute one trial job from :func:`trial_jobs`."""
-    cfg, n, max_steps, (entropy, spawn_key) = args
-    spec = as_scenario(cfg)
+    spec, n, max_steps, (entropy, spawn_key) = args
     ss = np.random.SeedSequence(entropy=list(entropy), spawn_key=spawn_key)
     rng = np.random.default_rng(ss)
     record, _ = _execute(spec, n, max_steps, rng)
@@ -247,7 +209,7 @@ def run_trial(args) -> TrialRecord:
 
 
 def run_scenario(
-    cfg: CellConfig,
+    spec: ScenarioSpec,
     n: int,
     seed: int = 0,
     max_steps: Optional[int] = None,
@@ -260,20 +222,19 @@ def run_scenario(
     :class:`~repro.registry.TrialOutcome` (which carries the final
     network and the kind-specific result object).
     """
-    spec = as_scenario(cfg)
     rng = np.random.default_rng(seed)
     return _execute(spec, n, max_steps if max_steps is not None else 50 * n, rng)
 
 
 def run_cell(
-    cfg: CellConfig,
+    spec: ScenarioSpec,
     n: int,
     trials: int,
     seed: int = 0,
     max_steps_factor: int = 50,
     n_jobs: Optional[int] = None,
 ) -> ConvergenceStats:
-    """Run ``trials`` random instances of one (config, n) cell.
+    """Run ``trials`` random instances of one (scenario, n) cell.
 
     ``max_steps_factor * n`` caps each run; the paper's empirical claim
     is < 8n steps, so the cap only triggers on genuinely divergent runs
@@ -284,7 +245,7 @@ def run_cell(
     so the statistics are identical at every worker count.
     """
     n_jobs = resolve_n_jobs(n_jobs, trials)
-    jobs = trial_jobs(cfg, n, trials, seed, max_steps_factor)
+    jobs = trial_jobs(spec, n, trials, seed, max_steps_factor)
     stats = ConvergenceStats()
     if n_jobs <= 1:
         for job in jobs:
@@ -343,9 +304,9 @@ def run_figure(
     result = FigureResult(spec)
     use_trials = trials if trials is not None else spec.trials
     use_ns = tuple(n_values) if n_values is not None else spec.n_values
-    for cfg in spec.configs:
-        name = cfg.series_name()
+    for cell in spec.configs:
+        name = cell.series_name()
         result.series[name] = {}
         for n in use_ns:
-            result.series[name][n] = run_cell(cfg, n, use_trials, seed=seed, n_jobs=n_jobs)
+            result.series[name][n] = run_cell(cell, n, use_trials, seed=seed, n_jobs=n_jobs)
     return result

@@ -21,25 +21,23 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .config import ExperimentConfig, FigureSpec
+from ..registry.scenario import ScenarioSpec
+from .config import FigureSpec
 
 __all__ = ["figure12_spec", "figure14_spec", "TOPOLOGIES"]
 
 TOPOLOGIES: Tuple[str, ...] = ("random", "rl", "dl")
 
 
-def _topo_configs(mode: str, alphas: Sequence[str], topologies: Sequence[str]) -> Tuple[ExperimentConfig, ...]:
-    out = []
-    for policy in ("maxcost", "random"):
-        for topo in topologies:
-            for a in alphas:
-                kwargs = dict(
-                    game="gbg", mode=mode, policy=policy, topology=topo, alpha=a
-                )
-                if topo == "random":
-                    kwargs["m_edges"] = "n"
-                out.append(ExperimentConfig(**kwargs))
-    return tuple(out)
+def _topo_configs(mode: str, alphas: Sequence[str], topologies: Sequence[str]) -> Tuple[ScenarioSpec, ...]:
+    return tuple(
+        ScenarioSpec(game="gbg", policy=policy, topology=topo,
+                     game_params={"mode": mode, "alpha": a},
+                     topology_params={"m_edges": "n"} if topo == "random" else {})
+        for policy in ("maxcost", "random")
+        for topo in topologies
+        for a in alphas
+    )
 
 
 def figure12_spec(

@@ -19,7 +19,6 @@ from .builtin import (  # noqa: F401  (importing registers the built-ins)
 from .scenario import (
     SCENARIO_VERSION,
     ScenarioSpec,
-    as_scenario,
     policy_series_label,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "resolve_m_spec",
     "SCENARIO_VERSION",
     "ScenarioSpec",
-    "as_scenario",
     "policy_series_label",
 ]

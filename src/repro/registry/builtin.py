@@ -92,8 +92,7 @@ def resolve_alpha_spec(spec: str, n: int) -> float:
 
     Accepts ``"n"``, ``"n/<d>"`` (any positive divisor, covering the
     paper's n/2, n/4, n/10), ``"<k>n"`` multiples, and plain numeric
-    strings — a strict superset of the legacy
-    ``ExperimentConfig.resolve_alpha`` table.
+    strings.
     """
     s = str(spec).strip()
     if s == "n":

@@ -13,19 +13,20 @@ the per-trial metrics to report.  It is
   nothing (``spec == ScenarioSpec.from_json(spec.to_json())``);
 * **versioned** — payloads carry ``scenario_version`` so future layout
   changes can migrate old files instead of misreading them;
-* **seed-compatible with the legacy surface** — see below.
+* **seed-stable** — see below.
 
-Seed-digest compatibility
--------------------------
-Trial seeds derive from ``SeedSequence(campaign_seed, digest(spec), n)``
-(see :func:`repro.experiments.runner.trial_jobs`), and the pre-registry
-code computed ``digest`` as ``crc32(repr(ExperimentConfig(...)))``.
-Every spec that is expressible in the legacy ``ExperimentConfig``
-surface therefore *canonicalizes to exactly that legacy repr string*
-(:meth:`canonical`), so its digest — and with it every stored seed,
-golden fixture, campaign cell key and resumable store — is unchanged
-byte for byte.  Scenarios outside the legacy surface canonicalize to a
-versioned sorted-JSON form instead.
+Seed-digest canonical form
+--------------------------
+Trial seeds derive from ``SeedSequence(campaign_seed, spec.digest(), n)``
+(see :func:`repro.experiments.runner.trial_jobs`), and campaign cell
+keys and manifests carry the same :meth:`canonical` string.  Its format
+is frozen: a spec inside the surface of the paper's figure grids
+(sequential dynamics, the ``maxcost``/``random`` policies, a
+``budget``/``random``/``rl``/``dl`` topology, a ``mode``/``alpha``
+game) renders as the ``repr`` string of the project's first cell type
+(``_figure_grid_canonical``), so every stored seed, golden fixture,
+campaign cell key and resumable store keeps its bytes.  Every other scenario canonicalizes to a versioned sorted-JSON
+form instead.
 
 ``metrics`` are deliberately **excluded** from the canonical form
 (observational outputs; adding a metric to a running campaign must not
@@ -44,7 +45,6 @@ from .base import REGISTRY
 __all__ = [
     "SCENARIO_VERSION",
     "ScenarioSpec",
-    "as_scenario",
     "policy_series_label",
 ]
 
@@ -54,7 +54,7 @@ SCENARIO_VERSION = 1
 Params = Tuple[Tuple[str, Any], ...]
 ParamsInput = Union[None, Mapping[str, Any], Params]
 
-#: default metric set — mirrors the legacy ``(steps, status)`` tuple.
+#: default metric set: the run's step count and status.
 DEFAULT_METRICS: Tuple[str, ...] = ("steps", "status")
 
 
@@ -198,59 +198,17 @@ class ScenarioSpec:
     def from_json_str(cls, text: str) -> "ScenarioSpec":
         return cls.from_json(json.loads(text))
 
-    # -- legacy bridge -----------------------------------------------------
-    def as_experiment_config(self):
-        """The equivalent legacy ``ExperimentConfig``, or ``None``.
-
-        A spec maps back iff every axis lies inside the legacy surface:
-        default sequential dynamics; ``maxcost``/``random`` policy with
-        default parameters; a ``budget``/``random``/``rl``/``dl``
-        topology with legacy-shaped parameters; and game parameters
-        limited to ``mode``/``alpha``.  Metrics never block the mapping
-        (they are outside the canonical form).
-        """
-        from ..experiments.config import ExperimentConfig  # local: avoids cycle
-
-        if self.dynamics != "sequential" or self.dynamics_params:
-            return None
-        if self.policy not in ("maxcost", "random") or self.policy_params:
-            return None
-        if self.topology not in ("budget", "random", "rl", "dl"):
-            return None
-        topo = self.params_for("topology")
-        if self.topology == "budget":
-            if set(topo) != {"budget"}:
-                return None
-            budget, m_edges = int(topo["budget"]), None
-        elif self.topology == "random":
-            if not set(topo) <= {"m_edges"}:
-                return None
-            budget, m_edges = None, topo.get("m_edges")
-        else:
-            if topo:
-                return None
-            budget, m_edges = None, None
-        gp = self.params_for("game")
-        if not set(gp) <= {"mode", "alpha"} or "mode" not in gp:
-            return None
-        return ExperimentConfig(
-            game=self.game, mode=gp["mode"], policy=self.policy,
-            topology=self.topology, budget=budget, m_edges=m_edges,
-            alpha=gp.get("alpha"), label=self.label,
-        )
-
     # -- canonical identity -------------------------------------------------
     def canonical(self) -> str:
         """The seed-digest canonical string (see the module docstring).
 
-        Legacy-expressible specs return the exact pre-registry
-        ``repr(ExperimentConfig(...))`` string; everything else returns
-        a ``ScenarioSpec/v1:`` sorted-JSON form that excludes
-        ``metrics``.
+        Specs inside the figure-grid surface return the frozen
+        figure-grid string; everything else returns a
+        ``ScenarioSpec/v1:`` sorted-JSON form.  Both exclude ``metrics``.
         """
-        legacy = self.as_experiment_config()
+        legacy = _figure_grid_canonical(self)
         if legacy is not None:
-            return repr(legacy)
+            return legacy
         payload = {
             axis: {"name": getattr(self, axis), "params": self.params_for(axis)}
             for axis, _ in self._AXES
@@ -293,14 +251,37 @@ class ScenarioSpec:
         return ", ".join(bits)
 
 
-def as_scenario(cfg) -> ScenarioSpec:
-    """Coerce a legacy ``ExperimentConfig`` (or a spec) to a
-    :class:`ScenarioSpec` — the runner's single entry point."""
-    if isinstance(cfg, ScenarioSpec):
-        return cfg
-    to_scenario = getattr(cfg, "to_scenario", None)
-    if to_scenario is not None:
-        return to_scenario()
-    raise TypeError(
-        f"expected a ScenarioSpec or ExperimentConfig, got {type(cfg).__name__}"
-    )
+def _figure_grid_canonical(spec: ScenarioSpec) -> Optional[str]:
+    """The frozen ``ExperimentConfig(...)`` seed string of ``spec``, or
+    ``None`` when the spec lies outside the figure-grid surface.
+
+    The string is byte for byte the dataclass ``repr`` of the project's
+    first cell type (field order ``game, mode, policy, topology,
+    budget, m_edges, alpha, label``).  It is a seed format: do not
+    change it.
+    """
+    if spec.dynamics != "sequential" or spec.dynamics_params:
+        return None
+    if spec.policy not in ("maxcost", "random") or spec.policy_params:
+        return None
+    topo = spec.params_for("topology")
+    if spec.topology == "budget":
+        if set(topo) != {"budget"}:
+            return None
+        budget, m_edges = int(topo["budget"]), None
+    elif spec.topology == "random":
+        if not set(topo) <= {"m_edges"}:
+            return None
+        budget, m_edges = None, topo.get("m_edges")
+    elif spec.topology in ("rl", "dl") and not topo:
+        budget, m_edges = None, None
+    else:
+        return None
+    gp = spec.params_for("game")
+    if not set(gp) <= {"mode", "alpha"} or "mode" not in gp:
+        return None
+    fields = (("game", spec.game), ("mode", gp["mode"]), ("policy", spec.policy),
+              ("topology", spec.topology), ("budget", budget),
+              ("m_edges", m_edges), ("alpha", gp.get("alpha")),
+              ("label", spec.label))
+    return "ExperimentConfig(" + ", ".join(f"{k}={v!r}" for k, v in fields) + ")"

@@ -24,7 +24,8 @@ from repro.experiments.campaign import (
     cell_key,
     run_campaign,
 )
-from repro.experiments.config import ExperimentConfig, FigureSpec
+from repro.experiments.config import FigureSpec
+from repro.registry import ScenarioSpec
 
 
 def tiny_spec() -> FigureSpec:
@@ -33,9 +34,11 @@ def tiny_spec() -> FigureSpec:
         figure="figT",
         title="campaign test grid",
         configs=(
-            ExperimentConfig(game="asg", mode="sum", policy="maxcost", topology="budget", budget=1),
-            ExperimentConfig(game="gbg", mode="sum", policy="random", topology="random",
-                             m_edges="2n", alpha="n/4"),
+            ScenarioSpec(game="asg", policy="maxcost", game_params={"mode": "sum"},
+                         topology_params={"budget": 1}),
+            ScenarioSpec(game="gbg", policy="random", topology="random",
+                         game_params={"mode": "sum", "alpha": "n/4"},
+                         topology_params={"m_edges": "2n"}),
         ),
         n_values=(8, 10),
         trials=6,
@@ -162,20 +165,16 @@ def test_invalid_shard_rejected(tmp_path):
 def test_cell_key_ignores_legacy_backend_key():
     """A spec payload written with the retired ``"backend"`` key loads
     to the same cell, so stores written before keep resuming."""
-    from repro.registry import ScenarioSpec
-
-    spec = ExperimentConfig(game="asg", mode="sum", policy="maxcost",
-                            budget=1).to_scenario()
+    spec = ScenarioSpec(game="asg", game_params={"mode": "sum"},
+                        topology_params={"budget": 1})
     legacy = ScenarioSpec.from_json({**spec.to_json(), "backend": "dense"})
     assert legacy == spec
     assert cell_key(legacy, 10) == cell_key(spec, 10)
 
 
 def scenario_spec():
-    """A grid cell impossible under the legacy API: simultaneous-round
+    """A grid cell outside the figure grids' surface: simultaneous-round
     GBG, noisy best response, tree topology, social-cost reporting."""
-    from repro.registry import ScenarioSpec
-
     return ScenarioSpec(
         game="gbg", policy="noisy", dynamics="simultaneous", topology="tree",
         game_params={"mode": "sum", "alpha": "n/4"},
@@ -202,7 +201,9 @@ def test_pre_redesign_store_resumes_without_recomputation(tmp_path):
     cfg = tiny_spec().configs[0]
     n = 8
     # the old cell key: crc32 of the config repr (literal algorithm)
-    key = f"{zlib.crc32(repr(cfg).encode()):08x}-n{n}"
+    old_repr = ("ExperimentConfig(game='asg', mode='sum', policy='maxcost', "
+                "topology='budget', budget=1, m_edges=None, alpha=None, label='')")
+    key = f"{zlib.crc32(old_repr.encode()):08x}-n{n}"
     root = tmp_path / "old-store"
     root.mkdir()
     manifest = {
@@ -214,7 +215,7 @@ def test_pre_redesign_store_resumes_without_recomputation(tmp_path):
         "n_values": [n],
         "max_steps_factor": 50,
         "cells": [
-            {"key": key, "series": cfg.series_name(), "n": n, "cfg": repr(cfg)}
+            {"key": key, "series": "k=1, max cost", "n": n, "cfg": old_repr}
         ],
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))

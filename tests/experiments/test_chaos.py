@@ -35,8 +35,9 @@ from repro.experiments.columnar import (
     compact_store,
     iter_store_records,
 )
-from repro.experiments.config import ExperimentConfig, FigureSpec
+from repro.experiments.config import FigureSpec
 from repro.experiments.fabric import CampaignSource, WorkQueue
+from repro.registry import ScenarioSpec
 from repro.testing.faults import Fault, FaultPlan, FaultyFS, InjectedCrash
 
 TTL = 60.0  # reaped via explicit ``now=`` instants; wall time never waits
@@ -50,10 +51,10 @@ def chaos_spec() -> FigureSpec:
         figure="figC",
         title="chaos test grid",
         configs=(
-            ExperimentConfig(game="asg", mode="sum", policy="maxcost",
-                             topology="budget", budget=1),
-            ExperimentConfig(game="asg", mode="sum", policy="random",
-                             topology="budget", budget=2),
+            ScenarioSpec(game="asg", policy="maxcost", game_params={"mode": "sum"},
+                         topology_params={"budget": 1}),
+            ScenarioSpec(game="asg", policy="random", game_params={"mode": "sum"},
+                         topology_params={"budget": 2}),
         ),
         n_values=(8,),
         trials=4,

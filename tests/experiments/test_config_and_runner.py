@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.asg_budget import figure7_spec, figure8_spec
-from repro.experiments.config import ExperimentConfig, FigureSpec
 from repro.experiments.gbg import figure11_spec, figure13_spec
 from repro.experiments.report import envelope_value, figure_summary, format_figure
 from repro.experiments.runner import (
@@ -16,6 +15,21 @@ from repro.experiments.runner import (
     run_figure,
 )
 from repro.experiments.topology import figure12_spec, figure14_spec
+from repro.registry import ScenarioSpec
+from repro.registry.builtin import resolve_alpha_spec, resolve_m_spec
+
+
+def asg(policy="maxcost", k=1, mode="sum"):
+    """A bounded-budget ASG cell."""
+    return ScenarioSpec(game="asg", policy=policy, game_params={"mode": mode},
+                        topology_params={"budget": k})
+
+
+def gbg(topology="random", alpha="n/4", policy="maxcost", mode="sum", **topo):
+    """A GBG cell; ``topo`` holds the topology's parameters."""
+    return ScenarioSpec(game="gbg", policy=policy, topology=topology,
+                        game_params={"mode": mode, "alpha": alpha},
+                        topology_params=topo)
 
 
 class TestResolveNJobs:
@@ -52,41 +66,33 @@ class TestResolveNJobs:
 
 class TestConfig:
     def test_alpha_resolution(self):
-        cfg = ExperimentConfig("gbg", "sum", "maxcost", alpha="n/4")
-        assert cfg.resolve_alpha(40) == 10.0
-        cfg2 = ExperimentConfig("gbg", "sum", "maxcost", alpha="2.5")
-        assert cfg2.resolve_alpha(40) == 2.5
-        with pytest.raises(ValueError):
-            ExperimentConfig("gbg", "sum", "maxcost").resolve_alpha(40)
+        assert resolve_alpha_spec("n/4", 40) == 10.0
+        assert resolve_alpha_spec("2.5", 40) == 2.5
+        with pytest.raises(ValueError, match="requires parameter 'alpha'"):
+            ScenarioSpec(game="gbg", game_params={"mode": "sum"},
+                         topology="random")
 
     def test_m_resolution(self):
-        cfg = ExperimentConfig("gbg", "sum", "maxcost", m_edges="4n")
-        assert cfg.resolve_m(25) == 100
-        with pytest.raises(ValueError):
-            ExperimentConfig("gbg", "sum", "maxcost").resolve_m(25)
+        assert resolve_m_spec("4n", 25) == 100
 
     def test_m_resolution_accepts_plain_integer_strings(self):
-        cfg = ExperimentConfig("gbg", "sum", "maxcost", m_edges="37")
-        assert cfg.resolve_m(25) == 37
+        assert resolve_m_spec("37", 25) == 37
 
     def test_m_resolution_unknown_spec_is_value_error(self):
-        """Satellite fix: a bad spec raises ValueError like
-        resolve_alpha, not a raw KeyError."""
-        cfg = ExperimentConfig("gbg", "sum", "maxcost", m_edges="lots")
+        """A bad spec raises ValueError like resolve_alpha_spec, not a
+        raw KeyError."""
         with pytest.raises(ValueError, match="m_edges"):
-            cfg.resolve_m(25)
+            resolve_m_spec("lots", 25)
 
     def test_series_name(self):
-        cfg = ExperimentConfig("asg", "sum", "maxcost", budget=3)
-        assert cfg.series_name() == "k=3, max cost"
-        cfg2 = ExperimentConfig("gbg", "max", "random", topology="dl", alpha="n")
-        assert cfg2.series_name() == "a=n, dl, random"
+        assert asg(k=3).series_name() == "k=3, max cost"
+        assert gbg("dl", alpha="n", policy="random",
+                   mode="max").series_name() == "a=n, dl, random"
 
     def test_series_name_uses_registered_policy_name(self):
-        """Satellite fix: non-maxcost policies are labelled by their
-        registry name, not blanket 'random'."""
-        cfg = ExperimentConfig("asg", "sum", "greedy", budget=3)
-        assert cfg.series_name() == "k=3, greedy"
+        """Non-maxcost policies are labelled by their registry name, not
+        blanket 'random'."""
+        assert asg("greedy", k=3).series_name() == "k=3, greedy"
 
     def test_paper_scale(self):
         spec = figure7_spec().paper_scale()
@@ -102,60 +108,47 @@ class TestConfig:
 
 class TestBuilders:
     def test_build_game(self):
-        asg = build_game(ExperimentConfig("asg", "sum", "maxcost", budget=1), 10)
-        assert type(asg).__name__ == "AsymmetricSwapGame"
-        gbg = build_game(ExperimentConfig("gbg", "max", "random", alpha="n/4"), 20)
-        assert gbg.alpha == 5.0
-        with pytest.raises(ValueError):
-            build_game(ExperimentConfig("bg", "sum", "maxcost"), 10)
+        assert type(build_game(asg(), 10)).__name__ == "AsymmetricSwapGame"
+        game = build_game(gbg(mode="max", m_edges="n"), 20)
+        assert type(game).__name__ == "GreedyBuyGame" and game.alpha == 5.0
 
     def test_build_policy(self):
-        assert type(build_policy(ExperimentConfig("asg", "sum", "maxcost"))).__name__ == "MaxCostPolicy"
-        assert type(build_policy(ExperimentConfig("asg", "sum", "random"))).__name__ == "RandomPolicy"
-        with pytest.raises(ValueError):
-            build_policy(ExperimentConfig("asg", "sum", "sorted"))
+        assert type(build_policy(asg("maxcost"))).__name__ == "MaxCostPolicy"
+        assert type(build_policy(asg("random"))).__name__ == "RandomPolicy"
 
     def test_build_initial_topologies(self):
         rng = np.random.default_rng(0)
-        net = build_initial(ExperimentConfig("asg", "sum", "maxcost", budget=2), 12, rng)
+        net = build_initial(asg(k=2), 12, rng)
         assert (net.budget_vector() == 2).all()
-        net2 = build_initial(
-            ExperimentConfig("gbg", "sum", "maxcost", topology="random", m_edges="2n"),
-            12, rng,
-        )
+        net2 = build_initial(gbg(m_edges="2n"), 12, rng)
         assert net2.m == 24
-        net3 = build_initial(
-            ExperimentConfig("gbg", "sum", "maxcost", topology="rl"), 12, rng
-        )
+        net3 = build_initial(gbg("rl"), 12, rng)
         assert net3.m == 11
-        net4 = build_initial(
-            ExperimentConfig("gbg", "sum", "maxcost", topology="dl"), 12, rng
-        )
+        net4 = build_initial(gbg("dl"), 12, rng)
         assert net4.owned_edge_list() == [(i, i + 1) for i in range(11)]
 
 
 class TestRunCell:
     def test_reproducible(self):
-        cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
+        cfg = asg()
         a = run_cell(cfg, 12, trials=5, seed=3)
         b = run_cell(cfg, 12, trials=5, seed=3)
         assert a.steps == b.steps
 
     def test_different_seeds_differ(self):
-        cfg = ExperimentConfig("asg", "sum", "random", budget=2)
+        cfg = asg("random", k=2)
         a = run_cell(cfg, 14, trials=6, seed=1)
         b = run_cell(cfg, 14, trials=6, seed=2)
         assert a.steps != b.steps
 
     def test_all_converge_small(self):
-        cfg = ExperimentConfig("gbg", "sum", "random", topology="random",
-                               m_edges="n", alpha="n/4")
+        cfg = gbg(policy="random", m_edges="n")
         stats = run_cell(cfg, 12, trials=8, seed=0)
         assert stats.non_converged == 0
         assert stats.trials == 8
 
     def test_parallel_matches_serial(self):
-        cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
+        cfg = asg()
         a = run_cell(cfg, 12, trials=6, seed=5, n_jobs=1)
         b = run_cell(cfg, 12, trials=6, seed=5, n_jobs=2)
         assert sorted(a.steps) == sorted(b.steps)
@@ -199,26 +192,25 @@ class TestRunFigureAndReport:
 
 
 class TestTrialRecord:
-    """run_trial's extensible record: metrics ride along, the classic
-    (steps, status) unpacking keeps working."""
+    """run_trial's extensible record: steps and status plus the
+    scenario's metrics."""
 
     def job(self, cfg, n=10):
         from repro.experiments.runner import trial_jobs
 
         return trial_jobs(cfg, n, trials=1, seed=0)[0]
 
-    def test_record_unpacks_like_the_legacy_tuple(self):
+    def test_record_reports_steps_and_status(self):
         from repro.experiments.runner import run_trial
 
-        rec = run_trial(self.job(ExperimentConfig("asg", "sum", "maxcost", budget=1)))
-        steps, status = rec
-        assert (steps, status) == (rec.steps, rec.status)
-        assert status == "converged" and rec.converged
+        rec = run_trial(self.job(asg()))
+        assert rec.steps >= 0
+        assert rec.status == "converged" and rec.converged
 
     def test_default_metrics_mirror_steps_status(self):
         from repro.experiments.runner import run_trial
 
-        rec = run_trial(self.job(ExperimentConfig("asg", "sum", "maxcost", budget=1)))
+        rec = run_trial(self.job(asg()))
         assert rec.metrics == {"steps": rec.steps, "status": rec.status}
         assert rec.extra_metrics() == {}
         assert rec.rounds is None
@@ -257,12 +249,13 @@ class TestTrialRecord:
         assert rec.rounds is not None and rec.rounds >= 0
         assert rec.metrics["rounds"] == rec.rounds
 
-    def test_scenario_cell_matches_legacy_cell(self):
-        """A legacy config and its ScenarioSpec conversion draw the
-        exact same trials — the digest-compat guarantee, end to end."""
-        cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
+    def test_metrics_do_not_change_a_cells_trials(self):
+        """Metrics lie outside the canonical form, so a cell that reports
+        more of them draws the exact same trials, end to end."""
+        cfg = asg()
         a = run_cell(cfg, 12, trials=5, seed=3, n_jobs=1)
-        b = run_cell(cfg.to_scenario(), 12, trials=5, seed=3, n_jobs=1)
+        b = run_cell(cfg.with_(metrics=("steps", "status", "diameter")),
+                     12, trials=5, seed=3, n_jobs=1)
         assert a.steps == b.steps
 
     def test_run_scenario_returns_outcome(self):
@@ -302,10 +295,10 @@ class TestExhaustedAccounting:
         them all as non-converged, none as steps."""
         from repro.experiments.runner import run_trial, trial_jobs
 
-        cfg = ExperimentConfig("asg", "sum", "maxcost", topology="budget", budget=1)
+        cfg = asg()
         for job in trial_jobs(cfg, 8, trials=3, seed=0, max_steps_factor=0):
-            steps, status = run_trial(job)
-            assert status == "exhausted" and steps == 0
+            rec = run_trial(job)
+            assert rec.status == "exhausted" and rec.steps == 0
         stats = run_cell(cfg, 8, trials=3, seed=0, max_steps_factor=0, n_jobs=1)
         assert stats.non_converged == stats.trials == 3
         assert stats.steps == []

@@ -42,7 +42,7 @@ from repro.experiments.columnar import (
     compact_store,
     iter_store_records,
 )
-from repro.experiments.config import ExperimentConfig, FigureSpec
+from repro.experiments.config import FigureSpec
 from repro.experiments.fabric import (
     CampaignSource,
     Coordinator,
@@ -55,6 +55,7 @@ from repro.experiments.fabric import (
     drain_campaign,
     worker_main,
 )
+from repro.registry import ScenarioSpec
 
 
 def tiny_spec() -> FigureSpec:
@@ -63,10 +64,10 @@ def tiny_spec() -> FigureSpec:
         figure="figT",
         title="fabric test grid",
         configs=(
-            ExperimentConfig(game="asg", mode="sum", policy="maxcost",
-                             topology="budget", budget=1),
-            ExperimentConfig(game="asg", mode="sum", policy="random",
-                             topology="budget", budget=2),
+            ScenarioSpec(game="asg", policy="maxcost", game_params={"mode": "sum"},
+                         topology_params={"budget": 1}),
+            ScenarioSpec(game="asg", policy="random", game_params={"mode": "sum"},
+                         topology_params={"budget": 2}),
         ),
         n_values=(8,),
         trials=6,

@@ -9,17 +9,29 @@ assertions use generous slack so they are stable across seeds.
 import numpy as np
 import pytest
 
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.gbg import move_mix_trajectory, phase_summary
 from repro.experiments.runner import run_cell
+from repro.registry import ScenarioSpec
 
 
 N = 25
 TRIALS = 15
 
 
-def mean_steps(game, mode, policy, seed=7, **kw):
-    cfg = ExperimentConfig(game, mode, policy, **kw)
+def asg(mode, policy, k):
+    """A bounded-budget ASG cell (Figures 7 and 8)."""
+    return ScenarioSpec(game="asg", policy=policy, game_params={"mode": mode},
+                        topology_params={"budget": k})
+
+
+def gbg(mode, policy, alpha, topology="random", m_edges=None):
+    """A GBG cell (Figures 11-14); ``m_edges`` only for random starts."""
+    return ScenarioSpec(game="gbg", policy=policy, topology=topology,
+                        game_params={"mode": mode, "alpha": alpha},
+                        topology_params={"m_edges": m_edges} if m_edges else {})
+
+
+def mean_steps(cfg, seed=7):
     return run_cell(cfg, N, trials=TRIALS, seed=seed).mean
 
 
@@ -27,72 +39,64 @@ class TestFigure7Claims:
     def test_all_runs_below_5n(self):
         for k in (1, 2):
             for policy in ("maxcost", "random"):
-                cfg = ExperimentConfig("asg", "sum", policy, budget=k)
+                cfg = asg("sum", policy, k)
                 stats = run_cell(cfg, N, trials=TRIALS, seed=3)
                 assert stats.non_converged == 0
                 assert stats.max < 5 * N
 
     def test_k1_converges_in_about_n(self):
-        cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
+        cfg = asg("sum", "maxcost", 1)
         stats = run_cell(cfg, 30, trials=TRIALS, seed=3)
         assert stats.max <= 30 + 15 - 5  # Corollary 3.2's tree-ish bound
 
     def test_maxcost_not_slower_than_random_sum(self):
-        mc = mean_steps("asg", "sum", "maxcost", budget=2)
-        rnd = mean_steps("asg", "sum", "random", budget=2)
+        mc = mean_steps(asg("sum", "maxcost", 2))
+        rnd = mean_steps(asg("sum", "random", 2))
         assert mc <= rnd * 1.25  # max cost is faster (generous slack)
 
 
 class TestFigure8Claims:
     def test_all_runs_below_5n(self):
         for k in (1, 2):
-            cfg = ExperimentConfig("asg", "max", "random", budget=k)
+            cfg = asg("max", "random", k)
             stats = run_cell(cfg, N, trials=TRIALS, seed=4)
             assert stats.non_converged == 0
             assert stats.max < 5 * N
 
     def test_policies_nearly_identical_max(self):
-        mc = mean_steps("asg", "max", "maxcost", budget=2)
-        rnd = mean_steps("asg", "max", "random", budget=2)
+        mc = mean_steps(asg("max", "maxcost", 2))
+        rnd = mean_steps(asg("max", "random", 2))
         assert abs(mc - rnd) <= 0.6 * max(mc, rnd, 1.0)
 
     def test_bigger_budget_faster_max(self):
-        k2 = mean_steps("asg", "max", "random", budget=2)
-        k4 = mean_steps("asg", "max", "random", budget=4)
+        k2 = mean_steps(asg("max", "random", 2))
+        k4 = mean_steps(asg("max", "random", 4))
         assert k4 <= k2 * 1.2
 
 
 class TestFigure11Claims:
     def test_all_runs_below_7n(self):
         for m in ("n", "4n"):
-            cfg = ExperimentConfig(
-                "gbg", "sum", "random", topology="random", m_edges=m, alpha="n/4"
-            )
+            cfg = gbg("sum", "random", "n/4", m_edges=m)
             stats = run_cell(cfg, N, trials=TRIALS, seed=5)
             assert stats.non_converged == 0
             assert stats.max < 7 * N
 
     def test_denser_start_slower(self):
-        sparse = mean_steps("gbg", "sum", "random", topology="random",
-                            m_edges="n", alpha="n/4")
-        dense = mean_steps("gbg", "sum", "random", topology="random",
-                           m_edges="4n", alpha="n/4")
+        sparse = mean_steps(gbg("sum", "random", "n/4", m_edges="n"))
+        dense = mean_steps(gbg("sum", "random", "n/4", m_edges="4n"))
         assert dense > sparse
 
     def test_smaller_alpha_slower(self):
-        small = mean_steps("gbg", "sum", "random", topology="random",
-                           m_edges="4n", alpha="n/10")
-        large = mean_steps("gbg", "sum", "random", topology="random",
-                           m_edges="4n", alpha="n")
+        small = mean_steps(gbg("sum", "random", "n/10", m_edges="4n"))
+        large = mean_steps(gbg("sum", "random", "n", m_edges="4n"))
         assert small >= large * 0.9
 
 
 class TestFigure13Claims:
     def test_all_runs_below_8n(self):
         for m in ("n", "4n"):
-            cfg = ExperimentConfig(
-                "gbg", "max", "random", topology="random", m_edges=m, alpha="n/4"
-            )
+            cfg = gbg("max", "random", "n/4", m_edges=m)
             stats = run_cell(cfg, N, trials=TRIALS, seed=6)
             assert stats.non_converged == 0
             assert stats.max < 8 * N
@@ -102,17 +106,16 @@ class TestFigure12And14Claims:
     def test_sum_topology_impact_marginal(self):
         """Figure 12: topologies differ by at most ~2x under SUM."""
         vals = {
-            topo: mean_steps("gbg", "sum", "maxcost", topology=topo, alpha="n/4",
-                             **({"m_edges": "n"} if topo == "random" else {}))
+            topo: mean_steps(gbg("sum", "maxcost", "n/4", topology=topo,
+                                 m_edges="n" if topo == "random" else None))
             for topo in ("random", "rl", "dl")
         }
         assert max(vals.values()) <= 2.5 * max(min(vals.values()), 1.0)
 
     def test_max_dl_slowest(self):
         """Figure 14: under MAX, random < rl < dl (we check the ends)."""
-        rand = mean_steps("gbg", "max", "random", topology="random",
-                          m_edges="n", alpha="n/4")
-        dl = mean_steps("gbg", "max", "random", topology="dl", alpha="n/4")
+        rand = mean_steps(gbg("max", "random", "n/4", m_edges="n"))
+        dl = mean_steps(gbg("max", "random", "n/4", topology="dl"))
         assert dl >= rand * 0.8  # dl is not faster; usually clearly slower
 
 

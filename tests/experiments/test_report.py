@@ -3,13 +3,15 @@
 import pytest
 
 from repro.analysis.stats import ConvergenceStats
-from repro.experiments.config import ExperimentConfig, FigureSpec
+from repro.experiments.config import FigureSpec
 from repro.experiments.report import envelope_value, figure_summary, format_figure
 from repro.experiments.runner import FigureResult
+from repro.registry import ScenarioSpec
 
 
 def make_result(with_empty_cell=False, with_nonconverged=False):
-    cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
+    cfg = ScenarioSpec(game="asg", game_params={"mode": "sum"},
+                       topology_params={"budget": 1})
     spec = FigureSpec(
         figure="figX", title="synthetic", configs=(cfg,),
         n_values=(10, 20), trials=3, envelope=("5n", "nlogn"),

@@ -1,7 +1,7 @@
-"""ScenarioSpec semantics: validation, JSON round-trips, the legacy
-``ExperimentConfig`` bridge, and — most load-bearing — the pinned seed
-digests that keep every pre-registry trial, golden fixture and campaign
-store byte-identical across the API redesign.
+"""ScenarioSpec semantics: validation, JSON round-trips, the two
+canonical forms, and — most load-bearing — the pinned seed digests that
+keep every stored trial, golden fixture and campaign store
+byte-identical.
 """
 
 import itertools
@@ -11,11 +11,9 @@ import pytest
 
 from repro.experiments.asg_budget import figure7_spec, figure8_spec
 from repro.experiments.campaign import cell_key
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.gbg import figure11_spec, figure13_spec
-from repro.experiments.runner import _config_digest
 from repro.experiments.topology import figure12_spec, figure14_spec
-from repro.registry import REGISTRY, ScenarioSpec, as_scenario
+from repro.registry import REGISTRY, ScenarioSpec
 
 ALL_FIGURE_SPECS = (figure7_spec, figure8_spec, figure11_spec,
                     figure12_spec, figure13_spec, figure14_spec)
@@ -153,38 +151,32 @@ class TestJsonRoundTrip:
         assert spec.params_for("topology")["budget"] == 3
 
 
-class TestLegacyBridge:
-    def all_figure_configs(self):
-        return [cfg for fn in ALL_FIGURE_SPECS for cfg in fn().configs]
+class TestCanonicalForms:
+    def test_every_figure_config_uses_the_frozen_string(self):
+        for cfg in [cfg for fn in ALL_FIGURE_SPECS for cfg in fn().configs]:
+            assert cfg.canonical().startswith("ExperimentConfig(game=")
+            assert cfg.digest() == zlib.crc32(cfg.canonical().encode())
 
-    def test_every_figure_config_converts_losslessly(self):
-        for cfg in self.all_figure_configs():
-            spec = cfg.to_scenario()
-            assert spec.as_experiment_config() == cfg
-            assert as_scenario(cfg) == spec
-
-    def test_as_experiment_config_none_outside_legacy_surface(self):
+    def test_versioned_form_outside_the_figure_grid_surface(self):
         base = dict(game_params={"mode": "sum", "alpha": "n/4"},
                     topology_params={"budget": 1})
-        assert ScenarioSpec(game="gbg", dynamics="simultaneous",
-                            **base).as_experiment_config() is None
-        assert ScenarioSpec(game="gbg", policy="greedy",
-                            **base).as_experiment_config() is None
-        assert ScenarioSpec(game="gbg", topology="tree",
-                            game_params=base["game_params"]).as_experiment_config() is None
-        assert ScenarioSpec(game="gbg", policy="maxcost",
-                            policy_params={"tie_break": "index"},
-                            **base).as_experiment_config() is None
-
-    def test_as_scenario_rejects_foreign_objects(self):
-        with pytest.raises(TypeError, match="expected a ScenarioSpec"):
-            as_scenario({"game": "asg"})
+        outside = [
+            ScenarioSpec(game="gbg", dynamics="simultaneous", **base),
+            ScenarioSpec(game="gbg", policy="greedy", **base),
+            ScenarioSpec(game="gbg", topology="tree",
+                         game_params=base["game_params"]),
+            ScenarioSpec(game="gbg", policy="maxcost",
+                         policy_params={"tie_break": "index"}, **base),
+        ]
+        for spec in outside:
+            assert spec.canonical().startswith("ScenarioSpec/v1:")
 
 
 class TestPinnedDigests:
-    """The redesign's byte-identity proof: digests equal the historical
-    ``crc32(repr(ExperimentConfig(...)))`` values, so trial seeds,
-    golden fixtures and campaign stores are unchanged."""
+    """The byte-identity proof: the figure-grid cells canonicalize to
+    the historical ``repr(ExperimentConfig(...))`` strings and digest to
+    their crc32 values, so trial seeds, golden fixtures and campaign
+    stores are unchanged."""
 
     # literal pre-redesign repr strings with their crc32 values — do NOT
     # regenerate these from code; they pin the on-disk/seed format.
@@ -201,41 +193,32 @@ class TestPinnedDigests:
     }
 
     CONFIGS = [
-        ExperimentConfig("asg", "sum", "maxcost", budget=1),
-        ExperimentConfig("asg", "max", "random", budget=4),
-        ExperimentConfig("gbg", "sum", "maxcost", topology="random",
-                         m_edges="4n", alpha="n/10"),
-        ExperimentConfig("gbg", "max", "random", topology="dl", alpha="n"),
+        ScenarioSpec(game="asg", policy="maxcost", game_params={"mode": "sum"},
+                     topology_params={"budget": 1}),
+        ScenarioSpec(game="asg", policy="random", game_params={"mode": "max"},
+                     topology_params={"budget": 4}),
+        ScenarioSpec(game="gbg", policy="maxcost", topology="random",
+                     game_params={"mode": "sum", "alpha": "n/10"},
+                     topology_params={"m_edges": "4n"}),
+        ScenarioSpec(game="gbg", policy="random", topology="dl",
+                     game_params={"mode": "max", "alpha": "n"}),
     ]
 
     def test_crc32_of_pinned_reprs(self):
         for literal, expected in self.PINNED.items():
             assert zlib.crc32(literal.encode()) == expected
 
-    def test_config_reprs_unchanged(self):
-        assert {repr(cfg) for cfg in self.CONFIGS} == set(self.PINNED)
+    def test_canonical_strings_unchanged(self):
+        assert {cfg.canonical() for cfg in self.CONFIGS} == set(self.PINNED)
 
-    def test_config_digest_matches_pinned(self):
+    def test_digest_and_cell_key_match_pinned(self):
         for cfg in self.CONFIGS:
-            assert _config_digest(cfg) == self.PINNED[repr(cfg)]
-
-    def test_scenario_digest_matches_legacy_digest(self):
-        """The same cell seeds identically whether described by the shim
-        or by a ScenarioSpec."""
-        for cfg in self.CONFIGS:
-            spec = cfg.to_scenario()
-            assert spec.canonical() == repr(cfg)
-            assert spec.digest() == _config_digest(cfg)
-            assert cell_key(spec, 30) == cell_key(cfg, 30)
-
-    def test_all_figure_configs_digest_identically(self):
-        for fn in ALL_FIGURE_SPECS:
-            for cfg in fn().configs:
-                assert cfg.to_scenario().digest() == _config_digest(cfg)
+            pinned = self.PINNED[cfg.canonical()]
+            assert cfg.digest() == pinned
+            assert cell_key(cfg, 30) == f"{pinned:08x}-n30"
 
     def test_metrics_and_legacy_backend_key_outside_canonical_form(self):
-        cfg = ExperimentConfig("asg", "sum", "maxcost", budget=1)
-        spec = cfg.to_scenario()
+        spec = self.CONFIGS[0]
         observed = spec.with_(metrics=("steps", "status", "social_cost",
                                        "diameter", "cost_ratio"))
         dense = ScenarioSpec.from_json({**spec.to_json(), "backend": "dense"})
@@ -256,23 +239,25 @@ class TestPinnedDigests:
                              game_params={"mode": "sum", "alpha": "n/4"},
                              policy_params={"epsilon": 0.2})
         assert novel.canonical().startswith("ScenarioSpec/v1:")
-        assert novel.as_experiment_config() is None
 
 
 class TestSeriesNames:
-    def test_legacy_series_names_unchanged(self):
-        assert ExperimentConfig("asg", "sum", "maxcost",
-                                budget=3).series_name() == "k=3, max cost"
-        assert ExperimentConfig("gbg", "max", "random", topology="dl",
-                                alpha="n").series_name() == "a=n, dl, random"
+    def test_figure_series_names_unchanged(self):
+        assert ScenarioSpec(game="asg", game_params={"mode": "sum"},
+                            topology_params={"budget": 3}
+                            ).series_name() == "k=3, max cost"
+        assert ScenarioSpec(game="gbg", policy="random", topology="dl",
+                            game_params={"mode": "max", "alpha": "n"}
+                            ).series_name() == "a=n, dl, random"
 
     def test_registry_policy_names_label_their_series(self):
-        """Satellite fix: non-maxcost policies are no longer all
-        mislabelled 'random'."""
-        assert ExperimentConfig("asg", "sum", "greedy",
-                                budget=2).series_name() == "k=2, greedy"
-        assert ExperimentConfig("asg", "sum", "noisy",
-                                budget=2).series_name() == "k=2, noisy"
+        """Non-maxcost policies are labelled by their registry name, not
+        blanket 'random'."""
+        base = dict(game="asg", game_params={"mode": "sum"},
+                    topology_params={"budget": 2})
+        assert ScenarioSpec(policy="greedy", **base).series_name() == "k=2, greedy"
+        assert ScenarioSpec(policy="noisy", policy_params={"epsilon": 0.1},
+                            **base).series_name() == "k=2, noisy"
 
     def test_scenario_series_name(self):
         novel = ScenarioSpec(game="gbg", policy="noisy", dynamics="simultaneous",

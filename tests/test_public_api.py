@@ -99,13 +99,13 @@ def test_workload_category_registered():
 def test_registry_api_is_top_level():
     import repro
 
-    for name in ("REGISTRY", "ScenarioSpec", "Param", "as_scenario"):
+    for name in ("REGISTRY", "ScenarioSpec", "Param"):
         assert name in repro.__all__
 
     spec = repro.ScenarioSpec(
         game="asg", game_params={"mode": "sum"}, topology_params={"budget": 1}
     )
-    assert repro.as_scenario(spec) is spec
+    assert repro.REGISTRY.get("game", spec.game).name == "asg"
 
 
 def test_service_api_is_top_level():
