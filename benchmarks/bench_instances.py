@@ -36,7 +36,7 @@ def test_classify_fig3_br_dynamics(benchmark):
     inst = fig3_host_instance()
 
     def run():
-        rep = classify_reachable(inst.game, inst.network, best_response_only=True)
+        rep = classify_reachable(inst.game, inst.network, moves="best")
         assert not rep.weakly_acyclic
         return rep
 

@@ -656,7 +656,7 @@ def cmd_classify(args) -> int:
         inst = ALL_INSTANCES[name]()
         rep = classify_reachable(
             inst.game, inst.network,
-            best_response_only=args.best_response,
+            moves="best" if args.best_response else "improving",
             max_states=args.max_states,
         )
         kind = "best-response" if args.best_response else "improving-move"

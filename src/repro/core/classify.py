@@ -24,7 +24,7 @@ stable network").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .games import Game
 from .network import Network
@@ -65,8 +65,7 @@ def explore_improving_moves(
     game: Game,
     start: Network,
     max_states: int = 20_000,
-    best_response_only: bool = False,
-    moves: Optional[str] = None,
+    moves: str = "improving",
 ) -> StateGraph:
     """BFS over all improving-move (or best-response) successors.
 
@@ -74,11 +73,10 @@ def explore_improving_moves(
     the budget is exhausted; callers must treat conclusions as partial
     in that case.
 
-    ``moves`` overrides the moveset explicitly (``"best"`` |
-    ``"improving"`` | ``"greedy"``); the legacy ``best_response_only``
-    flag is kept as a shorthand for the first two.  ``"greedy"`` builds
-    the single-edge-deviation digraph, whose sinks are the greedy
-    equilibria — the graph Lenzner's greedy dynamics walk.
+    ``moves`` picks the moveset: ``"improving"`` (every improving move,
+    the default), ``"best"`` (best responses only) or ``"greedy"``,
+    which builds the single-edge-deviation digraph whose sinks are the
+    greedy equilibria — the graph Lenzner's greedy dynamics walk.
 
     Successor enumeration runs through the statespace subsystem's
     :class:`~repro.statespace.expand.Expander` — the same memoized,
@@ -88,8 +86,6 @@ def explore_improving_moves(
     """
     from ..statespace.expand import Expander
 
-    if moves is None:
-        moves = "best" if best_response_only else "improving"
     expander = Expander(game, moves=moves)
     index: Dict[bytes, int] = {}
     states: List[Network] = []
@@ -190,8 +186,7 @@ def classify_reachable(
     game: Game,
     start: Network,
     max_states: int = 20_000,
-    best_response_only: bool = False,
-    moves: Optional[str] = None,
+    moves: str = "improving",
 ) -> ClassificationReport:
     """Classify the dynamics on the component reachable from ``start``.
 
@@ -202,13 +197,7 @@ def classify_reachable(
     *greedy* dynamics (single-edge deviations): stable states are then
     greedy equilibria and ``weakly_acyclic`` is greedy weak acyclicity.
     """
-    sg = explore_improving_moves(
-        game,
-        start,
-        max_states=max_states,
-        best_response_only=best_response_only,
-        moves=moves,
-    )
+    sg = explore_improving_moves(game, start, max_states=max_states, moves=moves)
     sinks = set(sg.sinks())
     # backward reachability from sinks
     n = sg.n_states

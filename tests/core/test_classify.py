@@ -45,7 +45,7 @@ class TestClassification:
         """Theorem 3.3: from fig3's G1, best-response play cycles with no
         stable state reachable."""
         inst = fig3_sum_asg_cycle()
-        rep = classify_reachable(inst.game, inst.network, best_response_only=True)
+        rep = classify_reachable(inst.game, inst.network, moves="best")
         assert rep.n_states == 4
         assert rep.n_stable == 0
         assert rep.has_improvement_cycle

@@ -45,9 +45,7 @@ class TestLongestPath:
 
     def test_cycle_raises(self):
         inst = fig3_sum_asg_cycle()
-        sg = explore_improving_moves(
-            inst.game, inst.network, best_response_only=True
-        )
+        sg = explore_improving_moves(inst.game, inst.network, moves="best")
         with pytest.raises(ValueError, match="cycle"):
             longest_improvement_path(sg)
 

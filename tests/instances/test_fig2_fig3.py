@@ -111,7 +111,7 @@ class TestFig3:
         """The theorem: no best-response sequence from G1 stabilises —
         play is deterministic (unique unhappy agent + unique BR) and
         cycles through exactly four states."""
-        rep = classify_reachable(fig3.game, fig3.network, best_response_only=True)
+        rep = classify_reachable(fig3.game, fig3.network, moves="best")
         assert rep.n_states == 4
         assert rep.n_stable == 0
         assert not rep.weakly_acyclic

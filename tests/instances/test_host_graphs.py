@@ -95,6 +95,6 @@ class TestPublishedClaimsDoNotHoldVerbatim:
         cycles with no stable state reachable (the Theorem 3.3 strength
         survives the host restriction)."""
         inst = fig3_host_instance()
-        rep = classify_reachable(inst.game, inst.network, best_response_only=True)
+        rep = classify_reachable(inst.game, inst.network, moves="best")
         assert rep.n_states == 4 and rep.n_stable == 0
         assert not rep.weakly_acyclic
