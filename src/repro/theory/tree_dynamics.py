@@ -20,18 +20,18 @@ This module carries the machinery behind the positive results:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.costs import DistanceMode
-from ..core.dynamics import RunResult, StepRecord, choose_move, run_dynamics
+from ..core.dynamics import RunResult, run_dynamics
 from ..core.games import EPS, BestResponse, Game, SwapGame
-from ..core.moves import Swap, move_kind
+from ..core.moves import Swap
 from ..core.network import Network
 from ..core.policies import MovePolicy, first_improving
 from ..graphs import adjacency as adj
-from ..graphs.incremental import DistanceBackend, resolve_backend
+from ..graphs.incremental import DistanceBackend
 from ..graphs.properties import sorted_cost_vector
 
 __all__ = [
@@ -100,36 +100,24 @@ def run_tree_dynamics(
     """Run dynamics on a tree while recording diameters and checking the
     potential-decrease property step by step.
 
-    Works for any game but the potential semantics follow the game's
-    distance mode (Lemma 2.6 for MAX, social cost for SUM).  ``backend``
-    as in :func:`~repro.core.dynamics.run_dynamics`.
+    The run is :func:`~repro.core.dynamics.run_dynamics` (``backend`` as
+    there); its trajectory is then replayed on a copy of ``initial`` to
+    measure the diameter after every move.  Works for any game but the
+    potential semantics follow the game's distance mode (Lemma 2.6 for
+    MAX, social cost for SUM).
     """
-    rng = np.random.default_rng(seed)
+    result = run_dynamics(game, initial, policy, max_steps=max_steps,
+                          seed=seed, backend=backend)
     net = initial.copy()
-    backend = resolve_backend(backend)
-    policy.reset()
     diameters = [adj.diameter(net.A)]
-    trajectory = []
     violations: List[int] = []
     mode = game.mode.value
-    step = 0
-    status = "exhausted"
-    while step < max_steps:
-        br = policy.select(game, net, rng, backend=backend)
-        if br is None:
-            status = "converged"
-            break
-        move = choose_move(br, rng)
+    for record in result.trajectory:
         before = net.copy() if check_potential else None
-        kind = move_kind(move, net)
-        move.apply(net)
-        policy.notify(br.agent)
-        trajectory.append(StepRecord(step, br.agent, move, kind, br.cost_before, br.best_cost))
+        record.move.apply(net)
         diameters.append(adj.diameter(net.A))
         if check_potential and not potential_decreases(before, net, mode):
-            violations.append(step)
-        step += 1
-    result = RunResult(status, step, net, trajectory)
+            violations.append(record.step)
     return TreeRunReport(
         result=result,
         diameters=diameters,
