@@ -93,30 +93,25 @@ def resolve_n_jobs(n_jobs: Optional[int], trials: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build(spec: ScenarioSpec, category: str, **kwargs: Any):
-    """Instantiate the registered component of one axis of ``spec``."""
-    return REGISTRY.build(category, getattr(spec, category),
-                          spec.params_for(category), **kwargs)
-
-
-def build_game(spec: ScenarioSpec, n: int) -> Game:
+def build_game(cfg: ScenarioSpec, n: int) -> Game:
     """Instantiate the configured game for ``n`` agents."""
-    return _build(spec, "game", n=n)
+    return REGISTRY.build("game", cfg.game, cfg.params_for("game"), n=n)
 
 
-def build_policy(spec: ScenarioSpec) -> MovePolicy:
+def build_policy(cfg: ScenarioSpec) -> MovePolicy:
     """Instantiate the configured move policy."""
-    return _build(spec, "policy")
+    return REGISTRY.build("policy", cfg.policy, cfg.params_for("policy"))
 
 
-def build_initial(spec: ScenarioSpec, n: int, seed: np.random.Generator) -> Network:
+def build_initial(cfg: ScenarioSpec, n: int, seed: np.random.Generator) -> Network:
     """Draw the configured random initial network."""
-    return _build(spec, "topology", n=n, rng=seed)
+    return REGISTRY.build("topology", cfg.topology, cfg.params_for("topology"),
+                          n=n, rng=seed)
 
 
-def build_dynamics(spec: ScenarioSpec) -> DynamicsKind:
+def build_dynamics(cfg: ScenarioSpec) -> DynamicsKind:
     """Instantiate the configured dynamics kind (activation model)."""
-    return _build(spec, "dynamics")
+    return REGISTRY.build("dynamics", cfg.dynamics, cfg.params_for("dynamics"))
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +120,22 @@ def build_dynamics(spec: ScenarioSpec) -> DynamicsKind:
 
 
 def trial_jobs(
-    spec: ScenarioSpec, n: int, trials: int, seed: int, max_steps_factor: int = 50
+    cfg: ScenarioSpec, n: int, trials: int, seed: int, max_steps_factor: int = 50
 ) -> List[tuple]:
     """Per-trial job tuples for one (scenario, n) cell.
 
-    Trial ``i``'s seed derives from ``SeedSequence(seed, spec.digest(),
-    n).spawn(trials)[i]`` — a pure function of ``(spec, n, seed, i)``,
+    Trial ``i``'s seed derives from ``SeedSequence(seed, cfg.digest(),
+    n).spawn(trials)[i]`` — a pure function of ``(cfg, n, seed, i)``,
     independent of worker scheduling, sharding, or which other trials
     run in the same process.  This is the property the campaign store's
     resume/shard semantics rest on: running any subset of trials in any
     order produces exactly the per-trial outcomes of a full run.
     """
     max_steps = max_steps_factor * n
-    root = np.random.SeedSequence(entropy=(seed, spec.digest(), n))
+    root = np.random.SeedSequence(entropy=(seed, cfg.digest(), n))
     children = root.spawn(trials)
     return [
-        (spec, n, max_steps, (tuple(np.atleast_1d(c.entropy).tolist()), c.spawn_key))
+        (cfg, n, max_steps, (tuple(np.atleast_1d(c.entropy).tolist()), c.spawn_key))
         for c in children
     ]
 
@@ -209,7 +204,7 @@ def run_trial(args) -> TrialRecord:
 
 
 def run_scenario(
-    spec: ScenarioSpec,
+    cfg: ScenarioSpec,
     n: int,
     seed: int = 0,
     max_steps: Optional[int] = None,
@@ -223,11 +218,11 @@ def run_scenario(
     network and the kind-specific result object).
     """
     rng = np.random.default_rng(seed)
-    return _execute(spec, n, max_steps if max_steps is not None else 50 * n, rng)
+    return _execute(cfg, n, max_steps if max_steps is not None else 50 * n, rng)
 
 
 def run_cell(
-    spec: ScenarioSpec,
+    cfg: ScenarioSpec,
     n: int,
     trials: int,
     seed: int = 0,
@@ -245,7 +240,7 @@ def run_cell(
     so the statistics are identical at every worker count.
     """
     n_jobs = resolve_n_jobs(n_jobs, trials)
-    jobs = trial_jobs(spec, n, trials, seed, max_steps_factor)
+    jobs = trial_jobs(cfg, n, trials, seed, max_steps_factor)
     stats = ConvergenceStats()
     if n_jobs <= 1:
         for job in jobs:
@@ -304,9 +299,9 @@ def run_figure(
     result = FigureResult(spec)
     use_trials = trials if trials is not None else spec.trials
     use_ns = tuple(n_values) if n_values is not None else spec.n_values
-    for cell in spec.configs:
-        name = cell.series_name()
+    for cfg in spec.configs:
+        name = cfg.series_name()
         result.series[name] = {}
         for n in use_ns:
-            result.series[name][n] = run_cell(cell, n, use_trials, seed=seed, n_jobs=n_jobs)
+            result.series[name][n] = run_cell(cfg, n, use_trials, seed=seed, n_jobs=n_jobs)
     return result

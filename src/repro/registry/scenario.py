@@ -25,8 +25,8 @@ is frozen: a spec inside the surface of the paper's figure grids
 ``budget``/``random``/``rl``/``dl`` topology, a ``mode``/``alpha``
 game) renders as the ``repr`` string of the project's first cell type
 (``_figure_grid_canonical``), so every stored seed, golden fixture,
-campaign cell key and resumable store keeps its bytes.  Every other scenario canonicalizes to a versioned sorted-JSON
-form instead.
+campaign cell key and resumable store keeps its bytes.  Every other
+scenario canonicalizes to a versioned sorted-JSON form instead.
 
 ``metrics`` are deliberately **excluded** from the canonical form
 (observational outputs; adding a metric to a running campaign must not
@@ -206,9 +206,9 @@ class ScenarioSpec:
         figure-grid string; everything else returns a
         ``ScenarioSpec/v1:`` sorted-JSON form.  Both exclude ``metrics``.
         """
-        legacy = _figure_grid_canonical(self)
-        if legacy is not None:
-            return legacy
+        frozen = _figure_grid_canonical(self)
+        if frozen is not None:
+            return frozen
         payload = {
             axis: {"name": getattr(self, axis), "params": self.params_for(axis)}
             for axis, _ in self._AXES
