@@ -10,7 +10,7 @@ import math
 from repro.experiments.asg_budget import figure8_spec
 from repro.experiments.report import figure_summary, format_figure
 
-from .conftest import run_figure_once, save_summary
+from conftest import run_figure_once, save_summary
 
 N_VALUES = (10, 20, 30, 40)
 TRIALS = 12

@@ -8,7 +8,7 @@ denser starts (m = 4n) slower than m = n, smaller alpha slower.
 from repro.experiments.gbg import figure11_spec
 from repro.experiments.report import figure_summary, format_figure
 
-from .conftest import run_figure_once, save_summary
+from conftest import run_figure_once, save_summary
 
 N_VALUES = (10, 20, 30)
 TRIALS = 10

@@ -9,7 +9,7 @@ is at least as fast as the random policy.
 from repro.experiments.report import figure_summary, format_figure
 from repro.experiments.topology import figure12_spec
 
-from .conftest import run_figure_once, save_summary
+from conftest import run_figure_once, save_summary
 
 N_VALUES = (10, 20, 30)
 TRIALS = 10

@@ -8,7 +8,7 @@ random policy (the opposite of SUM).
 from repro.experiments.gbg import figure13_spec
 from repro.experiments.report import figure_summary, format_figure
 
-from .conftest import run_figure_once, save_summary
+from conftest import run_figure_once, save_summary
 
 N_VALUES = (10, 20, 30)
 TRIALS = 10

@@ -8,7 +8,7 @@ almost no influence; both policies perform nearly identically.
 from repro.experiments.report import figure_summary, format_figure
 from repro.experiments.topology import figure14_spec
 
-from .conftest import run_figure_once, save_summary
+from conftest import run_figure_once, save_summary
 
 N_VALUES = (10, 20, 30)
 TRIALS = 10

@@ -13,7 +13,7 @@ from repro.instances.figures import ALL_INSTANCES
 from repro.instances.host_graphs import fig3_host_instance, fig9_host_instance
 from repro.instances.verify import verify_instance
 
-from .conftest import save_summary
+from conftest import save_summary
 
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))

@@ -1,6 +1,7 @@
 """Kernel micro-benchmarks: APSP, single-source BFS, deviation pricing,
-blocks of ``D(G - u)``, full best-response computation, one dynamics
-step — and whole dynamics *trajectories* under the incremental distance
+blocks of ``D(G - u)`` (of one graph, and of the 728 SG n = 5 census
+states in one pass), full best-response computation, one dynamics step
+— and whole dynamics *trajectories* under the incremental distance
 backend (``repro.graphs.incremental``) against :class:`RebuildBackend`.
 
 The trajectory cells compare against the fastest simple alternative —
@@ -12,7 +13,8 @@ Run standalone (``python benchmarks/bench_kernel.py
 [--smoke|--no-write|--force-write]``) to time the cells and diff them
 against ``BENCH_kernel.json`` through ``benchmarks/harness.py``: the
 kernel micros are gated on their ratio to the same run's boolean-matmul
-APSP, the trajectory cells on their ratio to :class:`RebuildBackend`
+APSP (the census pass on its ratio to one boolean-matmul rebuild per
+matrix), the trajectory cells on their ratio to :class:`RebuildBackend`
 (at n >= 60; the n = 30 cells are reported, not gated).
 """
 
@@ -34,6 +36,7 @@ from repro.graphs import adjacency as adj
 from repro.graphs import bitkernel
 from repro.graphs.generators import random_budget_network, random_m_edge_network
 from repro.graphs.incremental import IncrementalBackend
+from repro.statespace import enumerate_states
 from tests.helpers import NoMemoBackend
 
 
@@ -195,14 +198,31 @@ def _apsp(use_bitkernel: bool):
     return fn
 
 
+#: every connected labelled graph on 5 vertices: the SG n = 5 census states
+SG5 = [net.A for net in enumerate_states(5, with_ownership=False)]
+
+
+def census_cell() -> harness.Cell:
+    """``D(G - u)`` of every agent of the 728 SG n = 5 census states:
+    one packed pass, against one oracle rebuild per ``(state, agent)``."""
+    return harness.Cell(
+        "deviation-census-sg5",
+        lambda tmp, clock: {"matrices": sum(len(block) for block in
+                            bitkernel.deviation_distances_block(
+                                [(A, range(5)) for A in SG5]))},
+        lambda tmp, clock: [adj.distances_without_vertex(A, u)
+                            for A in SG5 for u in range(5)],
+        smoke=True, reps=(9, 5), floor=0.0)
+
+
 CELLS = [
     kernel_cell("apsp-blas-layered-n100", _apsp(False)),
     kernel_cell("apsp-bitkernel-n100", _apsp(True)),
 ] + [
     kernel_cell(f"deviation-block{k}-n100", lambda k=k:
-                bitkernel.deviation_distances_block(NET100.A, range(k)))
+                bitkernel.deviation_distances_block([(NET100.A, range(k))]))
     for k in (8, 32)
-] + [trajectory_cell(g, n) for g in ("asg", "gbg") for n in TRAJECTORY_NS]
+] + [census_cell()] + [trajectory_cell(g, n) for g in ("asg", "gbg") for n in TRAJECTORY_NS]
 
 
 if __name__ == "__main__":

@@ -48,6 +48,11 @@ CENSUS = {
 
 SMOKE = ("sg-sum-n4", "asg-sum-n4", "bg-sum-n4-a2-greedy", "fig3-reachable")
 
+#: cells timed too near the harness's default noise floor to leave the
+#: gating decision to the host: the ASG n = 4 census prices its 38
+#: topologies once for 624 states and runs in about 0.17 s
+FLOORS = {"asg-sum-n4": 0.0}
+
 
 def census(name):
     """Explore one cell; returns ``(game, report, pins)``."""
@@ -81,7 +86,7 @@ def naive_census(name):
 CELLS = [
     harness.Cell(name, lambda tmp, clock, name=name: census(name)[2],
                  lambda tmp, clock, name=name: naive_census(name),
-                 smoke=name in SMOKE)
+                 smoke=name in SMOKE, floor=FLOORS.get(name, harness.MIN_GATE_SECONDS))
     for name in sorted(CENSUS)
 ]
 

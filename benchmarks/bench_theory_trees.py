@@ -16,7 +16,7 @@ from repro.graphs.generators import path_network, random_tree_network
 from repro.theory.bounds import max_sg_tree_bound, nlogn, sum_asg_maxcost_bound
 from repro.theory.tree_dynamics import path_lower_bound_run, run_tree_dynamics
 
-from .conftest import save_summary
+from conftest import save_summary
 
 
 def test_theorem_2_11_path_series(benchmark):

@@ -202,8 +202,8 @@ def run_dynamics(
         the :class:`~repro.graphs.incremental.DistanceBackend` pricing
         every query; ``None`` (default) builds a fresh
         :class:`~repro.graphs.incremental.IncrementalBackend`, the memo
-        of ``D(G)``, one block of ``D(G - u)`` and the best responses of
-        the current state.
+        of one pass of ``D(G - u)``, the ``D(G)`` derived from it and the
+        best responses of the current state.
     """
     if rng is not None and seed is not None:
         raise ValueError("pass either rng or seed, not both")

@@ -239,7 +239,7 @@ def scan_best_responses(
     start, size = 0, 1
     while start < len(order):
         block = order[start:start + size]
-        backend.prefetch_deviations(net, block)
+        backend.prefetch_deviations([(net, block)])
         for u in block:
             yield game.best_responses(net, u, backend=backend)
         start += size

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,17 +170,59 @@ def bfs_distances(A: np.ndarray, source: int, mask: Optional[np.ndarray] = None)
 def _flat_neighbors(A: np.ndarray):
     """CSR-style flat neighbour list of a symmetric adjacency matrix.
 
-    Returns ``(flat, offsets, empty)``: ``flat[offsets[u]:offsets[u+1]]``
-    are the neighbours of ``u`` (``offsets`` has the sentinel index
-    ``flat.size`` appended for trailing zero-degree rows) and ``empty``
-    indexes the zero-degree vertices whose reduceat rows are garbage.
+    ``A`` may also be a ``(G, n, n)`` stack, read as one block-diagonal
+    graph on ``G * n`` vertices (vertex ``v`` of graph ``g`` is
+    ``g * n + v``).  Returns ``(flat, offsets, empty)``:
+    ``flat[offsets[u]:offsets[u+1]]`` are the neighbours of ``u``
+    (``offsets`` has the sentinel index ``flat.size`` appended for
+    trailing zero-degree rows) and ``empty`` indexes the zero-degree
+    vertices whose reduceat rows are garbage.
     """
-    n = A.shape[0]
+    n = A.shape[-1]
     rows, cols = np.divmod(np.flatnonzero(A), n)
-    counts = np.bincount(rows, minlength=n)
-    offsets = np.zeros(n, dtype=np.int64)
+    # a row of graph g is g * n + v, so its block offset is rows // n * n
+    cols += rows - rows % n
+    counts = np.bincount(rows, minlength=A.size // max(n, 1))
+    offsets = np.zeros(counts.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     return cols, offsets, np.flatnonzero(counts == 0)
+
+
+def _expand(neighbors, F: np.ndarray, visited: np.ndarray, lanes: int, n: int,
+            dead: Optional[np.ndarray] = None) -> np.ndarray:
+    """The layer loop every multi-lane search runs.
+
+    ``F[v]`` holds bit ``s`` iff vertex ``v`` is in lane ``s``'s
+    frontier; ``visited`` (updated in place) starts as the seeds plus
+    any vertex a lane must never enter, and ``dead`` vertices are
+    entered by no lane.  Returns ``depth``, where ``depth[v, s]`` counts
+    the layers before lane ``s`` visits ``v``: 0 for the seeds, garbage
+    for pairs never reached.  Every lane searches a graph of ``n``
+    vertices, so it runs at most ``n`` layers (``n < 255`` fits a byte).
+    """
+    flat, offsets, empty = neighbors
+    depth = np.zeros((F.shape[0], lanes), dtype=np.uint8 if n < 0xFF else
+                     np.uint16 if n < 0xFFFF else np.uint32)
+    gathered = np.empty((flat.size + 1, F.shape[1]), dtype=np.uint64)
+    gathered[-1] = 0
+    while True:
+        # complementing the packed words first makes the unpack itself
+        # produce the not-yet-visited indicator (pad bits are dropped)
+        depth += unpack_rows(~visited, lanes)
+        np.take(F, flat, axis=0, out=gathered[:-1])
+        # the zero sentinel row keeps trailing empty-segment indices in
+        # bounds; mid-array empty segments (offsets[u] == offsets[u+1])
+        # come back as the next vertex's first row and are zeroed below.
+        nxt = np.bitwise_or.reduceat(gathered, offsets, axis=0)
+        if empty.size:
+            nxt[empty] = 0
+        nxt &= ~visited
+        if dead is not None and dead.size:
+            nxt[dead] = 0
+        if not nxt.any():
+            return depth
+        F = nxt
+        visited |= nxt
 
 
 def bfs_distances_multi(
@@ -197,15 +239,13 @@ def bfs_distances_multi(
 
     ``exclude``, aligned with ``sources``, removes one vertex per search:
     search ``i`` runs on ``A - exclude[i]`` (its row is all ``inf`` when
-    it starts at the removed vertex).  This is what lets
-    :func:`deviation_distances_block` price many ``G - u`` in one pass.
+    it starts at the removed vertex).
     """
     n = A.shape[0]
     src = np.asarray(sources, dtype=np.int64)
     k = src.size
     if n == 0 or k == 0:
         return np.full((k, n), np.inf)
-    flat, offsets, empty = _flat_neighbors(np.asarray(A, dtype=bool))
     lanes = np.arange(k)
 
     alive_src = np.ones(k, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[src]
@@ -217,39 +257,13 @@ def bfs_distances_multi(
         cut[np.asarray(exclude, dtype=np.int64), lanes] = True
         alive_src &= ~cut[src, lanes]
         blocked = pack_rows(cut)
-    # F[v] holds bit s iff vertex v is in source s's current frontier;
     # seeding through a dense (n, k) matrix makes duplicate sources free
     seed = np.zeros((n, k), dtype=bool)
     seed[src[alive_src], lanes[alive_src]] = True
     F = pack_rows(seed)
     dead = None if mask is None else np.flatnonzero(~np.asarray(mask, dtype=bool))
     visited = F.copy() if blocked is None else F | blocked
-
-    # depth[v, s] counts the layers before s's search visits v; for the
-    # seeds it stays 0, for never-reached pairs it is overwritten by inf.
-    # (a search runs at most n layers, so n < 255 fits one byte)
-    depth = np.zeros((n, k), dtype=np.uint8 if n < 0xFF else
-                     np.uint16 if n < 0xFFFF else np.uint32)
-    gathered = np.empty((flat.size + 1, F.shape[1]), dtype=np.uint64)
-    gathered[-1] = 0
-    while True:
-        # complementing the packed words first makes the unpack itself
-        # produce the not-yet-visited indicator (pad bits are dropped)
-        depth += unpack_rows(~visited, k)
-        np.take(F, flat, axis=0, out=gathered[:-1])
-        # the zero sentinel row keeps trailing empty-segment indices in
-        # bounds; mid-array empty segments (offsets[u] == offsets[u+1])
-        # come back as the next vertex's first row and are zeroed below.
-        nxt = np.bitwise_or.reduceat(gathered, offsets, axis=0)
-        if empty.size:
-            nxt[empty] = 0
-        nxt &= ~visited
-        if dead is not None and dead.size:
-            nxt[dead] = 0
-        if not nxt.any():
-            break
-        F = nxt
-        visited |= nxt
+    depth = _expand(_flat_neighbors(np.asarray(A, dtype=bool)), F, visited, k, n, dead)
 
     # one fused pass: float64 depth where reached, inf elsewhere
     reached = visited if blocked is None else visited & ~blocked
@@ -268,19 +282,46 @@ def all_pairs_distances(A: np.ndarray, mask: Optional[np.ndarray] = None) -> np.
     return bfs_distances_multi(A, np.arange(n), mask=mask)
 
 
-def deviation_distances_block(A: np.ndarray, agents: Sequence[int]) -> np.ndarray:
-    """``D(G - u)`` for every ``u`` in ``agents``, in one packed pass.
+def deviation_distances_block(
+    pairs: Sequence[Tuple[np.ndarray, Sequence[int]]],
+) -> List[np.ndarray]:
+    """``D(G - u)`` of every agent of every ``(A, agents)`` pair, in one
+    packed pass.
 
-    Each agent gets its own ``n`` source lanes with its own vertex
-    removed, so the ``K`` APSPs share every layer's gather and OR.
-    Returns a ``(K, n, n)`` array whose slice ``k`` is bit-identical to
+    The graphs, all on ``n`` vertices, are stacked along the vertex axis
+    into one block-diagonal graph.  Agent slot ``k`` of every graph owns
+    lanes ``k*n .. k*n + n - 1`` (one per source) with that agent
+    removed, so the graphs share lanes: a pass costs ``ceil(max_K * n /
+    64)`` words per vertex row however many graphs it prices, and every
+    layer's gather and OR serve all of them.  Returns one ``(K, n, n)``
+    array per pair whose slice ``k`` is bit-identical to
     :func:`adjacency.distances_without_vertex` of ``agents[k]``.
     """
-    n = A.shape[0]
-    agents = np.asarray(agents, dtype=np.int64)
-    D = bfs_distances_multi(A, np.tile(np.arange(n), agents.size),
-                            exclude=np.repeat(agents, n))
-    return D.reshape(agents.size, n, n)
+    stack = np.stack([np.asarray(A, dtype=bool) for A, _ in pairs])
+    agents = [np.asarray(a, dtype=np.int64) for _, a in pairs]
+    G, n = stack.shape[0], stack.shape[-1]
+    K = max(a.size for a in agents)
+    if n == 0 or K == 0:
+        return [np.full((a.size, n, n), np.inf) for a in agents]
+    lanes = K * n
+    graph = np.repeat(np.arange(G), [a.size for a in agents])
+    slot = np.concatenate([np.arange(a.size) for a in agents])
+    # seed[g*n + v, k*n + s] / cut[...]: lane (k, s) of graph g starts
+    # at v = s and never enters v = agents[g][k]
+    seed = np.zeros((G, n, K, n), dtype=bool)
+    seed[graph, :, slot, :] = np.eye(n, dtype=bool)
+    cut = np.zeros((G, n, K, n), dtype=bool)
+    cut[graph, np.concatenate(agents), slot, :] = True
+    seed &= ~cut
+    F = pack_rows(seed.reshape(G * n, lanes))
+    blocked = pack_rows(cut.reshape(G * n, lanes))
+    visited = F | blocked
+    depth = _expand(_flat_neighbors(stack), F, visited, lanes, n)
+    reached = unpack_rows(visited & ~blocked, lanes)
+    # D[g, v, k, s] is the distance from s to v in G_g - agents[g][k];
+    # distances are symmetric, so [g, k] read as (v, s) is D(G - u)
+    D = np.where(reached, depth, np.inf).reshape(G, n, K, n).transpose(0, 2, 1, 3)
+    return [D[g, :a.size] for g, a in enumerate(agents)]
 
 
 def is_connected_without_vertex(A: np.ndarray, u: int) -> bool:

@@ -24,10 +24,12 @@ unhappy agents (every tie-break of the paper's max cost policy is then
 a path in the restricted graph); ``"first_unhappy"`` keeps only the
 smallest-index unhappy agent (that policy's deterministic process).
 
-The explorer expands each state once, so nothing is memoized across
-states: one expansion prices each agent's moves once, through the
+The explorer expands each state once, so no best response is reused
+across states: one expansion prices each agent's moves once, through the
 :class:`~repro.graphs.incremental.DistanceBackend`, and reuses them for
-the unhappy test and the transitions.
+the unhappy test and the transitions.  Their ``D(G - u)`` come from the
+packed pass the explorer announces for a whole chunk of states before
+expanding them (``statespace.explore._expand_states``).
 """
 
 from __future__ import annotations

@@ -44,6 +44,7 @@ from ..core.games import Game
 from ..core.moves import move_from_dict
 from ..core.network import Network
 from ..graphs import adjacency as adj
+from ..graphs import incremental
 from ..graphs.incremental import DistanceBackend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
@@ -586,25 +587,40 @@ def _shard_of(key: bytes, k: int) -> int:
     return int.from_bytes(key[:8], "big") % k
 
 
-def _expand_chunk(args) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
-    """Worker body: expand a chunk of states with a fresh expander.
+def _expand_states(
+    expander: Expander, items: Sequence[Tuple[bytes, bytes]], n: int
+) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
+    """Expand ``(key, blob)`` states on ``n`` vertices, a pass-sized
+    chunk at a time.
 
+    Each chunk is decoded and every agent of every state in it announced
+    to the backend at once, so one packed pass prices the whole chunk's
+    ``D(G - u)`` (every moveset prices every agent, so none is wasted).
     Returns, per state, ``(key hex, succ rows, successor (key, blob)
-    hex pairs)``.  Expansion is deterministic, so worker-local memo
-    state affects speed only.
+    hex pairs)``.
     """
-    game, moves, agent_filter, chunk = args
-    expander = Expander(game, moves=moves, agent_filter=agent_filter)
     out = []
-    for key_hex, blob_hex in chunk:
-        net = decode_state(bytes.fromhex(blob_hex))
-        rows: List[list] = []
-        succs: List[Tuple[str, str]] = []
-        for t, succ_net in expander.expand_with_successors(net):
-            rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
-            succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
-        out.append((key_hex, rows, succs))
+    per_chunk = max(1, incremental._PASS_ENTRIES // max(1, n ** 3))
+    for start in range(0, len(items), per_chunk):
+        chunk = items[start:start + per_chunk]
+        nets = [decode_state(blob) for _, blob in chunk]
+        expander.backend.prefetch_deviations([(net, range(net.n)) for net in nets])
+        for (key, _), net in zip(chunk, nets):
+            rows: List[list] = []
+            succs: List[Tuple[str, str]] = []
+            for t, succ_net in expander.expand_with_successors(net):
+                rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
+                succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
+            out.append((key.hex(), rows, succs))
     return out
+
+
+def _expand_chunk(args) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
+    """Worker body: :func:`_expand_states` with a fresh expander.
+    Expansion is deterministic, so worker-local memo state affects speed
+    only."""
+    game, moves, agent_filter, items, n = args
+    return _expand_states(Expander(game, moves=moves, agent_filter=agent_filter), items, n)
 
 
 def explore(
@@ -653,8 +669,9 @@ def explore(
     max_expansions:
         cap on *new* expansions this invocation (drain in slices).
     n_jobs:
-        worker processes per BFS layer (1 = serial in-process, keeping
-        one expander and its memo).
+        worker processes, one pool per call that splits each BFS layer
+        among them (1 = serial in-process, keeping one expander and its
+        memo).
     """
     if (start is None) == (n is None):
         raise ValueError("pass exactly one of start= or n=")
@@ -727,6 +744,7 @@ def explore(
 
     expansions = 0
     budget_hit = False
+    pool = ProcessPoolExecutor(max_workers=n_jobs) if n_jobs > 1 else None
     try:
         while True:
             pending = [
@@ -745,31 +763,16 @@ def explore(
                 pending = pending[:room]
 
             with obs_tracing.span("explore.layer", pending=len(pending)):
-                if n_jobs > 1 and len(pending) > 1:
-                    jobs = max(1, min(int(n_jobs), len(pending)))
-                    chunks = [
-                        [(graph.keys[i].hex(), graph.blobs[i].hex()) for i in pending[c::jobs]]
-                        for c in range(jobs)
-                    ]
-                    args = [
-                        (game, moves, agent_filter, chunk)
-                        for chunk in chunks if chunk
-                    ]
-                    with ProcessPoolExecutor(max_workers=jobs) as pool:
-                        results = [r for batch in pool.map(_expand_chunk, args) for r in batch]
+                items = [(graph.keys[i], graph.blobs[i]) for i in pending]
+                if pool is not None and len(pending) > 1:
+                    jobs = min(int(n_jobs), len(pending))
+                    args = [(game, moves, agent_filter, items[c::jobs], size)
+                            for c in range(jobs)]
+                    results = [r for batch in pool.map(_expand_chunk, args) for r in batch]
                     results.sort(key=lambda r: r[0])
                 else:
-                    # serial path: one persistent expander keeps its
-                    # memo across layers
-                    results = []
-                    for i in pending:
-                        net = decode_state(graph.blobs[i])
-                        rows: List[list] = []
-                        succs: List[Tuple[str, str]] = []
-                        for t, succ_net in expander.expand_with_successors(net):
-                            rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
-                            succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
-                        results.append((graph.keys[i].hex(), rows, succs))
+                    # serial path: one persistent expander and its memo
+                    results = _expand_states(expander, items, size)
             _EXPANSIONS.inc(len(results))
 
             for key_hex, rows, succs in results:
@@ -794,6 +797,8 @@ def explore(
                                               "state": graph.blobs[idx].hex(),
                                               "succ": rows})
     finally:
+        if pool is not None:
+            pool.shutdown()
         if writer is not None:
             writer.close()
 

@@ -109,6 +109,12 @@ class TestBfsEquivalence:
         D = bk.all_pairs_distances(A)
         assert np.array_equal(D, adj.all_pairs_distances(A))
 
+    def test_exclude_removes_one_vertex_per_search(self):
+        A = adj.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        got = bk.bfs_distances_multi(A, [0, 0, 2], exclude=[1, 4, 2])
+        for row, s, u in zip(got, [0, 0, 2], [1, 4, 2]):
+            assert np.array_equal(row, adj.distances_without_vertex(A, u)[s])
+
     def test_masked_out_source_is_all_inf(self):
         A = adj.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         mask = np.array([True, False, True, True])
@@ -119,19 +125,20 @@ class TestBfsEquivalence:
 
 
 class TestDeviationBlock:
-    """``deviation_distances_block`` against the boolean-matmul oracle,
-    one masked APSP per agent."""
+    """``deviation_distances_block`` against the boolean-matmul oracle
+    :func:`adjacency.distances_without_vertex`, for every ``(graph,
+    agent)`` of a multi-graph pass."""
 
     @staticmethod
-    def check(A, agents):
-        n = A.shape[0]
-        block = bk.deviation_distances_block(A, agents)
-        assert block.shape == (len(agents), n, n)
-        for D, u in zip(block, agents):
-            mask = np.ones(n, dtype=bool)
-            mask[u] = False
-            assert np.array_equal(D, adj.all_pairs_distances(A, mask=mask)), u
-        return block
+    def check(pairs):
+        blocks = bk.deviation_distances_block(pairs)
+        assert len(blocks) == len(pairs)
+        for (A, agents), block in zip(pairs, blocks):
+            n = A.shape[0]
+            assert block.shape == (len(agents), n, n)
+            for D, u in zip(block, agents):
+                assert np.array_equal(D, adj.distances_without_vertex(A, u)), u
+        return blocks
 
     @given(graph_mask_case(min_n=2), st.data())
     @settings(max_examples=40, deadline=None)
@@ -140,7 +147,21 @@ class TestDeviationBlock:
         n = A.shape[0]
         agents = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4),
                            label="agents")
-        self.check(A, agents)
+        self.check([(A, agents)])
+
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_ragged_pass_over_many_graphs(self, n, graphs, seed):
+        """Graphs of one size with ragged (possibly empty) agent lists,
+        dense and sparse, connected or not, share one pass."""
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(graphs):
+            A = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.5), 1)
+            agents = rng.integers(0, n, size=int(rng.integers(0, 5))).tolist()
+            pairs.append((A | A.T, agents))
+        pairs[0][1].append(0)  # at least one lane in use
+        self.check(pairs)
 
     @pytest.mark.parametrize("n, agents", [
         (2, [0, 1]), (21, [3, 20, 0]), (63, [0, 31, 62]), (64, [5]), (65, [64, 1, 7]),
@@ -148,16 +169,35 @@ class TestDeviationBlock:
     def test_lanes_across_word_boundaries(self, n, agents):
         rng = np.random.default_rng(n)
         A = np.triu(rng.random((n, n)) < 0.08, 1)
-        self.check(A | A.T, agents)
+        self.check([(A | A.T, agents), (np.zeros((n, n), dtype=bool), agents[:1])])
 
     def test_cut_and_isolated_vertices(self):
         # a path 0-1-2-3 into the triangle 3-4-5, plus isolated 6 and 7
         A = adj.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)])
-        block = self.check(A, list(range(8)))
+        star = adj.from_edges(8, [(0, v) for v in range(1, 8)])
+        block, star_block = self.check([(A, list(range(8))), (star, [0, 3])])
         assert np.isinf(block[1][0, 2])      # cut vertex 1 splits the path
         assert block[4][3, 5] == 1.0         # the triangle loses one corner
         assert np.isinf(block[2][2]).all() and np.isinf(block[2][:, 2]).all()
         assert np.isinf(block[0][6, :6]).all() and block[0][6, 6] == 0.0
+        # the star's centre is a cut vertex of every leaf pair
+        assert np.isinf(star_block[0][1, 2]) and star_block[1][1, 2] == 2.0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiniest_graphs(self, n):
+        full = ~np.eye(n, dtype=bool)
+        self.check([(full, list(range(n))), (np.zeros((n, n), dtype=bool), [0]),
+                    (full, [])])
+
+    def test_wide_depth_counter_past_255_vertices(self):
+        """A 260-path has distances past one byte: the depth counter
+        widens to ``uint16``."""
+        n = 260
+        path = adj.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        (block, cycle_block) = self.check(
+            [(path, [0, 130]), (path | adj.from_edges(n, [(0, n - 1)]), [5])])
+        assert block[0][1, n - 1] == n - 2
+        assert cycle_block[0][4, 6] == n - 2
 
 
 class TestRouting:

@@ -65,7 +65,7 @@ class NoMemoBackend:
     def deviation_distances(self, net, u: int) -> np.ndarray:
         return adj.distances_without_vertex(net.A, u)
 
-    def prefetch_deviations(self, net, agents) -> None:
+    def prefetch_deviations(self, requests) -> None:
         pass
 
     def cached_best_response(self, game, net, u: int):

@@ -79,6 +79,22 @@ def test_full_graph_engine_matches_dense_apsp(case):
 
 
 
+@settings(max_examples=60, deadline=None)
+@given(graph_and_mutations())
+def test_full_distances_carried_across_the_movers_mutation(case):
+    """``D(G')`` derived from the mutated vertex's held ``D(G - v)``
+    equals a fresh boolean-matmul APSP, disconnections included, and no
+    APSP runs at all."""
+    A, steps = case
+    net = network_from_adjacency(A, np.random.default_rng(0))
+    backend = IncrementalBackend()
+    for v, targets in steps:
+        backend.deviation_distances(net, v)
+        apply_mutation(net.A, v, targets)
+        assert np.array_equal(backend.full_distances(net), adj.all_pairs_distances(net.A))
+    assert backend._apsp._D is None
+
+
 def test_disconnecting_deletion_yields_inf():
     """Removing a bridge must produce exact inf blocks, not stale values."""
     # path 0-1-2-3: deleting {1,2} splits it

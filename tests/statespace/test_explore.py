@@ -9,7 +9,8 @@ import pytest
 from repro.analysis.equilibria import is_stable
 from repro.core.games import AsymmetricSwapGame, GreedyBuyGame, SwapGame
 from repro.core.moves import move_from_dict
-from repro.graphs import bitkernel
+from repro.graphs import adjacency as adj
+from repro.graphs import bitkernel, incremental
 from repro.instances.figures import fig3_sum_asg_cycle
 from repro.statespace import (
     ExplorationReport,
@@ -85,6 +86,68 @@ class TestCensus:
         # each equilibrium's own state is inside its basin
         for eq_hex in report.equilibria:
             assert report.basin_sizes[eq_hex] >= 1
+
+
+class TestScheduling:
+    """A census report is a pure function of the graph: the chunking of
+    its packed passes, worker processes and expansion slices change its
+    bytes in no way."""
+
+    CASES = [(SwapGame("sum"), 4), (SwapGame("sum"), 5), (AsymmetricSwapGame("sum"), 4)]
+    IDS = ["sg-n4", "sg-n5", "asg-n4"]
+
+    @pytest.fixture(scope="class")
+    def straight(self):
+        return {i: explore(game, n=n).json_bytes() for i, (game, n) in zip(self.IDS, self.CASES)}
+
+    @pytest.mark.parametrize("case", range(3), ids=IDS)
+    def test_small_budget_forces_many_chunks(self, case, straight, monkeypatch):
+        game, n = self.CASES[case]
+        passes = count_passes(monkeypatch)
+        # four states of n agents per chunk and per pass (one word of lanes)
+        monkeypatch.setattr(incremental, "_PASS_ENTRIES", 4 * n ** 3)
+        report = explore(game, n=n)
+        assert report.json_bytes() == straight[self.IDS[case]]
+        assert len(passes) > 5 and max(passes) <= 4
+
+    @pytest.mark.parametrize("case", range(3), ids=IDS)
+    def test_two_workers(self, case, straight):
+        game, n = self.CASES[case]
+        assert explore(game, n=n, n_jobs=2).json_bytes() == straight[self.IDS[case]]
+
+    @pytest.mark.parametrize("case", range(3), ids=IDS)
+    def test_expansion_slices(self, case, straight, tmp_path):
+        game, n = self.CASES[case]
+        while True:
+            report = explore(game, n=n, store=tmp_path, max_expansions=97)
+            if report.complete:
+                break
+        assert report.json_bytes() == straight[self.IDS[case]]
+
+    def test_one_packed_pass_prices_a_census(self, monkeypatch):
+        """The SG n = 5 census enters the packed kernel once per BFS
+        layer and never rebuilds a single ``D(G - u)``."""
+        passes = count_passes(monkeypatch)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a single D(G - u) rebuild")
+
+        monkeypatch.setattr(adj, "all_pairs_distances_fast", forbidden)
+        explore(SwapGame("sum"), n=5)
+        assert passes == [728]
+
+
+def count_passes(monkeypatch):
+    """The graph count of every packed ``D(G - u)`` pass from now on."""
+    passes = []
+    kernel = bitkernel.deviation_distances_block
+
+    def counting(pairs):
+        passes.append(len(pairs))
+        return kernel(pairs)
+
+    monkeypatch.setattr(bitkernel, "deviation_distances_block", counting)
+    return passes
 
 
 class TestFig3Cycle:
