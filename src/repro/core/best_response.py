@@ -19,12 +19,18 @@ deviation of ``u``, and ``u``'s current cost with them:
 * all ``O(n)`` single-edge variants (the swap/buy/delete moves) cost one
   vectorized ``np.minimum(base, 1 + D[candidates])`` pass.
 
+:func:`price_single_edge` runs that pass for many ``(network, agent)``
+pairs at once, over their stacked ``D(G - u)``.  The base "every
+neighbour but ``v``" of each dropped edge ``{u, v}`` is read off the
+per-column first and second minimum over ``u``'s neighbour rows, so no
+base costs a reduction of its own.
+
 No per-candidate BFS ever runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +38,7 @@ from ..obs import metrics as obs_metrics
 from .costs import DistanceMode
 from .network import Network
 
-__all__ = ["DeviationEvaluator"]
+__all__ = ["DeviationEvaluator", "SingleEdgeBlock", "price_single_edge"]
 
 # one evaluator build = one priced agent-state; batches are the
 # vectorized all-single-edge-variants passes
@@ -68,6 +74,8 @@ class DeviationEvaluator:
     agent's current strategy is one such set, so ``c_G(u)`` itself is
     priced here too.
     """
+
+    __slots__ = ("net", "u", "n", "mode", "D")
 
     def __init__(self, net: Network, u: int, mode: DistanceMode, D: np.ndarray):
         self.net = net
@@ -143,3 +151,147 @@ class DeviationEvaluator:
         if self.n == 1:
             return 0.0
         return self.mode.aggregate(row)
+
+
+class SingleEdgeBlock(NamedTuple):
+    """The single-edge deviations of a block of ``K`` ``(network, agent)``
+    pairs, priced.
+
+    Each pair has a grid of rows — with the buys first the row keeping
+    every neighbour, then one row per droppable edge ``{u, v}``, ``v``
+    ascending — by ``1 + C`` columns: dropping the row's edge and adding
+    nothing (a delete), then adding each candidate, ascending.  The
+    entries are the grid's admissible cells in C order, which is the
+    canonical move order.
+    """
+
+    #: ``(K,)`` distance cost of each agent's current neighbourhood
+    current: np.ndarray
+    #: ``(E,)`` agent's cost after each entry's deviation
+    costs: np.ndarray
+    #: ``(E,)`` flat grid cell ``(k * R + row) * (1 + C) + column``
+    cells: np.ndarray
+    #: ``(K, R - lead)`` the neighbour each droppable row drops
+    drops: np.ndarray
+    #: ``(K, C)`` the candidate each adding column adds
+    adds: np.ndarray
+    #: 1 when the grid leads with the buys' row, else 0
+    lead: int
+    #: ``(K + 1,)`` offsets: pair ``k`` owns entries ``starts[k]:starts[k+1]``
+    starts: Sequence[int]
+
+    def deviation(self, e: int) -> Tuple[int, int, int]:
+        """``(pair, dropped, added)`` of entry ``e`` (-1: none)."""
+        R, C = self.lead + self.drops.shape[1], self.adds.shape[1]
+        k, rest = divmod(int(self.cells[e]), R * (1 + C))
+        row, column = divmod(rest, 1 + C)
+        dropped = int(self.drops[k, row - self.lead]) if row >= self.lead else -1
+        return k, dropped, int(self.adds[k, column - 1]) if column else -1
+
+
+def _aggregate(rows: np.ndarray, mode: DistanceMode) -> np.ndarray:
+    """SUM or MAX over the last axis of a stack of distance rows."""
+    return rows.sum(axis=-1) if mode is DistanceMode.SUM else rows.max(axis=-1)
+
+
+def _ascending(mask: np.ndarray, pad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The set columns of every row of a ``(K, n)`` mask, ascending and
+    padded with ``pad[k]`` to the longest row: ``(columns, real)``."""
+    counts = mask.sum(axis=1)
+    columns = np.argsort(~mask, axis=1, kind="stable")[:, :counts.max()]
+    real = np.arange(columns.shape[1]) < counts[:, None]
+    return np.where(real, columns, pad), real
+
+
+def price_single_edge(
+    evaluators: Sequence[DeviationEvaluator],
+    sources: Optional[np.ndarray],
+    host: Optional[np.ndarray],
+    terms: Optional[np.ndarray],
+    max_entries: int,
+) -> SingleEdgeBlock:
+    """Price every single-edge deviation of many agents in one pass.
+
+    ``evaluators`` are the pairs (one ``n``, one distance mode);
+    ``sources`` is a ``(K, n)`` mask of the neighbours whose edge each
+    agent may drop (``None``: every neighbour); an agent may add an edge
+    to any non-neighbour other than itself that ``host`` (an ``n x n``
+    mask, or ``None``) allows.  Without ``terms`` the deviations are the
+    swaps, priced by distance alone.  With ``terms``, a ``(K, 3)`` array
+    of each agent's edge cost after a buy, a swap and a delete, they
+    also hold the buys and the deletes, and cost distance plus edge.
+
+    Every base (a kept neighbourhood) is priced against every candidate
+    of its pair in one broadcast ``minimum``, cut along the bases so
+    that no slice exceeds ``max_entries`` entries.
+    """
+    K, n, mode = len(evaluators), evaluators[0].n, evaluators[0].mode
+    # row k*n + w is row w of pair k's D(G - u); padding reads the
+    # agent's own row, which is all inf
+    table = np.stack([ev.D for ev in evaluators]).reshape(K * n, n)
+    u = np.array([ev.u for ev in evaluators])
+    ks = np.arange(K)
+    offset, pad = (ks * n)[:, None], u[:, None]
+    nbr = np.array([ev.net.A[ev.u] for ev in evaluators])
+
+    # first and second minimum over each agent's neighbour rows, per column
+    columns, real = _ascending(nbr, pad)
+    G = table[columns + offset]
+    if columns.shape[1] > 1:
+        # in place unless G serves the bases too (every neighbour a source)
+        minima = G.copy() if sources is None else G
+        minima.partition(1, axis=1)
+        first, second = minima[:, 0], minima[:, 1]
+    else:
+        second = np.full((K, n), np.inf)
+        first = G[:, 0] if columns.shape[1] else second
+    now = first + 1.0
+    now[ks, u] = 0.0
+    current = _aggregate(now, mode)
+
+    # the bases: with the buys first every neighbour, then per source v
+    # every neighbour but v (the second minimum where v attains the first)
+    if sources is not None:
+        columns, real = _ascending(sources, pad)
+        G = table[columns + offset]
+    bases = np.where(G == first[:, None, :], second[:, None, :], first[:, None, :])
+    lead = int(terms is not None)
+    if lead:
+        bases = np.concatenate([first[:, None, :], bases], axis=1)
+    bases += 1.0
+    # a zero at u stays zero under every minimum below
+    bases[ks, :, u] = 0.0
+
+    R = bases.shape[1]
+    if R:
+        candidates = ~nbr
+        candidates[ks, u] = False
+        if host is not None:
+            candidates &= host[u]
+        adds, addable = _ascending(candidates, pad)
+    else:  # nothing to drop and no buys: no deviation at all
+        adds, addable = np.empty((K, 0), dtype=np.int64), np.empty((K, 0), dtype=bool)
+    C = adds.shape[1]
+    grid = np.empty((K, R, 1 + C))
+    grid[:, :, 0] = _aggregate(bases, mode)
+    if R and C:
+        Dc = table[adds + offset]
+        Dc += 1.0
+        step = max(1, max_entries // (K * C * n))
+        for r in range(0, R, step):
+            grid[:, r:r + step, 1:] = _aggregate(
+                np.minimum(bases[:, r:r + step, None, :], Dc[:, None, :, :]), mode)
+    valid = np.zeros((K, R, 1 + C), dtype=bool)
+    valid[:, lead:, 1:] = real[:, :, None] & addable[:, None, :]
+    if lead:
+        terms = np.asarray(terms, dtype=float)
+        grid[:, 0, 1:] += terms[:, 0, None]
+        grid[:, 1:, 1:] += terms[:, 1, None, None]
+        grid[:, 1:, 0] += terms[:, 2, None]
+        valid[:, 0, 1:] = addable
+        valid[:, 1:, 0] = real
+    cells = np.flatnonzero(valid)
+    if cells.size:
+        _EVAL_BATCHES.inc()
+    starts = np.searchsorted(cells, ks * (R * (1 + C))).tolist() + [cells.size]
+    return SingleEdgeBlock(current, grid.ravel()[cells], cells, columns, adds, lead, starts)

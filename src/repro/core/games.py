@@ -9,6 +9,14 @@ The central API:
 * :meth:`Game.improving_moves`  — those that strictly decrease ``u``'s cost
 * :meth:`Game.best_responses`   — the set of *best possible* moves
 * :meth:`Game.is_unhappy`       — whether an improving move exists
+* :meth:`Game.best_responses_block` / :meth:`Game.improving_moves_block`
+  — the same for many ``(network, agent)`` pairs at once
+
+The games whose moves change one edge (SG, ASG, GBG, coop) price a
+block of many pairs in one numpy pass over their stacked ``D(G - u)``
+(:func:`~repro.core.best_response.price_single_edge`); a single pair,
+as every scan asks, is priced by the game's per-agent enumeration,
+whose fixed cost is a fraction of the block pass's.
 
 Host graphs (Corollaries 3.6 and 4.2) restrict which edges may ever be
 created: a move is admissible only if every edge it creates is an edge
@@ -20,7 +28,8 @@ APSP/deviation query is routed.  ``None`` (the default) means a fresh
 :class:`~repro.graphs.incremental.IncrementalBackend`, resolved once by
 the outermost public method and handed down; a dynamics run or census
 passes its own, which reuses the distances of the current network state
-across calls and memoises whole best responses per agent for that state.
+across calls and memoises whole best responses per agent for that state
+(the block entry points do not consult that memo).
 
 ``c_G(u)`` is priced one way: from ``D(G - u)``, like every deviation of
 ``u`` (its current neighbourhood is one more strategy).  ``D(G)`` serves
@@ -35,13 +44,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs import adjacency as adj
+from ..graphs import incremental
 from ..graphs.incremental import DistanceBackend, resolve_backend
-from .best_response import DeviationEvaluator
+from .best_response import DeviationEvaluator, SingleEdgeBlock, price_single_edge
 from .costs import (
     EQUAL_SPLIT,
     OWNER_PAYS,
@@ -157,6 +167,78 @@ def _is_single_edge_change(net: Network, move: Move) -> bool:
     return False
 
 
+def _collect_best_rows(
+    agents: Sequence[int],
+    costs_before: Sequence[float],
+    costs: np.ndarray,
+    starts: Sequence[int],
+    make: Callable[[int], Move],
+) -> List[BestResponse]:
+    """The best response of every row of a block: :func:`_collect_best`'s
+    sequential rule, decided row-wise without a Python loop over costs.
+
+    Row ``k`` is agent ``agents[k]``'s cost stream
+    ``costs[starts[k]:starts[k + 1]]`` and ``costs_before[k]`` its cost
+    now; ``make(e)`` builds the move of flat entry ``e``.  Let ``g`` be
+    a row's minimum.  Unless some cost of the row lies in
+    ``(g, g + 2*EPS]``, the sequential rule keeps exactly the entries
+    costing ``g`` — the first of them resets the running best, the
+    others tie it, and every other cost is more than ``EPS`` above it —
+    so only they are handed to :func:`_collect_best`, which orders
+    them.  A row with such a near-tie hands it its whole stream.  Moves
+    are built only for the entries handed over, and only in rows that
+    improve on their cost now.
+    """
+    K = len(agents)
+    counts = np.diff(starts)
+    g = np.full(K, np.inf)
+    if len(costs):
+        filled = counts > 0
+        g[filled] = np.minimum.reduceat(costs, np.asarray(starts[:-1])[filled])
+    improving = (g < np.asarray(costs_before, dtype=float) - EPS).tolist()
+    if not any(improving):
+        return [BestResponse(agent, before, before, [])
+                for agent, before in zip(agents, costs_before)]
+    g_row = np.repeat(g, counts)
+    hit = costs == g_row
+    near = np.zeros(K, dtype=bool)
+    near[np.repeat(np.arange(K), counts)[(costs <= g_row + 2 * EPS) > hit]] = True
+    hits = np.flatnonzero(hit)
+    bounds = np.searchsorted(hits, starts).tolist()
+    hits, g, near, starts = hits.tolist(), g.tolist(), near.tolist(), list(starts)
+    out = []
+    for k, (agent, before) in enumerate(zip(agents, costs_before)):
+        if not improving[k]:
+            out.append(BestResponse(agent, before, before, []))
+            continue
+        if near[k]:
+            s, t = starts[k], starts[k + 1]
+            scored = zip(map(make, range(s, t)), costs[s:t].tolist())
+        else:
+            scored = [(make(e), g[k]) for e in hits[bounds[k]:bounds[k + 1]]]
+        out.append(_collect_best(agent, before, scored))
+    return out
+
+
+def _improving_rows(
+    costs_before: Sequence[float],
+    costs: np.ndarray,
+    starts: Sequence[int],
+    make: Callable[[int], Move],
+) -> List[List[Tuple[Move, float]]]:
+    """Per row of a block (laid out as for :func:`_collect_best_rows`),
+    ``(move, cost)`` for every entry costing less than its row's cost
+    now minus ``EPS``, in stream order; moves are built only for those."""
+    starts = np.asarray(starts, dtype=np.int64)
+    before = np.asarray(costs_before, dtype=float)
+    row = np.repeat(np.arange(before.size), np.diff(starts))
+    hits = np.flatnonzero(costs < before[row] - EPS)
+    bounds = np.searchsorted(hits, starts).tolist()
+    picked, hits = costs[hits].tolist(), hits.tolist()
+    return [[(make(e), c) for e, c in zip(hits[a:b], picked[a:b])]
+            for a, b in zip(bounds, bounds[1:])]
+
+
 def _collect_best_batches(
     agent: int,
     cost_before: float,
@@ -214,6 +296,34 @@ def _improving(
             if first:
                 return out
     return out
+
+
+class _EdgeRows:
+    """The single-edge moves of a block of ``(network, agent)`` pairs,
+    each with its agent's cost after it: a priced
+    :class:`~repro.core.best_response.SingleEdgeBlock` plus the
+    :class:`Move` of every entry.  ``edge_now[k]`` is pair ``k``'s edge
+    cost now."""
+
+    def __init__(self, evaluators, block: SingleEdgeBlock, edge_now):
+        self.agents = [ev.u for ev in evaluators]
+        self.block = block
+        self.cost_before = (np.asarray(edge_now, dtype=float) + block.current).tolist()
+
+    def move(self, e: int) -> Move:
+        """The move of flat entry ``e``."""
+        k, v, w = self.block.deviation(e)
+        u = self.agents[k]
+        if v < 0:
+            return Buy(u, w)
+        return Delete(u, v) if w < 0 else Swap(u, v, w)
+
+    def best_responses(self) -> List[BestResponse]:
+        return _collect_best_rows(self.agents, self.cost_before, self.block.costs,
+                                  self.block.starts, self.move)
+
+    def improving(self) -> List[List[Tuple[Move, float]]]:
+        return _improving_rows(self.cost_before, self.block.costs, self.block.starts, self.move)
 
 
 #: the largest block of agents whose ``D(G - u)`` a scan requests at once
@@ -303,13 +413,34 @@ class Game:
         """Deviation evaluator for ``u`` over the backend's ``D(G - u)``."""
         return DeviationEvaluator(net, u, self.mode, backend.deviation_distances(net, u))
 
+    def _evaluator_blocks(
+        self, requests: Iterable[Tuple[Network, int]], backend: DistanceBackend
+    ) -> Iterator[List[DeviationEvaluator]]:
+        """Evaluators of the ``(network, agent)`` requests, in order, cut
+        into blocks on one ``n`` of at most ``incremental._PASS_ENTRIES
+        // n³`` pairs: a pair has fewer than ``n²`` single-edge
+        deviations, each priced as a row of ``n`` entries."""
+        block: List[DeviationEvaluator] = []
+        for net, u in requests:
+            if block and (net.n != block[0].n
+                          or len(block) * net.n ** 3 >= incremental._PASS_ENTRIES):
+                yield block
+                block = []
+            block.append(self._evaluator(net, u, backend))
+        if block:
+            yield block
+
+    def _cost(self, evaluator: DeviationEvaluator) -> float:
+        """``c_G(u)`` priced from the evaluator of ``u``'s moves."""
+        net, u = evaluator.net, evaluator.u
+        return self.edge_rule(net, u, self.alpha) + evaluator.distance_cost(net.neighbors(u))
+
     def current_cost(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> float:
         """``c_G(u)``: edge-cost plus SUM/MAX distance-cost, priced from
         ``D(G - u)`` like every deviation of ``u``."""
-        evaluator = self._evaluator(net, u, resolve_backend(backend))
-        return self.edge_rule(net, u, self.alpha) + evaluator.distance_cost(net.neighbors(u))
+        return self._cost(self._evaluator(net, u, resolve_backend(backend)))
 
     def cost_vector(
         self, net: Network, backend: Optional[DistanceBackend] = None
@@ -327,21 +458,93 @@ class Game:
         return float(self.cost_vector(net, backend=backend).sum())
 
     # -- core API: one move enumeration per game ----------------------------
+    def _single_edge_rows(self, evaluators: List[DeviationEvaluator]) -> Optional[_EdgeRows]:
+        """The block enumeration of the single-edge moves (buy, delete or
+        swap one edge) of every evaluator's agent, or ``None`` for a
+        game without one (the bilateral game prices its moves only with
+        the consent of the other side)."""
+        return None
+
+    def _rows(self, evaluators: List[DeviationEvaluator], greedy: bool) -> Optional[_EdgeRows]:
+        """The block enumeration of the move set (``greedy``: of the
+        single-edge deviations), or ``None`` where the pairs are priced
+        one at a time by :meth:`_scored_batches`: a game without a
+        block enumeration, or a single pair, which the per-agent
+        enumeration prices with a fraction of the block pass's fixed
+        numpy work (a scan's every call)."""
+        if len(evaluators) > 1 and (greedy or self.moves_are_greedy()):
+            return self._single_edge_rows(evaluators)
+        return None
+
     def _scored_batches(
-        self, net: Network, u: int, backend: DistanceBackend
+        self, evaluator: DeviationEvaluator, backend: DistanceBackend
     ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
-        """Every admissible move of ``u`` with ``u``'s cost after it, as
-        ``(costs, make_move)`` batches: a float cost array and a factory
-        building the :class:`Move` for one index.  Read in order, the
-        batches are the game's canonical move order.  This is each
-        game's single enumeration; every method below derives from it."""
+        """Every admissible move of the evaluator's agent with its cost
+        after it, as ``(costs, make_move)`` batches: a float cost array
+        and a factory building the :class:`Move` for one index.  Read in
+        order, the batches are the game's canonical move order, the same
+        as :meth:`_single_edge_rows` gives for the pair."""
         raise NotImplementedError
+
+    def _greedy_batches(
+        self, evaluator: DeviationEvaluator, backend: DistanceBackend
+    ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
+        """:meth:`_scored_batches` cut to the *greedy* deviations: buy
+        one edge, delete one owned edge, or swap one edge (Lenzner's
+        move set).  For the bilateral game the underlying move set
+        already applies the consent check, so greedy moves there are the
+        feasible improving single-edge changes."""
+        net = evaluator.net
+        for costs, make in self._scored_batches(evaluator, backend):
+            if not self.moves_are_greedy():
+                keep = [i for i in range(costs.size) if _is_single_edge_change(net, make(i))]
+                costs, make = costs[keep], (lambda j, keep=keep, make=make: make(keep[j]))
+            yield costs, make
+
+    def best_responses_block(
+        self, requests: Iterable[Tuple[Network, int]], backend: Optional[DistanceBackend] = None
+    ) -> List[BestResponse]:
+        """The :meth:`best_responses` of every ``(network, agent)`` request,
+        in order.  The games with a single-edge block enumeration price a
+        whole block of requests in one pass; the others loop over their
+        per-agent enumeration."""
+        backend = resolve_backend(backend)
+        out: List[BestResponse] = []
+        for evaluators in self._evaluator_blocks(requests, backend):
+            rows = self._rows(evaluators, greedy=False)
+            if rows is not None:
+                out.extend(rows.best_responses())
+                continue
+            out.extend(_collect_best_batches(ev.u, self._cost(ev), self._scored_batches(ev, backend))
+                       for ev in evaluators)
+        return out
+
+    def improving_moves_block(
+        self,
+        requests: Iterable[Tuple[Network, int]],
+        backend: Optional[DistanceBackend] = None,
+        greedy: bool = False,
+    ) -> List[List[Tuple[Move, float]]]:
+        """The :meth:`improving_moves` (``greedy``: the
+        :meth:`greedy_improving_moves`) of every ``(network, agent)``
+        request, in order, block-priced like :meth:`best_responses_block`."""
+        backend = resolve_backend(backend)
+        batches = self._greedy_batches if greedy else self._scored_batches
+        out: List[List[Tuple[Move, float]]] = []
+        for evaluators in self._evaluator_blocks(requests, backend):
+            rows = self._rows(evaluators, greedy)
+            if rows is not None:
+                out.extend(rows.improving())
+                continue
+            out.extend(_improving(self._cost(ev), batches(ev, backend)) for ev in evaluators)
+        return out
 
     def _scored_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> Iterator[Tuple[Move, float]]:
         """Yield ``(move, new_cost_of_u)`` for every admissible move."""
-        return _flatten(self._scored_batches(net, u, resolve_backend(backend)))
+        backend = resolve_backend(backend)
+        return _flatten(self._scored_batches(self._evaluator(net, u, backend), backend))
 
     def candidate_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -377,9 +580,7 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Admissible moves that strictly decrease ``u``'s cost."""
-        backend = resolve_backend(backend)
-        cur = self.current_cost(net, u, backend=backend)
-        return _improving(cur, self._scored_batches(net, u, backend))
+        return self.improving_moves_block([(net, u)], backend)[0]
 
     def best_responses(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -390,8 +591,7 @@ class Game:
         cached = backend.cached_best_response(self, net, u)
         if cached is not None:
             return cached
-        cur = self.current_cost(net, u, backend=backend)
-        br = _collect_best_batches(u, cur, self._scored_batches(net, u, backend))
+        br = self.best_responses_block([(net, u)], backend)[0]
         backend.store_best_response(self, net, u, br)
         return br
 
@@ -427,48 +627,34 @@ class Game:
         multi-swap SG)."""
         return False
 
-    def _greedy_batches(
-        self, net: Network, u: int, backend: DistanceBackend
-    ) -> Iterator[Tuple[np.ndarray, Callable[[int], Move]]]:
-        """:meth:`_scored_batches` cut to the *greedy* deviations: buy
-        one edge, delete one owned edge, or swap one edge (Lenzner's
-        move set).  For the bilateral game the underlying move set
-        already applies the consent check, so greedy moves there are the
-        feasible improving single-edge changes."""
-        for costs, make in self._scored_batches(net, u, backend):
-            if not self.moves_are_greedy():
-                keep = [i for i in range(costs.size) if _is_single_edge_change(net, make(i))]
-                costs, make = costs[keep], (lambda j, keep=keep, make=make: make(keep[j]))
-            yield costs, make
-
     def greedy_scored_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> Iterator[Tuple[Move, float]]:
         """``(move, new_cost_of_u)`` for every admissible greedy deviation."""
-        return _flatten(self._greedy_batches(net, u, resolve_backend(backend)))
+        backend = resolve_backend(backend)
+        return _flatten(self._greedy_batches(self._evaluator(net, u, backend), backend))
 
     def greedy_improving_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Greedy deviations that strictly decrease ``u``'s cost."""
-        backend = resolve_backend(backend)
-        cur = self.current_cost(net, u, backend=backend)
-        return _improving(cur, self._greedy_batches(net, u, backend))
+        return self.improving_moves_block([(net, u)], backend, greedy=True)[0]
 
     def is_greedy_unhappy(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> bool:
         """Whether ``u`` has at least one improving greedy deviation."""
         backend = resolve_backend(backend)
-        cur = self.current_cost(net, u, backend=backend)
-        return bool(_improving(cur, self._greedy_batches(net, u, backend), first=True))
+        evaluator = self._evaluator(net, u, backend)
+        return bool(_improving(self._cost(evaluator),
+                               self._greedy_batches(evaluator, backend), first=True))
 
     def greedy_unhappy_agents(
         self, net: Network, backend: Optional[DistanceBackend] = None
     ) -> List[int]:
         """Agents with at least one improving greedy deviation."""
-        backend = resolve_backend(backend)
-        return [u for u in range(net.n) if self.is_greedy_unhappy(net, u, backend=backend)]
+        moves = self.improving_moves_block([(net, u) for u in range(net.n)], backend, greedy=True)
+        return [u for u in range(net.n) if moves[u]]
 
     def is_greedy_stable(
         self, net: Network, backend: Optional[DistanceBackend] = None
@@ -523,10 +709,23 @@ class SwapGame(Game):
         """Edges ``u`` may move: in the SG, every incident edge."""
         return net.neighbors(u)
 
-    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
+    def _sources(self, evaluators) -> Optional[np.ndarray]:
+        """:meth:`_swap_sources` of every pair as a ``(K, n)`` mask, or
+        ``None`` for every incident edge (the SG)."""
+        return None
+
+    def _single_edge_rows(self, evaluators):
+        """Every single swap of every pair: per movable edge ``{u, v}``
+        ascending, its swaps to each non-neighbour ``w`` ascending."""
+        block = price_single_edge(evaluators, self._sources(evaluators), self.host, None,
+                                  incremental._PASS_ENTRIES)
+        return _EdgeRows(evaluators, block,
+                         [self.edge_rule(ev.net, ev.u, self.alpha) for ev in evaluators])
+
+    def _scored_batches(self, evaluator, backend):
         """Every single swap in one batch (a row of candidates per movable
         edge, all priced in one pass), then the multi-swaps."""
-        evaluator = self._evaluator(net, u, backend)
+        net, u = evaluator.net, evaluator.u
         nbrs = net.neighbors(u)
         allowed = self._allowed_targets(net, u)
         allowed[nbrs] = False  # cannot swap onto an existing neighbour
@@ -575,6 +774,9 @@ class AsymmetricSwapGame(SwapGame):
     def _swap_sources(self, net: Network, u: int) -> np.ndarray:
         return net.owned_targets(u)
 
+    def _sources(self, evaluators) -> Optional[np.ndarray]:
+        return np.array([ev.net.owner[ev.u] for ev in evaluators])
+
     def _make_multi_move(self, net: Network, u: int, removed, added) -> Move:
         new_targets = (set(net.owned_targets(u).tolist()) - set(removed)) | set(added)
         return StrategyChange(u, frozenset(new_targets))
@@ -617,11 +819,22 @@ class GreedyBuyGame(Game):
         """
         return self.alpha * (k + 1), self.alpha * k, self.alpha * (k - 1)
 
-    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
+    def _single_edge_rows(self, evaluators):
+        """The whole move set of every pair: the buys, then per owned edge
+        its delete and its swaps."""
+        owned = np.array([ev.net.owner[ev.u] for ev in evaluators])
+        terms = np.array([self._edge_terms(ev.net, ev.u, k)
+                          for ev, k in zip(evaluators, owned.sum(axis=1).tolist())])
+        block = price_single_edge(evaluators, owned, self.host, terms,
+                                  incremental._PASS_ENTRIES)
+        # a swap keeps the edge count: its term is the edge cost now
+        return _EdgeRows(evaluators, block, terms[:, 1])
+
+    def _scored_batches(self, evaluator, backend):
         """The whole move set as one batch — the buys, then per owned
         edge its delete and its swaps — priced by one 3-D pass over
         ``D(G - u)[candidates]``."""
-        evaluator = self._evaluator(net, u, backend)
+        net, u = evaluator.net, evaluator.u
         nbrs = net.neighbors(u)
         owned = net.owned_targets(u).tolist()
         allowed = self._allowed_targets(net, u)
@@ -716,18 +929,19 @@ class BuyGame(Game):
     # same owner-pays cost model: pricing them with the GBG's enumerator
     # keeps greedy stability decidable past ``max_enumeration_agents``
     _edge_terms = GreedyBuyGame._edge_terms
+    _single_edge_rows = GreedyBuyGame._single_edge_rows
     _greedy_batches = GreedyBuyGame._scored_batches
 
-    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
+    def _scored_batches(self, evaluator, backend):
         """Every owned-target set other than the current one, as one batch
         (by size, then lexicographically)."""
+        net, u = evaluator.net, evaluator.u
         if net.n > self.max_enumeration_agents:
             raise ValueError(
                 f"BuyGame strategy enumeration limited to n <= "
                 f"{self.max_enumeration_agents} agents (best response is NP-hard); "
                 "use GreedyBuyGame for larger networks"
             )
-        evaluator = self._evaluator(net, u, backend)
         incoming = set(net.incoming_neighbors(u).tolist())
         owned = net.owned_targets(u)
         current = frozenset(owned.tolist())
@@ -809,17 +1023,18 @@ class BilateralGame(Game):
 
     # -- enumeration ---------------------------------------------------------
     def _improving_strategies(
-        self, net: Network, u: int, backend: DistanceBackend
+        self, evaluator: DeviationEvaluator
     ) -> Iterator[Tuple[StrategyChange, float]]:
-        """Every neighbourhood cheaper for ``u`` than its current one, with
-        that cost, consented to or not (by size, then lexicographically)."""
+        """Every neighbourhood cheaper for the evaluator's agent than its
+        current one, with that cost, consented to or not (by size, then
+        lexicographically)."""
+        net, u = evaluator.net, evaluator.u
         if net.n > self.max_enumeration_agents:
             raise ValueError(
                 f"BilateralGame strategy enumeration limited to n <= "
                 f"{self.max_enumeration_agents} agents"
             )
-        evaluator = self._evaluator(net, u, backend)
-        cur = self.current_cost(net, u, backend=backend)
+        cur = self._cost(evaluator)
         nbrs = net.neighbors(u)
         allowed = self._allowed_targets(net, u)
         allowed[nbrs] = True  # keeping an edge creates nothing, host or not
@@ -834,7 +1049,7 @@ class BilateralGame(Game):
                 if cost < cur - EPS:
                     yield StrategyChange(u, S, bilateral=True), cost
 
-    def _scored_batches(self, net: Network, u: int, backend: DistanceBackend):
+    def _scored_batches(self, evaluator, backend):
         """The feasible improving moves, as one batch.
 
         Cheap cost screening happens *before* the (expensive) consent
@@ -844,7 +1059,8 @@ class BilateralGame(Game):
         the move from ``backend`` and prices each hypothetical network
         through a fresh memo of its own.
         """
-        scored = [(m, c) for m, c in self._improving_strategies(net, u, backend)
+        net = evaluator.net
+        scored = [(m, c) for m, c in self._improving_strategies(evaluator)
                   if not self._blockers(net, m, backend)]
         yield np.array([c for _, c in scored], dtype=float), [m for m, _ in scored].__getitem__
 
@@ -860,4 +1076,4 @@ class BilateralGame(Game):
         """
         backend = resolve_backend(backend)
         return [(m, c, self._blockers(net, m, backend))
-                for m, c in self._improving_strategies(net, u, backend)]
+                for m, c in self._improving_strategies(self._evaluator(net, u, backend))]

@@ -1,4 +1,4 @@
-"""Transition expander: price all agents' moves out of one state.
+"""Transition expander: price all agents' moves out of many states.
 
 The explorer treats a ``(game, moveset, agent filter)`` triple as a
 transition system over network configurations; this module computes one
@@ -25,17 +25,21 @@ a path in the restricted graph); ``"first_unhappy"`` keeps only the
 smallest-index unhappy agent (that policy's deterministic process).
 
 The explorer expands each state once, so no best response is reused
-across states: one expansion prices each agent's moves once, through the
-:class:`~repro.graphs.incremental.DistanceBackend`, and reuses them for
-the unhappy test and the transitions.  Their ``D(G - u)`` come from the
-packed pass the explorer announces for a whole chunk of states before
-expanding them (``statespace.explore._expand_states``).
+across states.  :meth:`Expander.agent_answers` prices every agent of a
+whole chunk of states in one block call of the game
+(:meth:`~repro.core.games.Game.best_responses_block` or
+:meth:`~repro.core.games.Game.improving_moves_block`), over the
+``D(G - u)`` of the packed pass the explorer announced for the chunk
+(``statespace.explore._expand_states``); each state's moves then serve
+both its unhappy test and its transitions.  Best responses reach the
+transitions through :meth:`~repro.core.games.Game.best_responses` and
+the backend's per-state memo, so the block pass is a prefetch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.games import EPS, Game
 from ..core.moves import Move, move_to_dict
@@ -122,15 +126,38 @@ class Expander:
         """The canonical state key under this game's state notion."""
         return state_key(net, with_ownership=self.with_ownership)
 
-    # -- per-agent moves ---------------------------------------------------
-    def _moves_for(self, net: Network, u: int) -> List[Move]:
+    # -- moves -------------------------------------------------------------
+    def agent_answers(self, nets: Sequence[Network]) -> List[list]:
+        """Per network, per agent, the moveset's answer — a
+        :class:`~repro.core.games.BestResponse` for ``"best"``, else the
+        ``(move, cost)`` list — with every agent of every network priced
+        in one block call of the game."""
+        requests = [(net, u) for net in nets for u in range(net.n)]
         if self.moves == "best":
-            return self.game.best_responses(net, u, backend=self.backend).moves
-        if self.moves == "greedy":
-            scored = self.game.greedy_improving_moves(net, u, backend=self.backend)
+            flat = self.game.best_responses_block(requests, self.backend)
         else:
-            scored = self.game.improving_moves(net, u, backend=self.backend)
-        return [m for m, _ in scored]
+            flat = self.game.improving_moves_block(
+                requests, self.backend, greedy=self.moves == "greedy")
+        out, start = [], 0
+        for net in nets:
+            out.append(flat[start:start + net.n])
+            start += net.n
+        return out
+
+    def _agent_moves(self, net: Network, answers: list) -> List[List[Move]]:
+        """Every agent's moves in ``net``, from its priced answers.
+
+        Best responses are read through :meth:`Game.best_responses`, the
+        query every run makes, with the answers handed to the backend's
+        per-state memo first: the block pass is a prefetch, and a
+        backend that keeps no memo prices each agent again on its own.
+        """
+        if self.moves != "best":
+            return [[m for m, _ in scored] for scored in answers]
+        for u, br in enumerate(answers):
+            self.backend.store_best_response(self.game, net, u, br)
+        return [self.game.best_responses(net, u, backend=self.backend).moves
+                for u in range(net.n)]
 
     def _movers(self, net: Network, unhappy: List[int]) -> List[int]:
         """Apply the agent filter to the unhappy set."""
@@ -153,14 +180,20 @@ class Expander:
         """
         return [t for t, _ in self.expand_with_successors(net)]
 
-    def expand_with_successors(self, net: Network) -> List[Tuple[Transition, Network]]:
+    def expand_with_successors(
+        self, net: Network, answers: Optional[list] = None
+    ) -> List[Tuple[Transition, Network]]:
         """:meth:`expand` plus each transition's successor network.
 
         The successor is materialised anyway to compute its key; the
         explorer needs it again for the persisted blob, so handing it
-        back avoids a second copy-and-apply per edge.
+        back avoids a second copy-and-apply per edge.  ``answers`` are
+        the agents' answers in ``net`` when already priced (an entry of
+        :meth:`agent_answers`).
         """
-        moves = [self._moves_for(net, u) for u in range(net.n)]
+        if answers is None:
+            answers = self.agent_answers([net])[0]
+        moves = self._agent_moves(net, answers)
         unhappy = [u for u in range(net.n) if moves[u]]
         out: List[Tuple[Transition, Network]] = []
         for u in self._movers(net, unhappy):

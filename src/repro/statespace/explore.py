@@ -595,8 +595,9 @@ def _expand_states(
 
     Each chunk is decoded and every agent of every state in it announced
     to the backend at once, so one packed pass prices the whole chunk's
-    ``D(G - u)`` (every moveset prices every agent, so none is wasted).
-    Returns, per state, ``(key hex, succ rows, successor (key, blob)
+    ``D(G - u)`` (every moveset prices every agent, so none is wasted),
+    and then one block call of the game prices all their moves
+    (:meth:`~repro.statespace.expand.Expander.agent_answers`).  Returns, per state, ``(key hex, succ rows, successor (key, blob)
     hex pairs)``.
     """
     out = []
@@ -605,10 +606,10 @@ def _expand_states(
         chunk = items[start:start + per_chunk]
         nets = [decode_state(blob) for _, blob in chunk]
         expander.backend.prefetch_deviations([(net, range(net.n)) for net in nets])
-        for (key, _), net in zip(chunk, nets):
+        for (key, _), net, answers in zip(chunk, nets, expander.agent_answers(nets)):
             rows: List[list] = []
             succs: List[Tuple[str, str]] = []
-            for t, succ_net in expander.expand_with_successors(net):
+            for t, succ_net in expander.expand_with_successors(net, answers):
                 rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
                 succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
             out.append((key.hex(), rows, succs))
