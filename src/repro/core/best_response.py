@@ -208,7 +208,6 @@ def price_single_edge(
     sources: Optional[np.ndarray],
     host: Optional[np.ndarray],
     terms: Optional[np.ndarray],
-    max_entries: int,
 ) -> SingleEdgeBlock:
     """Price every single-edge deviation of many agents in one pass.
 
@@ -221,9 +220,10 @@ def price_single_edge(
     of each agent's edge cost after a buy, a swap and a delete, they
     also hold the buys and the deletes, and cost distance plus edge.
 
-    Every base (a kept neighbourhood) is priced against every candidate
-    of its pair in one broadcast ``minimum``, cut along the bases so
-    that no slice exceeds ``max_entries`` entries.
+    Each base (a kept neighbourhood) of every pair is priced against
+    all its pair's candidates in one broadcast ``minimum``, so no
+    intermediate outgrows the ``(K, candidates, n)`` gather of candidate
+    rows.
     """
     K, n, mode = len(evaluators), evaluators[0].n, evaluators[0].mode
     # row k*n + w is row w of pair k's D(G - u); padding reads the
@@ -277,10 +277,8 @@ def price_single_edge(
     if R and C:
         Dc = table[adds + offset]
         Dc += 1.0
-        step = max(1, max_entries // (K * C * n))
-        for r in range(0, R, step):
-            grid[:, r:r + step, 1:] = _aggregate(
-                np.minimum(bases[:, r:r + step, None, :], Dc[:, None, :, :]), mode)
+        for r in range(R):
+            grid[:, r, 1:] = _aggregate(np.minimum(bases[:, r, None, :], Dc), mode)
     valid = np.zeros((K, R, 1 + C), dtype=bool)
     valid[:, lead:, 1:] = real[:, :, None] & addable[:, None, :]
     if lead:

@@ -717,8 +717,7 @@ class SwapGame(Game):
     def _single_edge_rows(self, evaluators):
         """Every single swap of every pair: per movable edge ``{u, v}``
         ascending, its swaps to each non-neighbour ``w`` ascending."""
-        block = price_single_edge(evaluators, self._sources(evaluators), self.host, None,
-                                  incremental._PASS_ENTRIES)
+        block = price_single_edge(evaluators, self._sources(evaluators), self.host, None)
         return _EdgeRows(evaluators, block,
                          [self.edge_rule(ev.net, ev.u, self.alpha) for ev in evaluators])
 
@@ -825,8 +824,7 @@ class GreedyBuyGame(Game):
         owned = np.array([ev.net.owner[ev.u] for ev in evaluators])
         terms = np.array([self._edge_terms(ev.net, ev.u, k)
                           for ev, k in zip(evaluators, owned.sum(axis=1).tolist())])
-        block = price_single_edge(evaluators, owned, self.host, terms,
-                                  incremental._PASS_ENTRIES)
+        block = price_single_edge(evaluators, owned, self.host, terms)
         # a swap keeps the edge count: its term is the edge cost now
         return _EdgeRows(evaluators, block, terms[:, 1])
 

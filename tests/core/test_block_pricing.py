@@ -113,12 +113,11 @@ def test_sg_n5_census_states_match_the_reference():
     assert sum(happy) == 368
 
 
-@pytest.mark.parametrize("entries", [4 ** 3 + 1, 3 * 4 ** 3], ids=["slices", "blocks"])
+@pytest.mark.parametrize("entries", [4 ** 3 + 1, 3 * 4 ** 3], ids=["pairs2", "pairs3"])
 @pytest.mark.parametrize("game", [SwapGame("max"), GreedyBuyGame("sum", 1.0),
                                   CooperativeBuyGame("max", 2.5)], ids=["sg", "gbg", "coop"])
-def test_small_blocks_and_entry_slices_answer_the_same(game, entries, states4, monkeypatch):
-    """Blocks of two pairs whose grids are priced a few rows at a time,
-    or blocks of three pairs."""
+def test_small_blocks_answer_the_same(game, entries, states4, monkeypatch):
+    """Blocks of two or of three pairs answer what one block of all does."""
     nets = [_network(s) for s in _states(game, states4)[::5]]
     requests = [(net, u) for net in nets for u in range(net.n)]
     whole = game.best_responses_block(requests), game.improving_moves_block(requests)
