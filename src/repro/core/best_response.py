@@ -157,12 +157,12 @@ class SingleEdgeBlock(NamedTuple):
     """The single-edge deviations of a block of ``K`` ``(network, agent)``
     pairs, priced.
 
-    Each pair has a grid of rows — with the buys first the row keeping
-    every neighbour, then one row per droppable edge ``{u, v}``, ``v``
-    ascending — by ``1 + C`` columns: dropping the row's edge and adding
-    nothing (a delete), then adding each candidate, ascending.  The
-    entries are the grid's admissible cells in C order, which is the
-    canonical move order.
+    Each pair has a grid of ``R`` rows — the row keeping every
+    neighbour (the buys), then one row per droppable edge ``{u, v}``,
+    ``v`` ascending — by ``1 + C`` columns: dropping the row's edge and
+    adding nothing (a delete), then adding each candidate, ascending.
+    The entries are the grid's admissible cells in C order, which is
+    the canonical move order.
     """
 
     #: ``(K,)`` distance cost of each agent's current neighbourhood
@@ -171,36 +171,37 @@ class SingleEdgeBlock(NamedTuple):
     costs: np.ndarray
     #: ``(E,)`` flat grid cell ``(k * R + row) * (1 + C) + column``
     cells: np.ndarray
-    #: ``(K, R - lead)`` the neighbour each droppable row drops
+    #: ``(K, R - 1)`` the neighbour each droppable row drops (row 1 on)
     drops: np.ndarray
-    #: ``(K, C)`` the candidate each adding column adds
+    #: ``(K, C)`` the candidate each adding column adds (column 1 on)
     adds: np.ndarray
-    #: 1 when the grid leads with the buys' row, else 0
-    lead: int
     #: ``(K + 1,)`` offsets: pair ``k`` owns entries ``starts[k]:starts[k+1]``
     starts: Sequence[int]
 
     def deviation(self, e: int) -> Tuple[int, int, int]:
         """``(pair, dropped, added)`` of entry ``e`` (-1: none)."""
-        R, C = self.lead + self.drops.shape[1], self.adds.shape[1]
-        k, rest = divmod(int(self.cells[e]), R * (1 + C))
-        row, column = divmod(rest, 1 + C)
-        dropped = int(self.drops[k, row - self.lead]) if row >= self.lead else -1
-        return k, dropped, int(self.adds[k, column - 1]) if column else -1
+        R, width = self.drops.shape[1] + 1, self.adds.shape[1] + 1
+        k, rest = divmod(int(self.cells[e]), R * width)
+        row, column = divmod(rest, width)
+        return (k, int(self.drops[k, row - 1]) if row else -1,
+                int(self.adds[k, column - 1]) if column else -1)
 
 
 def _aggregate(rows: np.ndarray, mode: DistanceMode) -> np.ndarray:
     """SUM or MAX over the last axis of a stack of distance rows."""
-    return rows.sum(axis=-1) if mode is DistanceMode.SUM else rows.max(axis=-1)
+    return (np.add if mode is DistanceMode.SUM else np.maximum).reduce(rows, axis=-1)
 
 
-def _ascending(mask: np.ndarray, pad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _ascending(mask: np.ndarray, u) -> Tuple[np.ndarray, np.ndarray]:
     """The set columns of every row of a ``(K, n)`` mask, ascending and
-    padded with ``pad[k]`` to the longest row: ``(columns, real)``."""
+    padded with ``u[k]`` to the longest row: ``(columns, real)``."""
+    if len(mask) == 1:  # one row: nothing to pad, every column is real
+        columns = mask[0].nonzero()[0][None]
+        return columns, columns >= 0
     counts = mask.sum(axis=1)
     columns = np.argsort(~mask, axis=1, kind="stable")[:, :counts.max()]
     real = np.arange(columns.shape[1]) < counts[:, None]
-    return np.where(real, columns, pad), real
+    return np.where(real, columns, u[:, None]), real
 
 
 def price_single_edge(
@@ -220,22 +221,27 @@ def price_single_edge(
     of each agent's edge cost after a buy, a swap and a delete, they
     also hold the buys and the deletes, and cost distance plus edge.
 
-    Each base (a kept neighbourhood) of every pair is priced against
-    all its pair's candidates in one broadcast ``minimum``, so no
-    intermediate outgrows the ``(K, candidates, n)`` gather of candidate
-    rows.
+    Every base (a kept neighbourhood) of every pair meets all its
+    pair's candidates in one broadcast ``minimum``, whose
+    ``(K, bases, candidates, n)`` result holds fewer than ``K * n**3``
+    entries (``Game._evaluator_blocks`` bounds that).  A single pair
+    (every scan's call) indexes its own ``D(G - u)`` with plain
+    indices: no stacking and no padding.
     """
     K, n, mode = len(evaluators), evaluators[0].n, evaluators[0].mode
-    # row k*n + w is row w of pair k's D(G - u); padding reads the
-    # agent's own row, which is all inf
-    table = np.stack([ev.D for ev in evaluators]).reshape(K * n, n)
-    u = np.array([ev.u for ev in evaluators])
-    ks = np.arange(K)
-    offset, pad = (ks * n)[:, None], u[:, None]
-    nbr = np.array([ev.net.A[ev.u] for ev in evaluators])
+    if K == 1:
+        ev = evaluators[0]
+        table, offset, ks, u, nbr = ev.D, 0, 0, ev.u, ev.net.A[ev.u][None]
+    else:
+        # row k*n + w is row w of pair k's D(G - u); padding reads the
+        # agent's own row, which is all inf
+        table = np.concatenate([ev.D for ev in evaluators])
+        ks = np.arange(K)
+        offset, u = (ks * n)[:, None], np.array([ev.u for ev in evaluators])
+        nbr = np.array([ev.net.A[ev.u] for ev in evaluators])
 
     # first and second minimum over each agent's neighbour rows, per column
-    columns, real = _ascending(nbr, pad)
+    columns, real = _ascending(nbr, u)
     G = table[columns + offset]
     if columns.shape[1] > 1:
         # in place unless G serves the bases too (every neighbour a source)
@@ -245,51 +251,44 @@ def price_single_edge(
     else:
         second = np.full((K, n), np.inf)
         first = G[:, 0] if columns.shape[1] else second
-    now = first + 1.0
-    now[ks, u] = 0.0
-    current = _aggregate(now, mode)
 
-    # the bases: with the buys first every neighbour, then per source v
-    # every neighbour but v (the second minimum where v attains the first)
+    # the bases: every neighbour (the buys' base, and the neighbourhood
+    # now), then per source v every neighbour but v (the second minimum
+    # where v attains the first)
     if sources is not None:
-        columns, real = _ascending(sources, pad)
+        columns, real = _ascending(sources, u)
         G = table[columns + offset]
-    bases = np.where(G == first[:, None, :], second[:, None, :], first[:, None, :])
-    lead = int(terms is not None)
-    if lead:
-        bases = np.concatenate([first[:, None, :], bases], axis=1)
+    first = first[:, None, :]
+    bases = np.concatenate([first, np.where(G == first, second[:, None, :], first)], axis=1)
     bases += 1.0
     # a zero at u stays zero under every minimum below
     bases[ks, :, u] = 0.0
 
-    R = bases.shape[1]
-    if R:
-        candidates = ~nbr
-        candidates[ks, u] = False
-        if host is not None:
-            candidates &= host[u]
-        adds, addable = _ascending(candidates, pad)
-    else:  # nothing to drop and no buys: no deviation at all
-        adds, addable = np.empty((K, 0), dtype=np.int64), np.empty((K, 0), dtype=bool)
-    C = adds.shape[1]
+    candidates = ~nbr
+    candidates[ks, u] = False
+    if host is not None:
+        candidates &= host[u]
+    adds, addable = _ascending(candidates, u)
+    R, C = bases.shape[1], adds.shape[1]
     grid = np.empty((K, R, 1 + C))
     grid[:, :, 0] = _aggregate(bases, mode)
-    if R and C:
+    current = grid[:, 0, 0]
+    # the swap games price no buys: their adding cells start at row 1
+    top = 0 if terms is not None else 1
+    if C and R > top:
         Dc = table[adds + offset]
         Dc += 1.0
-        for r in range(R):
-            grid[:, r, 1:] = _aggregate(np.minimum(bases[:, r, None, :], Dc), mode)
+        grid[:, top:, 1:] = _aggregate(np.minimum(bases[:, top:, None, :], Dc[:, None]), mode)
     valid = np.zeros((K, R, 1 + C), dtype=bool)
-    valid[:, lead:, 1:] = real[:, :, None] & addable[:, None, :]
-    if lead:
-        terms = np.asarray(terms, dtype=float)
-        grid[:, 0, 1:] += terms[:, 0, None]
-        grid[:, 1:, 1:] += terms[:, 1, None, None]
+    valid[:, 1:, 1:] = real[:, :, None] & addable[:, None, :]
+    if terms is not None:  # the buys and the deletes, with edge costs
+        grid[:, :, 1:] += terms[:, [0] + [1] * (R - 1), None]
         grid[:, 1:, 0] += terms[:, 2, None]
         valid[:, 0, 1:] = addable
         valid[:, 1:, 0] = real
     cells = np.flatnonzero(valid)
     if cells.size:
         _EVAL_BATCHES.inc()
-    starts = np.searchsorted(cells, ks * (R * (1 + C))).tolist() + [cells.size]
-    return SingleEdgeBlock(current, grid.ravel()[cells], cells, columns, adds, lead, starts)
+    starts = ([0, cells.size] if K == 1
+              else np.searchsorted(cells, np.arange(K + 1) * (R * (1 + C))).tolist())
+    return SingleEdgeBlock(current, grid.ravel()[cells], cells, columns, adds, starts)

@@ -12,11 +12,10 @@ The central API:
 * :meth:`Game.best_responses_block` / :meth:`Game.improving_moves_block`
   — the same for many ``(network, agent)`` pairs at once
 
-The games whose moves change one edge (SG, ASG, GBG, coop) price a
-block of many pairs in one numpy pass over their stacked ``D(G - u)``
-(:func:`~repro.core.best_response.price_single_edge`); a single pair,
-as every scan asks, is priced by the game's per-agent enumeration,
-whose fixed cost is a fraction of the block pass's.
+The games whose moves change one edge (SG, ASG, GBG, coop) have one
+enumeration, :func:`~repro.core.best_response.price_single_edge`, which
+prices a block of pairs in one numpy pass over their stacked
+``D(G - u)``; a single pair, as every scan asks, is its one-pair case.
 
 Host graphs (Corollaries 3.6 and 4.2) restrict which edges may ever be
 created: a move is admissible only if every edge it creates is an edge
@@ -42,6 +41,7 @@ strict comparisons use ``EPS = 1e-9``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -190,22 +190,33 @@ def _collect_best_rows(
     improve on their cost now.
     """
     K = len(agents)
-    counts = np.diff(starts)
-    g = np.full(K, np.inf)
-    if len(costs):
+    if K == 1:  # one row: a plain minimum
+        g = np.minimum.reduce(costs, initial=np.inf)[None]
+    else:
+        counts = np.diff(starts)
+        g = np.full(K, np.inf)
         filled = counts > 0
-        g[filled] = np.minimum.reduceat(costs, np.asarray(starts[:-1])[filled])
+        if filled.any():
+            g[filled] = np.minimum.reduceat(costs, np.asarray(starts[:-1])[filled])
     improving = (g < np.asarray(costs_before, dtype=float) - EPS).tolist()
     if not any(improving):
         return [BestResponse(agent, before, before, [])
                 for agent, before in zip(agents, costs_before)]
-    g_row = np.repeat(g, counts)
-    hit = costs == g_row
-    near = np.zeros(K, dtype=bool)
-    near[np.repeat(np.arange(K), counts)[(costs <= g_row + 2 * EPS) > hit]] = True
-    hits = np.flatnonzero(hit)
-    bounds = np.searchsorted(hits, starts).tolist()
-    hits, g, near, starts = hits.tolist(), g.tolist(), near.tolist(), list(starts)
+    # per row: whether it has a near-tie, and its entries costing g
+    if K == 1:
+        hit = costs == g[0]
+        near = [bool(((costs <= g[0] + 2 * EPS) > hit).any())]
+        hits = np.flatnonzero(hit).tolist()
+        bounds = [0, len(hits)]
+    else:
+        row = np.repeat(np.arange(K), counts)
+        g_row = g[row]
+        hit = costs == g_row
+        near = np.zeros(K, dtype=bool)
+        near[row[(costs <= g_row + 2 * EPS) > hit]] = True
+        near, hits = near.tolist(), np.flatnonzero(hit)
+        bounds, hits = np.searchsorted(hits, starts).tolist(), hits.tolist()
+    g, starts = g.tolist(), list(starts)
     out = []
     for k, (agent, before) in enumerate(zip(agents, costs_before)):
         if not improving[k]:
@@ -239,39 +250,33 @@ def _improving_rows(
             for a, b in zip(bounds, bounds[1:])]
 
 
+def _stream(
+    batches: Iterable[Tuple[np.ndarray, Callable[[int], Move]]]
+) -> Tuple[np.ndarray, Callable[[int], Move]]:
+    """The ``(costs, make_move)`` batches read as one stream: the
+    concatenated costs and a factory for the move of one position."""
+    parts = [(costs, make) for costs, make in batches if costs.size]
+    if len(parts) == 1:
+        return parts[0]
+    bounds = np.cumsum([0] + [c.size for c, _ in parts]).tolist()
+
+    def make(e: int) -> Move:
+        b = bisect.bisect_right(bounds, e) - 1
+        return parts[b][1](e - bounds[b])
+
+    return np.concatenate([np.empty(0)] + [c for c, _ in parts]), make
+
+
 def _collect_best_batches(
     agent: int,
     cost_before: float,
     batches: Iterable[Tuple[np.ndarray, "Callable"]],
 ) -> BestResponse:
-    """Batched, semantics-identical variant of :func:`_collect_best`.
-
-    ``batches`` yields ``(costs, make_move)`` pairs: a float cost array
-    and a factory building the :class:`Move` for one index; the arrays
-    are read as one concatenated stream.  Let ``g`` be its minimum.
-    Unless some cost lies in ``(g, g + 2*EPS]``, the sequential rule
-    keeps exactly the indices costing ``g`` — the first of them resets
-    the running best, the others tie it, and every other cost is more
-    than ``EPS`` above it — so they are the answer, found without a
-    Python loop, and moves are built only for them.  Near-ties at
-    ``EPS`` scale hand the stream to :func:`_collect_best`.
-    """
-    parts = [(costs, make) for costs, make in batches if costs.size]
-    if not parts:
-        return BestResponse(agent, cost_before, cost_before, [])
-    costs = np.concatenate([c for c, _ in parts])
-    g = float(costs.min())
-    if g >= cost_before - EPS:
-        return BestResponse(agent, cost_before, cost_before, [])
-    if ((costs > g) & (costs <= g + 2 * EPS)).any():
-        return _collect_best(agent, cost_before, _flatten(parts))
-    starts = np.cumsum([0] + [c.size for c, _ in parts])
-    moves = []
-    for pos in np.flatnonzero(costs == g).tolist():
-        b = int(np.searchsorted(starts, pos, side="right")) - 1
-        moves.append(parts[b][1](pos - int(starts[b])))
-    moves.sort(key=lambda m: (_op_rank(m), _move_sort_key(m)))
-    return BestResponse(agent, cost_before, g, moves)
+    """:func:`_collect_best_rows` of one agent whose cost stream comes
+    as ``(costs, make_move)`` batches: a float cost array and a factory
+    building the :class:`Move` for one index, read in order."""
+    costs, make = _stream(batches)
+    return _collect_best_rows([agent], [cost_before], costs, [0, costs.size], make)[0]
 
 
 def _flatten(batches: Iterable[Tuple[np.ndarray, "Callable"]]) -> Iterator[Tuple[Move, float]]:
@@ -282,20 +287,12 @@ def _flatten(batches: Iterable[Tuple[np.ndarray, "Callable"]]) -> Iterator[Tuple
 
 
 def _improving(
-    cur: float,
-    batches: Iterable[Tuple[np.ndarray, "Callable"]],
-    first: bool = False,
+    cur: float, batches: Iterable[Tuple[np.ndarray, "Callable"]]
 ) -> List[Tuple[Move, float]]:
-    """``(move, cost)`` for every entry of the stream costing less than
-    ``cur - EPS``, in stream order, building moves only for those;
-    ``first`` stops at the first one (an unhappiness test)."""
-    out = []
-    for costs, make in batches:
-        for i in np.flatnonzero(costs < cur - EPS).tolist():
-            out.append((make(i), float(costs[i])))
-            if first:
-                return out
-    return out
+    """:func:`_improving_rows` of one cost stream given as batches (see
+    :func:`_collect_best_batches`), whose cost now is ``cur``."""
+    costs, make = _stream(batches)
+    return _improving_rows([cur], costs, [0, costs.size], make)[0]
 
 
 class _EdgeRows:
@@ -417,12 +414,14 @@ class Game:
         self, requests: Iterable[Tuple[Network, int]], backend: DistanceBackend
     ) -> Iterator[List[DeviationEvaluator]]:
         """Evaluators of the ``(network, agent)`` requests, in order, cut
-        into blocks on one ``n`` of at most ``incremental._PASS_ENTRIES
-        // n³`` pairs: a pair has fewer than ``n²`` single-edge
-        deviations, each priced as a row of ``n`` entries."""
+        into blocks on one ``n`` of at most :data:`SCAN_BLOCK_CAP` pairs,
+        and fewer where their pricing would outgrow a packed pass: a pair
+        has fewer than ``n²`` single-edge deviations, each priced as a
+        row of ``n`` entries, so a block holds at most
+        ``incremental._PASS_ENTRIES // n³`` pairs (at least one)."""
         block: List[DeviationEvaluator] = []
         for net, u in requests:
-            if block and (net.n != block[0].n
+            if block and (net.n != block[0].n or len(block) >= SCAN_BLOCK_CAP
                           or len(block) * net.n ** 3 >= incremental._PASS_ENTRIES):
                 yield block
                 block = []
@@ -467,12 +466,11 @@ class Game:
 
     def _rows(self, evaluators: List[DeviationEvaluator], greedy: bool) -> Optional[_EdgeRows]:
         """The block enumeration of the move set (``greedy``: of the
-        single-edge deviations), or ``None`` where the pairs are priced
-        one at a time by :meth:`_scored_batches`: a game without a
-        block enumeration, or a single pair, which the per-agent
-        enumeration prices with a fraction of the block pass's fixed
-        numpy work (a scan's every call)."""
-        if len(evaluators) > 1 and (greedy or self.moves_are_greedy()):
+        single-edge deviations), or ``None`` where the move set is not
+        single-edge and the pairs are priced one at a time by
+        :meth:`_scored_batches` (BG best responses, multi-swap SG, the
+        bilateral game)."""
+        if greedy or self.moves_are_greedy():
             return self._single_edge_rows(evaluators)
         return None
 
@@ -482,9 +480,10 @@ class Game:
         """Every admissible move of the evaluator's agent with its cost
         after it, as ``(costs, make_move)`` batches: a float cost array
         and a factory building the :class:`Move` for one index.  Read in
-        order, the batches are the game's canonical move order, the same
-        as :meth:`_single_edge_rows` gives for the pair."""
-        raise NotImplementedError
+        order, the batches are the game's canonical move order.  Here:
+        the one-pair case of :meth:`_single_edge_rows`."""
+        rows = self._single_edge_rows([evaluator])
+        yield rows.block.costs, rows.move
 
     def _greedy_batches(
         self, evaluator: DeviationEvaluator, backend: DistanceBackend
@@ -494,50 +493,60 @@ class Game:
         move set).  For the bilateral game the underlying move set
         already applies the consent check, so greedy moves there are the
         feasible improving single-edge changes."""
+        rows = self._rows([evaluator], greedy=True)
+        if rows is not None:
+            yield rows.block.costs, rows.move
+            return
         net = evaluator.net
         for costs, make in self._scored_batches(evaluator, backend):
-            if not self.moves_are_greedy():
-                keep = [i for i in range(costs.size) if _is_single_edge_change(net, make(i))]
-                costs, make = costs[keep], (lambda j, keep=keep, make=make: make(keep[j]))
-            yield costs, make
+            keep = [i for i in range(costs.size) if _is_single_edge_change(net, make(i))]
+            yield costs[keep], (lambda j, keep=keep, make=make: make(keep[j]))
 
     def best_responses_block(
         self, requests: Iterable[Tuple[Network, int]], backend: Optional[DistanceBackend] = None
-    ) -> List[BestResponse]:
+    ) -> Iterator[BestResponse]:
         """The :meth:`best_responses` of every ``(network, agent)`` request,
-        in order.  The games with a single-edge block enumeration price a
-        whole block of requests in one pass; the others loop over their
-        per-agent enumeration."""
+        in order, priced lazily a block at a time: a caller reading them
+        in order holds one block's answers.  The single-edge games price
+        a block in one pass; the others loop over their per-agent
+        enumeration."""
         backend = resolve_backend(backend)
-        out: List[BestResponse] = []
         for evaluators in self._evaluator_blocks(requests, backend):
-            rows = self._rows(evaluators, greedy=False)
-            if rows is not None:
-                out.extend(rows.best_responses())
-                continue
-            out.extend(_collect_best_batches(ev.u, self._cost(ev), self._scored_batches(ev, backend))
-                       for ev in evaluators)
-        return out
+            yield from self._best_of(evaluators, backend)
 
     def improving_moves_block(
         self,
         requests: Iterable[Tuple[Network, int]],
         backend: Optional[DistanceBackend] = None,
         greedy: bool = False,
-    ) -> List[List[Tuple[Move, float]]]:
+    ) -> Iterator[List[Tuple[Move, float]]]:
         """The :meth:`improving_moves` (``greedy``: the
         :meth:`greedy_improving_moves`) of every ``(network, agent)``
         request, in order, block-priced like :meth:`best_responses_block`."""
         backend = resolve_backend(backend)
-        batches = self._greedy_batches if greedy else self._scored_batches
-        out: List[List[Tuple[Move, float]]] = []
         for evaluators in self._evaluator_blocks(requests, backend):
-            rows = self._rows(evaluators, greedy)
-            if rows is not None:
-                out.extend(rows.improving())
-                continue
-            out.extend(_improving(self._cost(ev), batches(ev, backend)) for ev in evaluators)
-        return out
+            yield from self._improving_of(evaluators, backend, greedy)
+
+    def _best_of(
+        self, evaluators: List[DeviationEvaluator], backend: DistanceBackend
+    ) -> List[BestResponse]:
+        """The best responses of one block of pairs."""
+        rows = self._rows(evaluators, greedy=False)
+        if rows is not None:
+            return rows.best_responses()
+        return [_collect_best_batches(ev.u, self._cost(ev), self._scored_batches(ev, backend))
+                for ev in evaluators]
+
+    def _improving_of(
+        self, evaluators: List[DeviationEvaluator], backend: DistanceBackend, greedy: bool
+    ) -> List[List[Tuple[Move, float]]]:
+        """The improving (``greedy``: improving single-edge) moves of one
+        block of pairs."""
+        rows = self._rows(evaluators, greedy)
+        if rows is not None:
+            return rows.improving()
+        batches = self._greedy_batches if greedy else self._scored_batches
+        return [_improving(self._cost(ev), batches(ev, backend)) for ev in evaluators]
 
     def _scored_moves(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -580,7 +589,8 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Admissible moves that strictly decrease ``u``'s cost."""
-        return self.improving_moves_block([(net, u)], backend)[0]
+        backend = resolve_backend(backend)
+        return self._improving_of([self._evaluator(net, u, backend)], backend, greedy=False)[0]
 
     def best_responses(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -591,7 +601,7 @@ class Game:
         cached = backend.cached_best_response(self, net, u)
         if cached is not None:
             return cached
-        br = self.best_responses_block([(net, u)], backend)[0]
+        br = self._best_of([self._evaluator(net, u, backend)], backend)[0]
         backend.store_best_response(self, net, u, br)
         return br
 
@@ -638,7 +648,8 @@ class Game:
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
     ) -> List[Tuple[Move, float]]:
         """Greedy deviations that strictly decrease ``u``'s cost."""
-        return self.improving_moves_block([(net, u)], backend, greedy=True)[0]
+        backend = resolve_backend(backend)
+        return self._improving_of([self._evaluator(net, u, backend)], backend, greedy=True)[0]
 
     def is_greedy_unhappy(
         self, net: Network, u: int, backend: Optional[DistanceBackend] = None
@@ -646,15 +657,16 @@ class Game:
         """Whether ``u`` has at least one improving greedy deviation."""
         backend = resolve_backend(backend)
         evaluator = self._evaluator(net, u, backend)
-        return bool(_improving(self._cost(evaluator),
-                               self._greedy_batches(evaluator, backend), first=True))
+        cur = self._cost(evaluator)
+        return any(bool((costs < cur - EPS).any())
+                   for costs, _ in self._greedy_batches(evaluator, backend))
 
     def greedy_unhappy_agents(
         self, net: Network, backend: Optional[DistanceBackend] = None
     ) -> List[int]:
         """Agents with at least one improving greedy deviation."""
-        moves = self.improving_moves_block([(net, u) for u in range(net.n)], backend, greedy=True)
-        return [u for u in range(net.n) if moves[u]]
+        backend = resolve_backend(backend)
+        return [u for u in range(net.n) if self.is_greedy_unhappy(net, u, backend=backend)]
 
     def is_greedy_stable(
         self, net: Network, backend: Optional[DistanceBackend] = None
@@ -722,24 +734,15 @@ class SwapGame(Game):
                          [self.edge_rule(ev.net, ev.u, self.alpha) for ev in evaluators])
 
     def _scored_batches(self, evaluator, backend):
-        """Every single swap in one batch (a row of candidates per movable
-        edge, all priced in one pass), then the multi-swaps."""
-        net, u = evaluator.net, evaluator.u
-        nbrs = net.neighbors(u)
-        allowed = self._allowed_targets(net, u)
-        allowed[nbrs] = False  # cannot swap onto an existing neighbour
-        candidates = np.flatnonzero(allowed)
-        if candidates.size == 0:
-            return
-        cand_list = candidates.tolist()
-        c = len(cand_list)
-        sources = self._swap_sources(net, u).tolist()
-        if sources:
-            bases = np.stack([evaluator.base_vector(nbrs[nbrs != v]) for v in sources])
-            yield (evaluator.batch_costs(bases, candidates).ravel(),
-                   lambda i: Swap(u, sources[i // c], cand_list[i % c]))
+        """Every single swap in one batch (:meth:`_single_edge_rows` of
+        the pair), then the multi-swaps."""
+        yield from super()._scored_batches(evaluator, backend)
         if self.max_swaps > 1:
-            yield self._multi_swap_batch(net, u, evaluator, sources, cand_list)
+            net, u = evaluator.net, evaluator.u
+            allowed = self._allowed_targets(net, u)
+            allowed[net.neighbors(u)] = False  # cannot swap onto an existing neighbour
+            yield self._multi_swap_batch(net, u, evaluator, self._swap_sources(net, u).tolist(),
+                                         np.flatnonzero(allowed).tolist())
 
     def _multi_swap_batch(self, net: Network, u: int, evaluator, sources, pool):
         """Strategy changes replacing 2..max_swaps movable edges at once.
@@ -828,35 +831,6 @@ class GreedyBuyGame(Game):
         # a swap keeps the edge count: its term is the edge cost now
         return _EdgeRows(evaluators, block, terms[:, 1])
 
-    def _scored_batches(self, evaluator, backend):
-        """The whole move set as one batch — the buys, then per owned
-        edge its delete and its swaps — priced by one 3-D pass over
-        ``D(G - u)[candidates]``."""
-        net, u = evaluator.net, evaluator.u
-        nbrs = net.neighbors(u)
-        owned = net.owned_targets(u).tolist()
-        allowed = self._allowed_targets(net, u)
-        allowed[nbrs] = False
-        candidates = np.flatnonzero(allowed)
-        cand_list = candidates.tolist()
-        c = len(cand_list)
-        buy_edge, swap_edge, delete_edge = self._edge_terms(net, u, len(owned))
-        # base 0 keeps every neighbour (buys); base 1 + j drops owned[j]
-        bases = np.stack([evaluator.base_vector(nbrs)]
-                         + [evaluator.base_vector(nbrs[nbrs != v]) for v in owned])
-        costs = evaluator.batch_costs(bases, candidates)
-        rows = np.empty((len(owned), 1 + c))
-        rows[:, 0] = delete_edge + evaluator.cost_of_base(bases[1:])
-        rows[:, 1:] = swap_edge + costs[1:]
-
-        def make_move(i):
-            if i < c:
-                return Buy(u, cand_list[i])
-            j, r = divmod(i - c, 1 + c)
-            return Delete(u, owned[j]) if r == 0 else Swap(u, owned[j], cand_list[r - 1])
-
-        yield np.concatenate([buy_edge + costs[0], rows.ravel()]), make_move
-
 
 class CooperativeBuyGame(GreedyBuyGame):
     """Cooperative cost-sharing NCG in the greedy move model.
@@ -928,7 +902,6 @@ class BuyGame(Game):
     # keeps greedy stability decidable past ``max_enumeration_agents``
     _edge_terms = GreedyBuyGame._edge_terms
     _single_edge_rows = GreedyBuyGame._single_edge_rows
-    _greedy_batches = GreedyBuyGame._scored_batches
 
     def _scored_batches(self, evaluator, backend):
         """Every owned-target set other than the current one, as one batch

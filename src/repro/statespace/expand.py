@@ -26,20 +26,24 @@ smallest-index unhappy agent (that policy's deterministic process).
 
 The explorer expands each state once, so no best response is reused
 across states.  :meth:`Expander.agent_answers` prices every agent of a
-whole chunk of states in one block call of the game
+whole chunk of states with one block call of the game
 (:meth:`~repro.core.games.Game.best_responses_block` or
 :meth:`~repro.core.games.Game.improving_moves_block`), over the
 ``D(G - u)`` of the packed pass the explorer announced for the chunk
-(``statespace.explore._expand_states``); each state's moves then serve
-both its unhappy test and its transitions.  Best responses reach the
-transitions through :meth:`~repro.core.games.Game.best_responses` and
-the backend's per-state memo, so the block pass is a prefetch.
+(``statespace.explore._expand_states``).  The call is lazy: it prices
+a block of at most ``SCAN_BLOCK_CAP`` pairs at a time as the states are
+expanded, so the chunk never holds more than one block's answers.  Each
+state's moves then serve both its unhappy test and its transitions.
+Best responses reach the transitions through
+:meth:`~repro.core.games.Game.best_responses` and the backend's
+per-state memo, so the block pass is a prefetch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.games import EPS, Game
 from ..core.moves import Move, move_to_dict
@@ -127,22 +131,20 @@ class Expander:
         return state_key(net, with_ownership=self.with_ownership)
 
     # -- moves -------------------------------------------------------------
-    def agent_answers(self, nets: Sequence[Network]) -> List[list]:
+    def agent_answers(self, nets: Sequence[Network]) -> Iterator[list]:
         """Per network, per agent, the moveset's answer — a
         :class:`~repro.core.games.BestResponse` for ``"best"``, else the
         ``(move, cost)`` list — with every agent of every network priced
-        in one block call of the game."""
-        requests = [(net, u) for net in nets for u in range(net.n)]
+        by one block call of the game.  Lazy: the answers are priced a
+        block at a time as the networks are read."""
+        requests = ((net, u) for net in nets for u in range(net.n))
         if self.moves == "best":
             flat = self.game.best_responses_block(requests, self.backend)
         else:
             flat = self.game.improving_moves_block(
                 requests, self.backend, greedy=self.moves == "greedy")
-        out, start = [], 0
         for net in nets:
-            out.append(flat[start:start + net.n])
-            start += net.n
-        return out
+            yield list(itertools.islice(flat, net.n))
 
     def _agent_moves(self, net: Network, answers: list) -> List[List[Move]]:
         """Every agent's moves in ``net``, from its priced answers.
@@ -151,6 +153,10 @@ class Expander:
         query every run makes, with the answers handed to the backend's
         per-state memo first: the block pass is a prefetch, and a
         backend that keeps no memo prices each agent again on its own.
+        The round trip serves only the benchmark tracer, which times
+        ``Game.best_responses`` and the memo's calls but not the block
+        entry points; once it wraps those, or the memo goes, read
+        ``[br.moves for br in answers]`` directly.
         """
         if self.moves != "best":
             return [[m for m, _ in scored] for scored in answers]
@@ -192,7 +198,7 @@ class Expander:
         :meth:`agent_answers`).
         """
         if answers is None:
-            answers = self.agent_answers([net])[0]
+            answers = next(self.agent_answers([net]))
         moves = self._agent_moves(net, answers)
         unhappy = [u for u in range(net.n) if moves[u]]
         out: List[Tuple[Transition, Network]] = []

@@ -7,14 +7,16 @@ connected state at n = 4 (and the SG's at n = 5) is priced that way and
 checked against :mod:`tests.reference`, which rebuilds each post-move
 network by hand and prices it with its own BFS: the cost before, the
 best cost, the tie set and its order, and the improving moves in
-stream order.  A many-pair block must also answer exactly what the
-one-pair calls, which enumerate per agent, answer pair by pair.
+stream order.  A many-pair block, whose pairs are padded to a common
+grid, must also answer exactly what the one-pair calls, which index
+their own ``D(G - u)`` unpadded, answer pair by pair.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.games import (
+    SCAN_BLOCK_CAP,
     AsymmetricSwapGame,
     BuyGame,
     CooperativeBuyGame,
@@ -71,8 +73,8 @@ def _check_against_reference(game, states, greedy=False):
     nets = [_network(s) for s in states]
     requests = [(net, u) for net in nets for u in range(net.n)]
     pairs = [(state, u) for state in states for u in range(state.n)]
-    improving = game.improving_moves_block(requests, greedy=greedy)
-    brs = None if greedy else game.best_responses_block(requests)
+    improving = list(game.improving_moves_block(requests, greedy=greedy))
+    brs = None if greedy else list(game.best_responses_block(requests))
     for i, (state, u) in enumerate(pairs):
         before = ref.cost(state, u)
         scored = ref.scored(state, u, greedy=greedy)
@@ -120,9 +122,13 @@ def test_small_blocks_answer_the_same(game, entries, states4, monkeypatch):
     """Blocks of two or of three pairs answer what one block of all does."""
     nets = [_network(s) for s in _states(game, states4)[::5]]
     requests = [(net, u) for net in nets for u in range(net.n)]
-    whole = game.best_responses_block(requests), game.improving_moves_block(requests)
+    def answers():
+        return (list(game.best_responses_block(requests)),
+                list(game.improving_moves_block(requests)))
+
+    whole = answers()
     monkeypatch.setattr(incremental, "_PASS_ENTRIES", entries)
-    assert (game.best_responses_block(requests), game.improving_moves_block(requests)) == whole
+    assert answers() == whole
 
 
 def _builds():
@@ -143,3 +149,18 @@ def test_one_evaluator_build_per_priced_pair(monkeypatch):
         game.best_responses(net, 0)
         game.improving_moves(net, 1)
         assert _builds() - before == 2
+
+
+def test_block_answers_are_priced_a_block_at_a_time(monkeypatch):
+    """The block entry points are lazy: reading the first answer prices
+    one block of ``SCAN_BLOCK_CAP`` pairs, not every request."""
+    monkeypatch.setattr(obs_metrics.DEFAULT, "enabled", True)
+    nets = [_network(s) for s in list(enumerate_states(5, False))[:20]]
+    requests = [(net, u) for net in nets for u in range(net.n)]
+    for answers in (SwapGame("sum").best_responses_block(requests),
+                    GreedyBuyGame("sum", 1.0).improving_moves_block(requests)):
+        before = _builds()
+        next(answers)
+        assert _builds() - before == SCAN_BLOCK_CAP
+        assert len(list(answers)) == len(requests) - 1
+        assert _builds() - before == len(requests)
