@@ -8,10 +8,10 @@ negative results runs in seconds.
 
 import pytest
 
-from repro.core.classify import classify_reachable
 from repro.instances.figures import ALL_INSTANCES
 from repro.instances.host_graphs import fig3_host_instance, fig9_host_instance
 from repro.instances.verify import verify_instance
+from repro.statespace import classify_reachable
 
 from conftest import save_summary
 

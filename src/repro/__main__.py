@@ -648,8 +648,8 @@ def cmd_fsck(args) -> int:
 
 def cmd_classify(args) -> int:
     """``repro classify``: reachable-dynamics classification of instances."""
-    from .core.classify import classify_reachable
     from .instances.figures import ALL_INSTANCES
+    from .statespace import classify_reachable
 
     names = args.figures or ["fig3"]
     for name in names:

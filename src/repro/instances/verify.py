@@ -26,24 +26,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.games import EPS, AsymmetricSwapGame, BilateralGame, Game, SwapGame
+from ..core.games import EPS, BilateralGame, Game
 from ..core.moves import Move
 from ..core.network import Network
 from ..graphs import adjacency as adj
-
-
-def _ownership_matters(game: Game) -> bool:
-    """Whether two states with the same topology but different ownership
-    should be considered distinct for this game type.
-
-    Ownership is part of the strategy profile in the asymmetric games
-    (ASG/GBG/BG) but meaningless in the SG (either endpoint may swap) and
-    in the bilateral game (both endpoints pay)."""
-    if isinstance(game, AsymmetricSwapGame):
-        return True
-    if isinstance(game, SwapGame) or isinstance(game, BilateralGame):
-        return False
-    return True
+from ..statespace.expand import ownership_matters
 
 __all__ = [
     "CycleReport",
@@ -119,7 +106,7 @@ def verify_cycle(
             )
         improvements.append(before - after)
         net = work
-    own = _ownership_matters(game)
+    own = ownership_matters(game)
     if close == "exact":
         if net.state_key(with_ownership=own) != initial.state_key(with_ownership=own):
             failures.append("cycle does not return to the initial state")
@@ -252,7 +239,7 @@ def verify_not_weakly_acyclic(
     from these states.
     """
     failures: List[str] = []
-    own = _ownership_matters(game)
+    own = ownership_matters(game)
     states = list(cycle_states)
     if len(states) >= 2 and states[0].state_key(own) == states[-1].state_key(own):
         states = states[:-1]

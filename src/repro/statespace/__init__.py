@@ -9,7 +9,9 @@ transition system over network configurations:
   through any :class:`~repro.graphs.incremental.DistanceBackend`;
 * :mod:`.explore` — sharded, resumable frontier BFS + Tarjan SCC into
   an :class:`~repro.statespace.explore.ExplorationReport` (equilibria,
-  best-response cycles, basin sizes, longest improving path);
+  best-response cycles, basin sizes, longest improving path); the
+  dynamics classification (:func:`~repro.statespace.explore.classify_reachable`,
+  FIPG/WAG/BR-WAG on a reachable component) reads the same traversal;
 * :mod:`.store` — kill-safe JSONL persistence in the campaign-store
   format.
 
@@ -35,9 +37,11 @@ __all__ = [
     "Transition",
     "ResponseGraph",
     "ExplorationReport",
+    "ClassificationReport",
     "ExplorationStore",
     "enumerate_states",
     "explore",
+    "classify_reachable",
     "verify_sinks",
 ]
 
@@ -46,9 +50,11 @@ _LAZY = {
     "Transition": ("repro.statespace.expand", "Transition"),
     "ResponseGraph": ("repro.statespace.explore", "ResponseGraph"),
     "ExplorationReport": ("repro.statespace.explore", "ExplorationReport"),
+    "ClassificationReport": ("repro.statespace.explore", "ClassificationReport"),
     "ExplorationStore": ("repro.statespace.store", "ExplorationStore"),
     "enumerate_states": ("repro.statespace.explore", "enumerate_states"),
     "explore": ("repro.statespace.explore", "explore"),
+    "classify_reachable": ("repro.statespace.explore", "classify_reachable"),
     "verify_sinks": ("repro.statespace.explore", "verify_sinks"),
 }
 

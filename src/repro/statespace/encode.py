@@ -13,9 +13,9 @@ every consumer shares:
 * :func:`state_key` — a fixed-size (16-byte) blake2b content digest of
   the packed payload plus the state notion and ``n``.  This is **the**
   canonical hashable state identity: the dynamics engine's cycle
-  detector, :func:`repro.analysis.trajectories.annotate_cycle`, the
-  classifier and the statespace explorer all key visited-state sets with
-  it, so the notion of "same state" can never drift between subsystems.
+  detector, :func:`repro.analysis.trajectories.annotate_cycle` and the
+  statespace explorer (which the classifier reads) all key visited-state
+  sets with it, so the notion of "same state" can never drift between subsystems.
 * :func:`encode_state` / :func:`decode_state` — a lossless serialisable
   blob (``n`` header + packed ownership rows; adjacency is implied by
   ``A = O | O^T``), used by the exploration store to persist frontiers

@@ -45,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..core.games import EPS, Game
+from ..core.games import EPS, AsymmetricSwapGame, BilateralGame, Game, SwapGame
 from ..core.moves import Move, move_to_dict
 from ..core.network import Network
 from ..graphs.incremental import DistanceBackend, resolve_backend
@@ -64,12 +64,15 @@ AGENT_FILTERS = ("all", "maxcost", "first_unhappy")
 
 
 def ownership_matters(game: Game) -> bool:
-    """The state notion of a game (see ``instances.verify``): ownership
-    is part of the strategy profile in the asymmetric games, meaningless
-    in the SG and the bilateral game."""
-    from ..instances.verify import _ownership_matters
+    """The state notion of a game: whether two states with the same
+    topology but different ownership are distinct.
 
-    return _ownership_matters(game)
+    Ownership is part of the strategy profile in the asymmetric games
+    (ASG/GBG/BG) but meaningless in the SG (either endpoint may swap)
+    and in the bilateral game (both endpoints pay)."""
+    if isinstance(game, AsymmetricSwapGame):
+        return True
+    return not isinstance(game, (SwapGame, BilateralGame))
 
 
 @dataclass(frozen=True)

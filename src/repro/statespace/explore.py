@@ -19,6 +19,11 @@ through it.  :func:`explore` builds the transition system explicitly:
   cycle), per-equilibrium basin sizes, and the longest improving path
   (exact adversarial convergence time on acyclic components).
 
+The traversal (seeding, store replay, the frontier BFS) has two
+readers: :func:`explore` builds the census report from its graph, and
+:func:`classify_reachable` reads the paper's Section 1.2 dynamics
+classes (FIPG, WAG, BR-WAG) off the same graph.
+
 Exploration is **kill-safe and shardable**: with a ``store`` the
 frontier BFS appends one record per expanded state to the campaign-store
 JSONL format (:mod:`.store`), so a killed run resumes with zero
@@ -49,7 +54,7 @@ from ..graphs.incremental import DistanceBackend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from .encode import decode_state, encode_state
-from .expand import AGENT_FILTERS, MOVESETS, Expander, ownership_matters
+from .expand import Expander
 from .store import ExplorationStore, manifest_for
 
 # frontier telemetry: one gauge write + one span per BFS layer, one
@@ -65,8 +70,10 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "ResponseGraph",
     "ExplorationReport",
+    "ClassificationReport",
     "enumerate_states",
     "explore",
+    "classify_reachable",
     "verify_sinks",
 ]
 
@@ -185,12 +192,10 @@ class ResponseGraph:
         """Decoded representative network of state ``i``."""
         return decode_state(self.blobs[i])
 
-    def successors(self, i: int) -> List[int]:
-        """Distinct successor indices of an expanded state."""
-        t = self.transitions[i]
-        if t is None:
-            raise ValueError(f"state {i} has not been expanded")
-        return sorted({j for _, _, j in t})
+    def successor_lists(self) -> List[List[int]]:
+        """Sorted distinct successor indices per state (``[]`` while
+        unexpanded)."""
+        return [sorted({j for _, _, j in t}) if t else [] for t in self.transitions]
 
     def sinks(self) -> List[int]:
         """Expanded states with no outgoing transition (equilibria).
@@ -286,6 +291,27 @@ def _longest_path(n: int, succ: List[List[int]]) -> int:
             dist[node] = max(dist[node], 1 + dist[nxt])
         best = max(best, dist[node])
     return best
+
+
+def _predecessors(succ: List[List[int]]) -> List[List[int]]:
+    """The reversed adjacency of ``succ``."""
+    rev: List[List[int]] = [[] for _ in succ]
+    for i, js in enumerate(succ):
+        for j in js:
+            rev[j].append(i)
+    return rev
+
+
+def _reverse_reach(rev: List[List[int]], sources: Sequence[int]) -> set:
+    """States that can reach any of ``sources`` (themselves included)."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for j in rev[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
 
 
 def _witness_cycle(
@@ -498,11 +524,7 @@ def build_report(
     game_name: Optional[str] = None,
 ) -> ExplorationReport:
     """Analyse an explored graph into its census report."""
-    expanded = [i for i, t in enumerate(graph.transitions) if t is not None]
-    succ: List[List[int]] = [
-        (graph.successors(i) if graph.transitions[i] is not None else [])
-        for i in range(graph.n_states)
-    ]
+    succ = graph.successor_lists()
     sinks = graph.sinks()
     keys = graph.keys
 
@@ -519,22 +541,9 @@ def build_report(
         key=lambda c: c["states"][0],
     )
 
-    # basin of an equilibrium: states that can reach it (reverse BFS)
-    rev: List[List[int]] = [[] for _ in range(graph.n_states)]
-    for i in expanded:
-        for j in succ[i]:
-            rev[j].append(i)
-    basin_sizes: Dict[str, int] = {}
-    for s in sinks:
-        seen = {s}
-        stack = [s]
-        while stack:
-            i = stack.pop()
-            for j in rev[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        basin_sizes[keys[s].hex()] = len(seen)
+    # basin of an equilibrium: states that can reach it
+    rev = _predecessors(succ)
+    basin_sizes = {keys[s].hex(): len(_reverse_reach(rev, [s])) for s in sinks}
 
     longest = None if nontrivial else _longest_path(graph.n_states, succ)
 
@@ -674,14 +683,33 @@ def explore(
         among them (1 = serial in-process, keeping one expander and its
         memo).
     """
+    graph = _traverse(
+        game, start, n=n, moves=moves, agent_filter=agent_filter,
+        backend=backend, max_states=max_states, store=store, shard=shard,
+        max_expansions=max_expansions, n_jobs=n_jobs,
+    )
+    size = start.n if start is not None else n
+    return build_report(graph, game, moves, agent_filter, size, game_name=game_name)
+
+
+def _traverse(
+    game: Game,
+    start: Optional[Network] = None,
+    *,
+    n: Optional[int] = None,
+    moves: str,
+    agent_filter: str = "all",
+    backend: Optional[DistanceBackend] = None,
+    max_states: int,
+    store: Union[ExplorationStore, str, None] = None,
+    shard: Tuple[int, int] = (0, 1),
+    max_expansions: Optional[int] = None,
+    n_jobs: int = 1,
+) -> ResponseGraph:
+    """Seed, replay the store and drain the frontier a BFS layer at a
+    time into a :class:`ResponseGraph` (parameters as :func:`explore`)."""
     if (start is None) == (n is None):
         raise ValueError("pass exactly one of start= or n=")
-    if moves not in MOVESETS:
-        raise ValueError(f"moves must be one of {MOVESETS}, got {moves!r}")
-    if agent_filter not in AGENT_FILTERS:
-        raise ValueError(
-            f"agent_filter must be one of {AGENT_FILTERS}, got {agent_filter!r}"
-        )
     i_shard, k_shard = shard
     if not (0 <= i_shard < k_shard):
         raise ValueError(f"shard must satisfy 0 <= i < k, got {i_shard}/{k_shard}")
@@ -689,6 +717,7 @@ def explore(
         raise ValueError("n_jobs > 1 requires backend=None "
                          "(worker processes build their own memo)")
 
+    # validates moves and agent_filter
     expander = Expander(game, moves=moves, agent_filter=agent_filter, backend=backend)
     with_ownership = expander.with_ownership
 
@@ -802,9 +831,72 @@ def explore(
             pool.shutdown()
         if writer is not None:
             writer.close()
+    return graph
 
-    report = build_report(graph, game, moves, agent_filter, size, game_name=game_name)
-    return report
+
+@dataclass
+class ClassificationReport:
+    """Which dynamics classes of the paper's Section 1.2 hold on an
+    explored component.
+
+    The classes nest as ``poly-FIPG ⊂ FIPG ⊂ BR-WAG ⊂ WAG``: FIPG (every
+    improving sequence ends in an equilibrium) is an acyclic response
+    digraph, WAG (weak acyclicity) is a stable state reachable from
+    every state, and BR-WAG is WAG on the best-response digraph.
+    """
+
+    n_states: int
+    n_stable: int
+    has_improvement_cycle: bool
+    #: whether every explored state can reach a stable state
+    weakly_acyclic: bool
+    truncated: bool
+    #: longest improving-move sequence; ``None`` when a cycle makes it unbounded
+    longest_improving_path: Optional[int] = None
+    #: the underlying graph (in-memory only)
+    graph: Optional[ResponseGraph] = field(default=None, repr=False, compare=False)
+
+    @property
+    def fip(self) -> bool:
+        """Finite improvement property on the component."""
+        return not self.has_improvement_cycle
+
+
+def classify_reachable(
+    game: Game,
+    start: Network,
+    max_states: int = 20_000,
+    moves: str = "improving",
+) -> ClassificationReport:
+    """Classify the dynamics on the component reachable from ``start``.
+
+    Reads the traversal's graph directly, skipping the census-only work
+    of :func:`build_report` (witness cycles, basins, the greedy scan).
+    ``weakly_acyclic == False`` on an untruncated exploration certifies
+    the paper's strongest negative claims: no sequence of improving
+    (resp. best-response) moves from ``start`` reaches a stable network.
+    With ``moves="greedy"`` the stable states are greedy equilibria and
+    ``weakly_acyclic`` is greedy weak acyclicity.  A truncated run covers
+    the first ``max_states`` states a breadth-first walk from ``start``
+    discovers; states whose successors the budget dropped never count as
+    stable.  On an acyclic, untruncated component
+    ``longest_improving_path`` is the exact adversarial convergence time
+    from ``start``.
+    """
+    graph = _traverse(game, start, moves=moves, max_states=max_states)
+    succ = graph.successor_lists()
+    sinks = graph.sinks()
+    cyclic = any(len(c) > 1 for c in _tarjan_sccs(graph.n_states, succ))
+    can_reach = _reverse_reach(_predecessors(succ), sinks)
+    return ClassificationReport(
+        n_states=graph.n_states,
+        n_stable=len(sinks),
+        has_improvement_cycle=cyclic,
+        weakly_acyclic=len(can_reach) == graph.n_states,
+        truncated=graph.truncated,
+        longest_improving_path=None if cyclic else _longest_path(graph.n_states, succ),
+        graph=graph,
+    )
 
 
 def verify_sinks(report: ExplorationReport, game: Game) -> None:

@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.classify import classify_reachable
 from repro.core.games import AsymmetricSwapGame, SwapGame
 from repro.core.moves import Swap
 from repro.graphs import adjacency as adj
 from repro.instances.figures import fig2_max_sg_cycle, fig3_sum_asg_cycle
 from repro.instances.verify import verify_cycle, verify_instance, verify_unhappy_sets
+from repro.statespace import classify_reachable
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ reproduction finding (see EXPERIMENTS.md).
 import numpy as np
 import pytest
 
-from repro.core.classify import classify_reachable
 from repro.instances.host_graphs import (
     complete_host_minus,
     cycle_union_host,
@@ -20,6 +19,7 @@ from repro.instances.host_graphs import (
     fig10_host_instance,
 )
 from repro.instances.verify import verify_cycle, verify_unhappy_sets
+from repro.statespace import classify_reachable
 
 
 class TestHostConstruction:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.classify import classify_reachable
 from repro.core.games import AsymmetricSwapGame
 from repro.core.moves import Swap
 from repro.graphs import adjacency as adj

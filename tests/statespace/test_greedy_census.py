@@ -135,7 +135,7 @@ class TestReportRoundTrip:
 
 class TestClassifyGreedy:
     def test_classify_greedy_dynamics(self):
-        from repro.core.classify import classify_reachable
+        from repro.statespace import classify_reachable
         from repro.graphs.generators import path_network
 
         game = BuyGame("sum", alpha=2.0)
