@@ -134,7 +134,7 @@ def bench_compact(root, clock) -> dict:
     """Compact SYNTH_ROWS rows into the pure-python chunk layout."""
     store = _synthetic_store(root)
     with clock:
-        summary = compact_store(store, use_parquet=False)
+        summary = compact_store(store)
     assert summary["rows"] == SYNTH_ROWS, summary["rows"]
     counts = ColumnarStore(root).cells_done(SYNTH_ROWS // SYNTH_CELLS)
     assert counts is not None
@@ -158,7 +158,7 @@ def stdlib_compact(root, clock) -> None:
 
 def bench_columnar_scan(root, clock) -> dict:
     """Stream every compacted row back out (the aggregate read path)."""
-    compact_store(_synthetic_store(root), use_parquet=False, prune=True)
+    compact_store(_synthetic_store(root), prune=True)
     with clock:
         rows = sum(1 for _ in ColumnarStore(root).iter_rows())
     assert rows == SYNTH_ROWS, rows

@@ -86,13 +86,6 @@ from .registry import (
     Registry,
     ScenarioSpec,
 )
-from .service import (
-    JobManager,
-    QuotaPolicy,
-    ReproService,
-    ServiceConfig,
-    ServiceThread,
-)
 from .statespace import (
     Expander,
     ExplorationReport,
@@ -188,3 +181,22 @@ __all__ = [
     "path_network",
     "star_network",
 ]
+
+#: served on first access, so that only programs which use the
+#: simulation service pay for importing it
+_SERVICE_NAMES = frozenset({
+    "JobManager", "QuotaPolicy", "ReproService", "ServiceConfig",
+    "ServiceThread",
+})
+
+
+def __getattr__(name: str):
+    if name not in _SERVICE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import service
+
+    return getattr(service, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _SERVICE_NAMES)

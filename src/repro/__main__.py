@@ -32,8 +32,8 @@ Commands
     count, total, mean, and max wall time per span name.
 ``compact RESULTS_DIR [--prune] [--status]``
     Fold a store's JSONL records into the columnar analytics layout
-    (parquet when pyarrow is available, a pure-python column-chunk
-    format otherwise) so status and aggregation stop re-parsing JSONL.
+    (a pure-python column-chunk format) so status and aggregation stop
+    re-parsing JSONL.
 ``fsck RESULTS_DIR [--repair]``
     Verify the per-record checksums of a store's JSONL files and report
     exactly the damaged lines; ``--repair`` quarantines them under

@@ -141,17 +141,6 @@ class DeviationEvaluator:
             return M.sum(axis=-1)
         return M.max(axis=-1)
 
-    def cost_of_base(self, base: np.ndarray):
-        """Distance-cost of a base vector alone (used for deletions); a
-        ``(k, n)`` stack of bases gives one cost per row."""
-        row = base.copy()
-        row[..., self.u] = 0.0
-        if row.ndim == 2:
-            return row.sum(axis=1) if self.mode is DistanceMode.SUM else row.max(axis=1)
-        if self.n == 1:
-            return 0.0
-        return self.mode.aggregate(row)
-
 
 class SingleEdgeBlock(NamedTuple):
     """The single-edge deviations of a block of ``K`` ``(network, agent)``

@@ -517,7 +517,6 @@ def run_campaign(
     max_steps_factor: int = 50,
     max_new_trials: Optional[int] = None,
     resume: bool = True,
-    aggregate: bool = True,
 ) -> CampaignRun:
     """Run (or continue) a campaign of ``spec`` against the store at
     ``root``.
@@ -532,12 +531,6 @@ def run_campaign(
     records; it never deletes anything (resumability is the default —
     the flag exists so scripted fresh runs fail loudly instead of
     silently absorbing stale results).
-
-    ``aggregate=False`` skips the post-run aggregation pass (the
-    returned :class:`CampaignRun` carries an empty result and progress
-    counters derived from this invocation's own bookkeeping) — fabric
-    workers drain many small work units and must not re-read the whole
-    store after each one.
     """
     i, k = shard
     if not (0 <= i < k):
@@ -589,21 +582,13 @@ def run_campaign(
                         store.append(fh, _trial_row(key, idx, rec))
                         new += 1
 
-    if aggregate:
-        records = list(store.iter_all_records())
-        result = aggregate_records(eff_spec, cells, records, use_trials)
-        done_now = sum(
-            len({t for t in idxs if 0 <= t < use_trials})
-            for key, idxs in store.completed_index(records).items()
-            if key in {c.key for c in cells}
-        )
-    else:
-        # cheap path: `skipped` already counts every in-range completed
-        # trial found on entry (across all shards), so no re-read is
-        # needed — a concurrent writer may have added more since, but a
-        # worker's local report only ever claims its own view
-        result = FigureResult(eff_spec)
-        done_now = skipped + new
+    records = list(store.iter_all_records())
+    result = aggregate_records(eff_spec, cells, records, use_trials)
+    done_now = sum(
+        len({t for t in idxs if 0 <= t < use_trials})
+        for key, idxs in store.completed_index(records).items()
+        if key in {c.key for c in cells}
+    )
     return CampaignRun(
         result=result,
         new_trials=new,

@@ -12,20 +12,14 @@ columnar layout under ``<root>/columnar/``::
       manifest.json        # format, row count, per-chunk layout, a
                            # byte-size snapshot of the source files, and
                            # a pre-computed per-cell completion summary
-      chunk<k>-col<j>.json # fallback format: one column of one chunk
-      records.parquet      # pyarrow format (when pyarrow is installed)
+      chunk<k>-col<j>.json # one column of one chunk
 
-Two formats share the manifest:
-
-* **parquet** — used when ``pyarrow`` is importable.  Every value is
-  stored as a JSON-encoded string column (lossless and schema-stable
-  whatever the rows hold); parquet's dictionary + page compression does
-  the rest.
-* **chunks** — the pure-python fallback: rows are split into chunks of
-  ``chunk_rows``, each chunk stores one JSON file per column, and
-  low-cardinality string columns are dictionary-encoded
-  (``{"dict": [...], "codes": [...]}``).  No dependencies beyond the
-  standard library.
+The layout (manifest ``"format": "chunks"``) splits rows into chunks of
+``chunk_rows``; each chunk stores one JSON file per column, and
+low-cardinality string columns are dictionary-encoded
+(``{"dict": [...], "codes": [...]}``).  No dependencies beyond the
+standard library.  A compaction in any other format (the retired
+``"parquet"`` one) fails to read with :class:`UnsupportedColumnarFormat`.
 
 Freshness is decided by *byte sizes, not content*: the manifest records
 ``{file name: size}`` for every record file at compaction time, and the
@@ -61,6 +55,7 @@ from ..testing.faults import resolve_fs
 __all__ = [
     "COLUMNAR_VERSION",
     "ColumnarStore",
+    "UnsupportedColumnarFormat",
     "compact_store",
     "iter_store_records",
 ]
@@ -78,19 +73,12 @@ DEFAULT_CHUNK_ROWS = 65536
 DICT_MAX = 255
 
 
-def _pyarrow():
-    """The ``pyarrow`` module, or ``None`` when it is not installed."""
-    try:
-        import pyarrow  # noqa: F401  (availability probe)
-        import pyarrow.parquet  # noqa: F401
-
-        return pyarrow
-    except Exception:
-        return None
+class UnsupportedColumnarFormat(ValueError):
+    """A compaction in a format this reader does not speak."""
 
 
 def _encode_column(values: Sequence) -> dict:
-    """One column chunk as its JSON payload (fallback format).
+    """One column chunk as its JSON payload.
 
     All-string (or ``None``) columns with few distinct values are
     dictionary-encoded; everything else is stored verbatim — the values
@@ -199,12 +187,11 @@ class ColumnarStore:
         manifest = self.load_manifest()
         if manifest is None:
             return
-        if manifest["format"] == "parquet":
-            yield from self._iter_parquet()
-        else:
-            yield from self._iter_chunks(manifest)
-
-    def _iter_chunks(self, manifest: dict) -> Iterator[dict]:
+        if manifest["format"] != "chunks":
+            raise UnsupportedColumnarFormat(
+                f"{self.dir} holds a {manifest['format']!r} compaction, "
+                "which this version cannot read; remove it to fall back "
+                "to the JSONL record files")
         for k, chunk in enumerate(manifest["chunks"]):
             columns = chunk["columns"]
             data = []
@@ -216,26 +203,6 @@ class ColumnarStore:
             for values in zip(*data):
                 yield {
                     name: v for name, v in zip(columns, values) if v is not None
-                }
-
-    def _iter_parquet(self) -> Iterator[dict]:
-        pa = _pyarrow()
-        if pa is None:
-            raise RuntimeError(
-                f"{self.dir} was compacted with pyarrow, which is no "
-                "longer importable; recompact with compact_store()"
-            )
-        import pyarrow.parquet as pq
-
-        table = pq.read_table(self.dir / "records.parquet")
-        names = table.column_names
-        for batch in table.to_batches():
-            columns = [batch.column(i).to_pylist() for i in range(len(names))]
-            for values in zip(*columns):
-                yield {
-                    name: json.loads(v)
-                    for name, v in zip(names, values)
-                    if v is not None
                 }
 
 
@@ -336,7 +303,7 @@ def _write_chunk(directory: Path, k: int, rows: List[dict], fs) -> dict:
 
 
 def _compact_chunks(store, directory: Path, chunk_rows: int, fs) -> dict:
-    """Stream the store into the pure-python chunk layout.
+    """Stream the store into the chunk layout.
 
     Rows come from :func:`_compaction_rows` — the existing compaction
     plus uncovered JSONL — not the raw record files alone: on a pruned
@@ -367,73 +334,11 @@ def _compact_chunks(store, directory: Path, chunk_rows: int, fs) -> dict:
     }
 
 
-def _compact_parquet(store, directory: Path, chunk_rows: int) -> dict:
-    """Stream the store into a parquet file (pyarrow available).
-
-    Reads :func:`_compaction_rows` for the same reason as
-    :func:`_compact_chunks`: a pruned store's rows live only in the
-    prior compaction.
-    """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    rows = 0
-    cells: Dict[str, set] = {}
-    columns: List[str] = []
-    campaign_shaped = {"cell", "trial"} <= set(store.REQUIRED_KEYS)
-    # one sizing pass to fix the schema (column set) before writing —
-    # parquet wants a stable schema across batches, and record files may
-    # introduce keys (e.g. "metrics") partway through
-    names = set()
-    for rec in _compaction_rows(store):
-        names.update(rec)
-    columns = sorted(names)
-    schema = pa.schema([(name, pa.string()) for name in columns])
-    writer = pq.ParquetWriter(directory / "records.parquet", schema)
-    try:
-        buffer: List[dict] = []
-
-        def flush():
-            arrays = [
-                pa.array(
-                    [
-                        None if name not in row
-                        else json.dumps(row[name], sort_keys=True)
-                        for row in buffer
-                    ],
-                    type=pa.string(),
-                )
-                for name in columns
-            ]
-            writer.write_table(pa.Table.from_arrays(arrays, schema=schema))
-
-        for rec in _compaction_rows(store):
-            buffer.append(rec)
-            rows += 1
-            if campaign_shaped:
-                cells.setdefault(rec["cell"], set()).add(int(rec["trial"]))
-            if len(buffer) >= chunk_rows:
-                flush()
-                buffer = []
-        if buffer:
-            flush()
-    finally:
-        writer.close()
-    return {
-        "format": "parquet",
-        "rows": rows,
-        "chunks": [],
-        "columns": columns,
-        "summary": _campaign_summary(store, cells) if campaign_shaped else {},
-    }
-
-
 def compact_store(
     store,
     *,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     prune: bool = False,
-    use_parquet: Optional[bool] = None,
 ) -> dict:
     """Fold ``store``'s JSONL record files into ``<root>/columnar/``.
 
@@ -445,9 +350,7 @@ def compact_store(
     none — never a half-readable one (the manifest is written last).
 
     ``prune=True`` deletes every record file the compaction fully
-    covers (current size still equal to the snapshot).  ``use_parquet``
-    forces the format; default is parquet when pyarrow imports, the
-    pure-python chunk layout otherwise.
+    covers (current size still equal to the snapshot).
 
     All mutations route through the store's filesystem seam
     (``store.fs``), so the chaos suite can kill a compaction at any
@@ -470,21 +373,7 @@ def compact_store(
         fs.rmtree(tmp)
     tmp.mkdir(parents=True)
     try:
-        pa = _pyarrow() if use_parquet in (None, True) else None
-        if use_parquet and pa is None:
-            raise RuntimeError("use_parquet=True but pyarrow is not importable")
-        if pa is not None:
-            try:
-                result = _compact_parquet(store, tmp, chunk_rows)
-            except Exception:
-                if use_parquet:  # explicitly requested — surface it
-                    raise
-                # fall back to the dependency-free layout
-                for stale in tmp.iterdir():
-                    stale.unlink()
-                result = _compact_chunks(store, tmp, chunk_rows, fs)
-        else:
-            result = _compact_chunks(store, tmp, chunk_rows, fs)
+        result = _compact_chunks(store, tmp, chunk_rows, fs)
 
         manifest = {
             "version": COLUMNAR_VERSION,
@@ -526,7 +415,7 @@ def compact_store(
                 continue
     summary = dict(manifest)
     summary.pop("summary", None)
-    summary["chunks"] = len(result["chunks"]) if result["format"] == "chunks" else 1
+    summary["chunks"] = len(result["chunks"])
     summary["pruned"] = sorted(pruned)
     return summary
 

@@ -64,12 +64,17 @@ slices with bounded expansion budgets until the store reports the
 graph complete.
 
 ``python -m repro drain`` is the CLI front end; the registry exposes
-the coordinator knobs as the ``drain`` workload component.
+the coordinator knobs as the ``drain`` workload component.  The
+service (:mod:`repro.service.jobs`) runs every job on this module too:
+a job process is a one-worker fleet that calls :func:`run_rounds` and
+:func:`worker_main` in-process, over a :class:`CampaignSource` (trial
+and campaign jobs) or an :class:`ExplorationSource` (explore jobs).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import multiprocessing
 import os
@@ -96,6 +101,7 @@ from .config import FigureSpec
 from .runner import run_trial, trial_jobs
 
 __all__ = [
+    "ExplorationTruncated",
     "FabricError",
     "Lease",
     "WorkQueue",
@@ -106,6 +112,7 @@ __all__ = [
     "drain_campaign",
     "fleet_snapshot",
     "metrics_dir",
+    "run_rounds",
     "worker_main",
 ]
 
@@ -170,6 +177,12 @@ def fleet_snapshot(root) -> dict:
 class FabricError(RuntimeError):
     """The drain cannot make progress (units exhausted retries, or the
     worker fleet keeps dying faster than it can be respawned)."""
+
+
+class ExplorationTruncated(FabricError):
+    """An exploration unit hit ``max_states``: the graph can never be
+    completed under that budget, so the unit fails instead of the
+    source re-planning forever."""
 
 
 @dataclass
@@ -365,6 +378,31 @@ class WorkQueue:
             self.fs.unlink(lease.path)
         except OSError:
             pass
+
+    def release_orphans(self, note: str) -> int:
+        """Hand every lease back to pending, as :meth:`release` does.
+
+        For a queue whose only worker is the caller — the service runs
+        one process per job — so any lease still held when that worker
+        starts belongs to a dead predecessor: one that died with the
+        server, or one killed between a claim's rename and its owner
+        stamp, which :meth:`fail_dead_owner` cannot attribute.  Returns
+        the number of leases released.
+        """
+        released = 0
+        for path in sorted(self.leased.glob("*.json")):
+            unit = self._read(path)
+            if unit is None:
+                continue
+            if (self.done / path.name).exists():
+                try:
+                    self.fs.unlink(path)
+                except OSError:
+                    pass
+                continue
+            self.release(Lease(unit, path), note)
+            released += 1
+        return released
 
     def complete(self, lease: Lease, result: Optional[dict] = None) -> bool:
         """Move the lease to done.  Returns ``False`` when the unit was
@@ -696,22 +734,31 @@ class CampaignSource(FabricSource):
         block = max(1, int(self.unit_trials))
         units = []
         for cell in cells:
-            missing = [
-                i for i in range(trials) if i not in done.get(cell.key, set())
-            ]
-            for start in range(0, len(missing), block):
-                indices = missing[start:start + block]
-                units.append({
-                    "id": f"{cell.key}-t{indices[0]}",
-                    "cell": cell.key,
-                    "trials": indices,
-                })
+            stored = done.get(cell.key, set())
+            # blocks sit on a fixed grid, so a re-plan over a partly
+            # drained store re-offers the ids the queue already holds
+            for start in range(0, trials, block):
+                indices = [i for i in range(start, min(start + block, trials))
+                           if i not in stored]
+                if indices:
+                    units.append({
+                        "id": f"{cell.key}-t{start}",
+                        "cell": cell.key,
+                        "trials": indices,
+                    })
         return units
 
     def execute(self, unit: dict, store: CampaignStore, worker: str) -> dict:
         _, _, _, cells = self._grid()
         cell = next(c for c in cells if c.key == unit["cell"])
         indices = [int(i) for i in unit["trials"]]
+        if "error" in unit:
+            # an earlier attempt (every requeue stamps an error: crash,
+            # retry or release) may have stored part of the block
+            done = store.completed_index(store.iter_all_records())
+            indices = [i for i in indices if i not in done.get(cell.key, ())]
+            if not indices:
+                return {"trials": 0}
         # jobs are cheap descriptors; build through the largest index so
         # positional seeding matches the serial run exactly
         jobs = trial_jobs(
@@ -794,9 +841,15 @@ class ExplorationSource(FabricSource):
             max_expansions=int(unit["budget"]),
             game_name=self.game_name,
         )
+        if report.truncated:
+            raise ExplorationTruncated(
+                f"exploration truncated at max_states={self.max_states}")
         return {"states": report.n_states}
 
-    def _seed_keys(self, store) -> List[str]:
+    @functools.cached_property
+    def _seed_keys(self) -> List[str]:
+        # cached: a multi-round drain asks ``finished`` every round, and
+        # enumerating a census's seeds costs as much as a round's replay
         from ..statespace.encode import state_key
         from ..statespace.expand import ownership_matters
         from ..statespace.explore import enumerate_states
@@ -809,7 +862,7 @@ class ExplorationSource(FabricSource):
         return [state_key(net, with_ownership=own).hex() for net in seeds]
 
     def finished(self, store) -> bool:
-        return bool(store.status(self._seed_keys(store))["complete"])
+        return bool(store.status(self._seed_keys)["complete"])
 
     def result(self, store):
         from ..statespace.explore import explore
@@ -906,6 +959,12 @@ class _HeartbeatThread(threading.Thread):
 #: the signals a coordinator holds across a fork (see :func:`_signals_held`)
 _HELD_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
+#: set by the first drain signal a worker takes.  Drain is asked of the
+#: *process*, so it outlives the :func:`worker_main` call that took it:
+#: a process that runs one call per round (the service's job process)
+#: stops at its next call instead of starting the next round.
+_DRAIN_ASKED = threading.Event()
+
 
 @contextlib.contextmanager
 def _signals_held():
@@ -953,13 +1012,17 @@ def worker_main(
     the queue is drained.  Returns the number of units completed.
 
     Graceful drain: the first ``SIGTERM``/``SIGINT`` asks the worker to
-    finish its current unit and exit (no new claims); a second one
-    interrupts the unit and cleanly *releases* the lease — back to
-    pending, no retry burned — before exiting.  A third signal is never
-    needed: the coordinator escalates to ``SIGKILL``, which the reaper
-    already recovers from.  ``install_signals=False`` (or running on a
-    non-main thread, where handlers cannot be installed) skips the
-    handlers.
+    finish its current unit and exit (no new claims, in this call or any
+    later one in the process); a second one interrupts the unit and
+    cleanly *releases* the lease — back to pending, no retry burned —
+    before exiting.  A third signal is never needed: the coordinator
+    escalates to ``SIGKILL``, which the reaper already recovers from.
+    ``install_signals=False`` (or running on a non-main thread, where
+    handlers cannot be installed) skips the handlers.
+
+    On exit the worker folds the meter delta it accrued into
+    ``<root>/fabric/metrics/<worker_id>.json``, so a process that calls
+    it round after round under one id persists its whole tally.
 
     Module-level (not a closure) so ``multiprocessing`` can spawn it on
     any start method.
@@ -968,15 +1031,14 @@ def worker_main(
     queue.ensure_dirs()
     store = source.store(root)
     completed = 0
-    draining = {"asked": False}
     # the meter may carry fork-inherited parent counts; persisting the
     # delta keeps fleet merges (``repro top``, the coordinator) exact
     entry_snapshot = obs_metrics.DEFAULT.snapshot()
 
     def _on_signal(signum, frame):
-        if draining["asked"]:
+        if _DRAIN_ASKED.is_set():
             raise _DrainNow()
-        draining["asked"] = True
+        _DRAIN_ASKED.set()
 
     previous = {}
     if install_signals:
@@ -989,7 +1051,7 @@ def worker_main(
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _HELD_SIGNALS)
     try:
         while True:
-            if draining["asked"]:
+            if _DRAIN_ASKED.is_set():
                 return completed
             lease = queue.claim(worker_id)
             if lease is None:
@@ -1014,15 +1076,23 @@ def worker_main(
                 queue.fail_lease(lease, f"{type(exc).__name__}: {exc}",
                                  max_retries=max_retries, backoff=backoff)
                 continue
+            except BaseException:
+                beat.stop()  # an in-process caller outlives the unit
+                raise
             beat.stop()
             queue.complete(lease, result)
             completed += 1
     finally:
+        path = metrics_dir(root) / f"{worker_id}.json"
+        snapshot = obs_metrics.diff_snapshots(
+            obs_metrics.DEFAULT.snapshot(), entry_snapshot)
         try:
-            obs_metrics.write_snapshot_file(
-                metrics_dir(root) / f"{worker_id}.json",
-                snapshot=obs_metrics.diff_snapshots(
-                    obs_metrics.DEFAULT.snapshot(), entry_snapshot))
+            snapshot = obs_metrics.merge_snapshots(
+                obs_metrics.read_snapshot_file(path), snapshot)
+        except (OSError, ValueError):
+            pass  # the first call under this id (or a torn file)
+        try:
+            obs_metrics.write_snapshot_file(path, snapshot=snapshot)
         except OSError:
             pass  # telemetry must never fail the worker
         for sig, handler in previous.items():
@@ -1030,6 +1100,32 @@ def worker_main(
                 signal.signal(sig, handler)
             except (ValueError, OSError):
                 pass
+
+
+def run_rounds(source: FabricSource, store, queue: WorkQueue, run_round,
+               max_rounds: int = 1000) -> int:
+    """The drain's round loop: plan, enqueue, ``run_round()``, repeat.
+
+    ``run_round`` executes the queue and returns whether it ran it dry
+    (``False``: it was interrupted).  The loop stops when the source
+    offers nothing new, a unit failed, a round was interrupted, or a
+    single-round source had its round; it raises :class:`FabricError`
+    after ``max_rounds`` plans.  Returns the number of rounds run.
+    Both the :class:`Coordinator` and the service's job process drive
+    their sources through it.
+    """
+    rounds = 0
+    for round_index in range(max_rounds):
+        units = source.plan(store, round_index)
+        queue.initialize(units)
+        if queue.drained():
+            if not units:
+                return rounds
+            continue  # everything offered was already done
+        rounds += 1
+        if not run_round() or queue.failed_units() or not source.multi_round:
+            return rounds
+    raise FabricError(f"drain did not converge within {max_rounds} rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -1155,8 +1251,9 @@ class Coordinator:
         with _signals_held():
             proc.start()
 
-    def _run_round(self) -> None:
-        """Run the fleet until the queue drains, reaping and respawning."""
+    def _run_round(self) -> bool:
+        """Run the fleet until the queue drains, reaping and respawning;
+        ``False`` when an operator signal cut the round short."""
         try:
             for slot in range(self.workers):
                 self._spawn(slot)
@@ -1217,6 +1314,7 @@ class Coordinator:
                         proc.join(timeout=5.0)
             self.procs.clear()
             self.slot_owner.clear()
+        return not self.interrupted
 
     def _stop_fleet_graceful(self) -> None:
         """SIGTERM (finish unit) → SIGTERM (release lease) → SIGKILL."""
@@ -1258,26 +1356,8 @@ class Coordinator:
                 previous_term = None
         try:
             store = self.source.store(self.root)
-            rounds = 0
-            for round_index in range(self.max_rounds):
-                units = self.source.plan(store, round_index)
-                self.queue.initialize(units)
-                if self.queue.drained():
-                    if not units:
-                        break
-                    continue  # everything offered was already done
-                rounds += 1
-                self._run_round()
-                if self.interrupted:
-                    break
-                if self.queue.failed_units():
-                    break
-                if not self.source.multi_round:
-                    break
-            else:
-                raise FabricError(
-                    f"drain did not converge within {self.max_rounds} rounds"
-                )
+            rounds = run_rounds(self.source, store, self.queue,
+                                self._run_round, self.max_rounds)
         finally:
             if previous_term is not None:
                 try:

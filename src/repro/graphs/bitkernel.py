@@ -229,17 +229,12 @@ def bfs_distances_multi(
     A: np.ndarray,
     sources: Sequence[int],
     mask: Optional[np.ndarray] = None,
-    exclude: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """BFS distances from several sources at once (``(k, n)`` float).
 
     Word-parallel across the *source* dimension: 64 searches advance per
     word-op, one gather + one segmented OR per layer.  Results are
     bit-identical to :func:`adjacency.bfs_distances_multi`.
-
-    ``exclude``, aligned with ``sources``, removes one vertex per search:
-    search ``i`` runs on ``A - exclude[i]`` (its row is all ``inf`` when
-    it starts at the removed vertex).
     """
     n = A.shape[0]
     src = np.asarray(sources, dtype=np.int64)
@@ -249,25 +244,16 @@ def bfs_distances_multi(
     lanes = np.arange(k)
 
     alive_src = np.ones(k, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[src]
-    blocked = None
-    if exclude is not None:
-        # a search never enters its removed vertex: that bit starts out
-        # visited and is cleared again before distances are read off
-        cut = np.zeros((n, k), dtype=bool)
-        cut[np.asarray(exclude, dtype=np.int64), lanes] = True
-        alive_src &= ~cut[src, lanes]
-        blocked = pack_rows(cut)
     # seeding through a dense (n, k) matrix makes duplicate sources free
     seed = np.zeros((n, k), dtype=bool)
     seed[src[alive_src], lanes[alive_src]] = True
     F = pack_rows(seed)
     dead = None if mask is None else np.flatnonzero(~np.asarray(mask, dtype=bool))
-    visited = F.copy() if blocked is None else F | blocked
+    visited = F.copy()
     depth = _expand(_flat_neighbors(np.asarray(A, dtype=bool)), F, visited, k, n, dead)
 
     # one fused pass: float64 depth where reached, inf elsewhere
-    reached = visited if blocked is None else visited & ~blocked
-    return np.where(unpack_rows(reached, k).T, depth.T, np.inf)
+    return np.where(unpack_rows(visited, k).T, depth.T, np.inf)
 
 
 def all_pairs_distances(A: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:

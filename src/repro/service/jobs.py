@@ -3,23 +3,30 @@
 Every job owns a directory under ``<state_dir>/jobs/<id>/``::
 
     job.json     atomically-replaced control record (state machine)
-    store/       per-job CampaignStore / ExplorationStore (kill-safe)
+    store/       per-job CampaignStore / ExplorationStore (kill-safe),
+                 with the job's fabric queue under store/fabric/
     result.json  final payload, written once by the worker
     error.json   named failure, written by the worker on error
 
 ``job.json`` is the *only* file the server mutates; the worker process
 writes only the store and the result/error files.  That split means a
 SIGKILLed server loses nothing: on restart :meth:`JobManager.recover`
-re-reads every ``job.json``, demotes orphaned ``running`` jobs back to
-``queued``, and the re-spawned worker resumes from the store —
-completed units are skipped by the store's ``completed_index`` exactly
-as ``repro campaign --resume`` does, so nothing is recomputed.
+re-reads every ``job.json`` and demotes orphaned ``running`` jobs back
+to ``queued``, and the re-spawned worker resumes from the store.
 
-Workers run the job in *slices* (``max_new_trials`` /
-``max_expansions``), mirroring the fabric's drain semantics from PR 7:
-the first SIGTERM lets the current slice finish and exits with
-:data:`EXIT_RELEASED` (job goes back to ``queued``); a second SIGTERM
-exits immediately — the stores are kill-safe either way.
+A job runs on the campaign fabric (:mod:`repro.experiments.fabric`):
+its worker process is a one-worker fleet rooted at ``store/``, which
+plans the job's :class:`~repro.experiments.fabric.CampaignSource` or
+:class:`~repro.experiments.fabric.ExplorationSource` into the
+``WorkQueue`` and drains it with ``fabric.worker_main`` in-process.  So
+a job has the fabric's drain protocol — the first SIGTERM finishes the
+current unit and the worker exits :data:`EXIT_RELEASED` (the job goes
+back to ``queued``), a second releases the unit's lease at once — and
+its recovery path: completed units are never re-run, a unit cut short
+re-runs only the trials it had not stored, and a unit that keeps
+killing its worker is parked as poison, failing the job with the
+fabric's diagnosis.  ``repro top <state_dir>/jobs/<id>/store`` watches
+a running job like any drain.
 """
 
 from __future__ import annotations
@@ -33,10 +40,11 @@ import signal
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
+from ..experiments import fabric
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
 from ..registry.scenario import ScenarioSpec
@@ -271,17 +279,6 @@ class Job:
 # The worker process
 # --------------------------------------------------------------------------
 
-_drain_asked = 0
-
-
-def _worker_sigterm(signum, frame) -> None:
-    """First SIGTERM: finish the current slice.  Second: exit now —
-    the stores are kill-safe and the job stays resumable."""
-    global _drain_asked
-    _drain_asked += 1
-    if _drain_asked > 1:
-        os._exit(EXIT_RELEASED)
-
 
 def _write_json(path: Path, payload: dict) -> None:
     tmp = path.with_suffix(".tmp")
@@ -298,73 +295,85 @@ def _grid_for(request: JobRequest, job_id: str):
         trials=request.trials)
 
 
-def _run_campaign_job(request: JobRequest, job_id: str, store_dir: Path) -> dict:
-    """Drain the campaign in slices; ``None`` return means released."""
-    from ..experiments.campaign import aggregate_payload, run_campaign
-
-    grid = _grid_for(request, job_id)
-    while True:
-        run = run_campaign(grid, store_dir, seed=request.seed, n_jobs=1,
-                           max_new_trials=TRIAL_SLICE, aggregate=False)
-        if run.remaining <= 0:
-            break
-        if _drain_asked:
-            return None
-    final = run_campaign(grid, store_dir, seed=request.seed, n_jobs=1,
-                         max_new_trials=0, aggregate=True)
-    return {"kind": request.kind, "total": final.total,
-            "aggregate": aggregate_payload(final.result)}
-
-
-def _run_explore_job(request: JobRequest, store_dir: Path) -> dict:
+def _source_for(request: JobRequest, job_id: str) -> fabric.FabricSource:
+    """The fabric source a job drains."""
+    if request.kind != "explore":
+        return fabric.CampaignSource(_grid_for(request, job_id),
+                                     seed=request.seed,
+                                     unit_trials=TRIAL_SLICE)
     from ..registry import REGISTRY
-    from ..statespace.explore import explore
-    from ..statespace.store import ExplorationStore, write_report
 
     spec = request.specs[0]
     n = request.n_values[0]
     game = REGISTRY.build("game", spec.game, spec.params_for("game"), n=n)
-    store = ExplorationStore(store_dir)
-    while True:
-        report = explore(game, n=n, moves=request.moves,
-                         agent_filter=request.agent_filter,
-                         max_states=request.max_states, store=store,
-                         max_expansions=EXPLORE_SLICE, game_name=spec.game)
-        if report.complete:
-            write_report(store, report)
-            return {"kind": "explore", **report.to_json()}
-        if report.truncated:
-            raise RuntimeError(
-                f"exploration truncated at max_states={request.max_states}")
-        if _drain_asked:
-            return None
+    return fabric.ExplorationSource(
+        game, n=n, moves=request.moves, agent_filter=request.agent_filter,
+        max_states=request.max_states, shards=1, unit_budget=EXPLORE_SLICE,
+        game_name=spec.game)
+
+
+def _worker_id(job: Job) -> str:
+    """The fabric worker id of the job's current process.  Each spawn
+    follows one more requeue, so ids sort in spawn order — and so do the
+    record files named after them."""
+    return f"w{job.requeues:06d}"
+
+
+def _drain_job(source: fabric.FabricSource, store_dir: Path, worker_id: str,
+               fs=None) -> Tuple[str, object]:
+    """Drive ``source`` through the fabric in this process, its only
+    worker.  Returns ``("done", result)``, ``("failed", detail)`` or
+    ``("released", None)`` when a drain signal stopped it."""
+    queue = fabric.WorkQueue(store_dir, fs=fs)
+    queue.release_orphans(f"released by {worker_id} on start")
+    store = source.store(store_dir)
+
+    def run_round() -> bool:
+        fabric.worker_main(source, store_dir, worker_id, max_retries=0, fs=fs)
+        return queue.drained()
+
+    fabric.run_rounds(source, store, queue, run_round)
+    failed = queue.failed_units()
+    if failed:
+        unit = failed[0]
+        detail = unit["error"]
+        if unit.get("diagnosis"):
+            detail = f"{unit['diagnosis']}: {detail}"
+        return "failed", detail
+    if not queue.drained():
+        return "released", None
+    return "done", source.result(store)
 
 
 def job_worker_main(job_dir: str) -> int:
     """Entry point of one job worker process."""
-    global _drain_asked
-    _drain_asked = 0
-    signal.signal(signal.SIGTERM, _worker_sigterm)
     root = Path(job_dir)
-    # Forked workers inherit the parent's meter values; persist only the
-    # delta accrued in this process so fleet merges don't double-count.
-    entry_snapshot = obs_metrics.DEFAULT.snapshot()
     try:
         job = Job.from_json(json.loads((root / "job.json").read_text()))
         request = parse_job_request(job.request)
         store_dir = root / "store"
         with obs_tracing.span("service.job", job=job.id, kind=request.kind):
-            if request.kind == "explore":
-                result = _run_explore_job(request, store_dir)
-            else:
-                result = _run_campaign_job(request, job.id, store_dir)
-        if result is None:
+            outcome, payload = _drain_job(_source_for(request, job.id),
+                                          store_dir, _worker_id(job))
+        if outcome == "released":
             return EXIT_RELEASED
+        if outcome == "failed":
+            _write_json(root / "error.json",
+                        {"error": "worker-error", "detail": payload})
+            return EXIT_FAILED
+        if request.kind == "explore":
+            from ..statespace.store import ExplorationStore, write_report
+
+            write_report(ExplorationStore(store_dir), payload)
+            result = {"kind": "explore", **payload.to_json()}
+        else:
+            from ..experiments.campaign import aggregate_payload
+
+            result = {"kind": request.kind, "total": request.total_units,
+                      "aggregate": aggregate_payload(payload)}
         _write_json(root / "result.json", result)
         return EXIT_DONE
-    except BaseException as exc:  # noqa: BLE001 — worker must report, not die
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            return EXIT_RELEASED
+    except Exception as exc:  # noqa: BLE001 — worker must report, not die
         try:
             _write_json(root / "error.json", {
                 "error": "worker-error",
@@ -374,17 +383,17 @@ def job_worker_main(job_dir: str) -> int:
         except OSError:
             pass
         return EXIT_FAILED
-    finally:
-        try:
-            obs_metrics.write_snapshot_file(
-                root / "metrics.json",
-                snapshot=obs_metrics.diff_snapshots(
-                    obs_metrics.DEFAULT.snapshot(), entry_snapshot))
-        except OSError:
-            pass  # telemetry must never fail the worker
 
 
 def _worker_entry(job_dir: str) -> None:
+    # Forked from the server, this process inherits its event loop's
+    # signal wakeup fd (which would hand our signals to the server: a
+    # cancel would stop it) and its handlers.  Start from the defaults:
+    # SIGTERM ends the process between rounds, ``worker_main`` drains
+    # inside them, and Ctrl-C is the server's to turn into a drain.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     sys.exit(job_worker_main(job_dir))
 
 
@@ -433,7 +442,9 @@ class JobManager:
 
     def recover(self) -> dict:
         """Rebuild the job table from disk; orphaned ``running`` jobs
-        (their worker died with the old server) go back to ``queued``."""
+        (their worker died with the old server) go back to ``queued``.
+        Their leases go back to pending when the job's next worker
+        starts, without counting as a crash."""
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         requeued = 0
         for path in sorted(self.jobs_dir.glob("*/job.json")):
@@ -557,6 +568,11 @@ class JobManager:
             if job.state == "cancelled":
                 continue
             code = proc.exitcode
+            if code:
+                # recover the lease the worker died holding, and park a
+                # unit that keeps killing workers, as the Coordinator does
+                fabric.WorkQueue(self.store_dir(job_id)).fail_dead_owner(
+                    _worker_id(job), exitcode=code)
             if code == EXIT_DONE and self.result_path(job_id).exists():
                 job.state = "done"
                 _JOB_DONE.inc()
@@ -591,8 +607,8 @@ class JobManager:
                 pass
 
     async def drain(self) -> None:
-        """PR 7 drain semantics: SIGTERM each worker (finish the slice),
-        escalate after ``kill_grace``, requeue whatever released."""
+        """The fabric's drain semantics: SIGTERM each worker (finish the
+        unit), escalate after ``kill_grace``, requeue whatever released."""
         for proc in self.procs.values():
             if proc.is_alive():
                 proc.terminate()

@@ -72,7 +72,6 @@ def test_stacked_bases_match_one_base_at_a_time(mode, rng):
     assert stacked.shape == (len(bases), len(candidates))
     for row, base in zip(stacked, bases):
         assert np.array_equal(row, ev.batch_costs(base, candidates))
-    assert ev.cost_of_base(bases).tolist() == [ev.cost_of_base(b) for b in bases]
     assert ev.batch_costs(bases, []).shape == (len(bases), 0)
 
 
@@ -95,13 +94,6 @@ def test_base_vector_empty_is_inf():
     net = Network.from_owned_edges(3, [(0, 1), (1, 2)])
     ev = DeviationEvaluator(net, 0, DistanceMode.SUM, adj.distances_without_vertex(net.A, 0))
     assert np.isinf(ev.base_vector([])).all()
-
-
-def test_cost_of_base_marks_self_zero():
-    net = Network.from_owned_edges(3, [(0, 1), (1, 2)])
-    ev = DeviationEvaluator(net, 0, DistanceMode.SUM, adj.distances_without_vertex(net.A, 0))
-    base = ev.base_vector([1])
-    assert ev.cost_of_base(base) == 1 + 2
 
 
 def test_batch_empty_candidates():

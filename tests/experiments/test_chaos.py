@@ -219,6 +219,61 @@ class TestCommittedPlans:
 
 
 # ---------------------------------------------------------------------------
+# a service job on the fabric
+
+
+class TestServiceJob:
+    """A ``repro serve`` job runs on the same queue and the same worker
+    loop, so it must survive the same faults with the same exactness:
+    the records it streams equal a direct ``run_campaign`` of its
+    payload, each trial exactly once."""
+
+    PAYLOAD = {"kind": "trial", "n": 8, "trials": 20, "seed": 3,
+               "spec": {"game": {"name": "sg", "params": {"mode": "sum"}},
+                        "topology": {"name": "budget",
+                                     "params": {"budget": 2}}}}
+
+    def test_crash_plan_drains_to_the_direct_records(self, tmp_path):
+        from dataclasses import replace
+
+        from repro.service.jobs import (
+            _drain_job, _grid_for, _source_for, parse_job_request)
+        from repro.service.stream import RecordTail
+
+        request = parse_job_request(self.PAYLOAD)
+        root = tmp_path / "store"
+        fs = FaultyFS(FaultPlan((
+            Fault(op="append", nth=2, kind="torn", frac=0.5),  # mid-unit
+            Fault(op="rename", nth=1, kind="crash_after"),  # claim, no owner
+            Fault(op="replace", nth=5, kind="crash"),
+            Fault(op="append", nth=12, kind="crash"),
+        )))
+        source = replace(_source_for(request, "job-chaos"), fs=fs)
+        reboots = 0
+        while True:
+            worker = f"w{reboots:06d}"  # one more requeue per spawn
+            try:
+                outcome, _ = _drain_job(source, root, worker, fs=fs)
+                break
+            except InjectedCrash:
+                fs.revive()
+                # the reaper's half of a worker death
+                WorkQueue(root).fail_dead_owner(worker, exitcode=-9)
+                reboots += 1
+                assert reboots <= 20, f"{fs.plan.describe()} wedged the job"
+        assert outcome == "done" and reboots >= 4
+        streamed = sorted(RecordTail(root).poll())
+        direct_root = tmp_path / "direct"
+        run_campaign(_grid_for(request, "job-chaos"), direct_root,
+                     seed=request.seed, n_jobs=1)
+        direct = sorted(line for path in sorted(direct_root.glob("*.jsonl"))
+                        for line in path.read_text().splitlines() if line)
+        assert streamed == direct
+        trials = [json.loads(line)["trial"] for line in streamed]
+        assert sorted(trials) == list(range(20))
+
+
+# ---------------------------------------------------------------------------
 # seeded plans — reproducible random fault sequences
 
 

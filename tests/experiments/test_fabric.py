@@ -14,16 +14,12 @@ The contract under test (see :mod:`repro.experiments.fabric` and
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import signal
-import sys
 import threading
 import time
-import types
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
@@ -38,6 +34,7 @@ from repro.experiments.campaign import (
 from repro.experiments.columnar import (
     ColumnarStore,
     _decode_column,
+    UnsupportedColumnarFormat,
     _encode_column,
     compact_store,
     iter_store_records,
@@ -53,8 +50,10 @@ from repro.experiments.fabric import (
     WorkQueue,
     _HeartbeatThread,
     drain_campaign,
+    run_rounds,
     worker_main,
 )
+from repro.experiments import fabric
 from repro.registry import ScenarioSpec
 
 
@@ -264,6 +263,23 @@ class TestWorkQueue:
         assert q.counts() == {"pending": 1, "leased": 1, "done": 0,
                               "failed": 0}
 
+    def test_release_orphans_frees_every_lease_without_a_crash(self, tmp_path):
+        q = WorkQueue(tmp_path)
+        q.initialize([{"id": "u0"}, {"id": "u1"}, {"id": "u2"}])
+        q.claim("w0")
+        # killed between the claim's rename and its owner stamp: the
+        # lease carries no owner that fail_dead_owner could match
+        q.fs.rename(q.pending / "u1.json", q.leased / "u1.json")
+        done = q.claim("w0")
+        q._write(q.done / "u2.json", done.unit)  # killed mid-complete
+        assert q.release_orphans("released on start") == 2
+        assert q.counts() == {"pending": 2, "leased": 0, "done": 1,
+                              "failed": 0}
+        for unit_id in ("u0", "u1"):
+            unit = WorkQueue._read(q.pending / f"{unit_id}.json")
+            assert unit["error"] == "released on start"
+            assert "crashes" not in unit and unit.get("retries", 0) == 0
+
 
 # ---------------------------------------------------------------------------
 # campaign drain
@@ -334,7 +350,67 @@ class _SlowCampaignSource(CampaignSource):
         return super().execute(unit, store, worker)
 
 
+class _SlowAppendStore(CampaignStore):
+    """Sleeps after every stored record, so a unit can be killed with
+    part of its block on disk."""
+
+    def append(self, fh, record):
+        super().append(fh, record)
+        time.sleep(0.5)
+
+
+@dataclass(frozen=True)
+class _SlowAppendSource(CampaignSource):
+    def store(self, root):
+        return _SlowAppendStore(root)
+
+
 class TestKillSafety:
+    def test_requeued_unit_stores_each_trial_once(self, tmp_path):
+        """SIGKILL a worker mid-unit and drain again: the re-run unit
+        skips the trials its first attempt stored, so every
+        ``(cell, trial)`` is on disk exactly once."""
+        import multiprocessing
+
+        spec = tiny_spec()
+        serial = serial_payload(tmp_path / "serial", spec, seed=7)
+        root = tmp_path / "fab"
+        slow = _SlowAppendSource(spec, seed=7, unit_trials=3)
+        queue = WorkQueue(root)
+        queue.initialize(slow.plan(slow.store(root), 0))
+        proc = multiprocessing.Process(
+            target=worker_main, args=(slow, root, "w0"),
+            kwargs={"lease_ttl": 30.0, "poll": 0.01})
+        proc.start()
+        record_file = root / "trials-w0.jsonl"
+        deadline = time.time() + 30.0
+        while time.time() < deadline and not (
+                record_file.exists() and record_file.read_text()):
+            time.sleep(0.005)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join()
+        assert queue.fail_dead_owner("w0", exitcode=-9) == (1, 0)
+        fast = CampaignSource(spec, seed=7, unit_trials=3)
+        worker_main(fast, root, "w1", poll=0.01)
+        store = fast.store(root)
+        keys = [(r["cell"], r["trial"]) for r in store.iter_records()]
+        assert len(keys) == len(set(keys)) == 12
+        assert result_payload(fast.result(store)) == serial
+
+    def test_replan_of_partial_store_reoffers_queued_ids(self, tmp_path):
+        """Blocks sit on a fixed grid: re-planning after part of a block
+        is stored offers the ids already queued, not shifted blocks
+        that would re-run the rest of the grid a second time."""
+        source = CampaignSource(tiny_spec(), unit_trials=4)
+        store = source.store(tmp_path)
+        first = source.plan(store, 0)
+        cell = first[0]["cell"]
+        source.execute({"id": "x", "cell": cell, "trials": [0, 1]},
+                       store, "w0")
+        again = source.plan(store, 0)
+        assert [u["id"] for u in again] == [u["id"] for u in first]
+        assert again[0]["trials"] == [2, 3]
+
     def test_kill9_mid_lease_recovers_byte_identical(self, tmp_path):
         """The acceptance proof: SIGKILL a worker holding a lease; the
         drain still completes and the aggregate is byte-identical to
@@ -406,7 +482,7 @@ class TestColumnar:
         before = sorted(
             json.dumps(r, sort_keys=True) for r in store.iter_records()
         )
-        summary = compact_store(store, chunk_rows=5, use_parquet=False)
+        summary = compact_store(store, chunk_rows=5)
         assert summary["rows"] == len(before) and summary["chunks"] >= 3
         after = sorted(
             json.dumps(r, sort_keys=True) for r in iter_store_records(store)
@@ -422,7 +498,7 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1)
         store = CampaignStore(root)
-        summary = compact_store(store, prune=True, use_parquet=False)
+        summary = compact_store(store, prune=True)
         assert summary["pruned"] and not store.record_files()
         status = campaign_status(root)
         assert status["complete"] and status["done"] == status["total"] == 12
@@ -433,7 +509,7 @@ class TestColumnar:
         spec = tiny_spec()
         root = tmp_path / "c"
         first = run_campaign(spec, root, n_jobs=1)
-        compact_store(CampaignStore(root), prune=True, use_parquet=False)
+        compact_store(CampaignStore(root), prune=True)
         again = run_campaign(spec, root, n_jobs=1)
         assert again.new_trials == 0 and again.skipped_existing == 12
         assert result_payload(again.result) == result_payload(first.result)
@@ -443,7 +519,7 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1, max_new_trials=8)
         store = CampaignStore(root)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         columnar = ColumnarStore(root)
         assert columnar.fresh(store)
         # more trials land in the same shard file → it grows → stale
@@ -460,7 +536,7 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1)
         store = CampaignStore(root)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         columnar = ColumnarStore(root)
         assert columnar.cells_done(trials=6) is not None
         assert columnar.cells_done(trials=4) is None  # bound changed → rescan
@@ -470,28 +546,12 @@ class TestColumnar:
         root = tmp_path / "c"
         run_campaign(spec, root, n_jobs=1, max_new_trials=6)
         store = CampaignStore(root)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         first_rows = ColumnarStore(root).rows()
         run_campaign(spec, root, n_jobs=1)
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         assert ColumnarStore(root).rows() == 12 > first_rows
         assert ColumnarStore(root).fresh(store)
-
-    def test_parquet_roundtrip(self, tmp_path):
-        pytest.importorskip("pyarrow")
-        spec = tiny_spec()
-        root = tmp_path / "c"
-        run_campaign(spec, root, n_jobs=1)
-        store = CampaignStore(root)
-        before = sorted(
-            json.dumps(r, sort_keys=True) for r in store.iter_records()
-        )
-        summary = compact_store(store, use_parquet=True)
-        assert summary["format"] == "parquet"
-        after = sorted(
-            json.dumps(r, sort_keys=True) for r in iter_store_records(store)
-        )
-        assert after == before
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +576,26 @@ class TestExplorationDrain:
 
         # compact + prune the drained store; the replay still works
         store = ExplorationStore(tmp_path / "x")
-        summary = compact_store(store, prune=True, use_parquet=False)
+        summary = compact_store(store, prune=True)
         assert summary["pruned"] and not store.record_files()
         assert store.status()["complete"]
         replay = explore(game, n=3, store=store)
         assert replay.n_states == serial.n_states
+
+    def test_truncated_exploration_fails_its_unit(self, tmp_path):
+        """A ``max_states`` cut can never complete the graph: the unit
+        fails with a named error and the drain reports it, instead of
+        re-planning one more unit every round."""
+        from repro.core.games import SwapGame
+
+        source = ExplorationSource(SwapGame("sum"), n=5, max_states=10,
+                                   shards=1, unit_budget=200)
+        report = Coordinator(source, tmp_path, workers=1, max_retries=0,
+                             lease_ttl=10.0, poll=0.01).drain()
+        assert not report.complete and report.rounds == 1
+        [failed] = report.failed
+        assert failed["error"] == (
+            "ExplorationTruncated: exploration truncated at max_states=10")
 
     def test_exploration_unit_executes_in_process(self, tmp_path):
         """One shard unit run directly (no worker process) expands
@@ -783,6 +858,40 @@ class TestWorkerMain:
         assert unit.get("retries", 0) == 0 and "released" in unit["error"]
 
 
+@dataclass(frozen=True)
+class _SignalledCampaignSource(CampaignSource):
+    """SIGTERMs its own process from inside a unit, as a drain would."""
+
+    def execute(self, unit, store, worker):
+        os.kill(os.getpid(), signal.SIGTERM)  # taken by worker_main
+        return super().execute(unit, store, worker)
+
+
+class TestRunRounds:
+    def test_drain_signal_stops_later_calls_in_the_process(self, tmp_path):
+        """Drain is asked of the process: after the first signal, a
+        caller running worker_main round after round gets no more work
+        done, and the round loop reports the round as interrupted."""
+        source = _SignalledCampaignSource(tiny_spec(), unit_trials=3)
+        queue = WorkQueue(tmp_path)
+        store = source.store(tmp_path)
+
+        def run_round():
+            worker_main(source, tmp_path, "w0", poll=0.01)
+            return queue.drained()
+
+        handler = signal.getsignal(signal.SIGTERM)
+        try:
+            assert run_rounds(source, store, queue, run_round) == 1
+            assert worker_main(source, tmp_path, "w0", poll=0.01) == 0
+        finally:
+            fabric._DRAIN_ASKED.clear()
+        assert signal.getsignal(signal.SIGTERM) is handler
+        # the signalled unit was finished, nothing else was claimed
+        assert queue.counts() == {"pending": 3, "leased": 0, "done": 1,
+                                  "failed": 0}
+
+
 class TestCoordinatorEdges:
     def test_drain_reports_exhausted_units(self, tmp_path):
         report = Coordinator(_ExplodingSource(), tmp_path, workers=1,
@@ -882,7 +991,7 @@ class TestCoordinatorEdges:
 
 
 # ---------------------------------------------------------------------------
-# columnar edge cases and the parquet path (via a stand-in pyarrow)
+# columnar edge cases
 
 
 def synthetic_store(root, rows=12, cells=2, manifest=True) -> CampaignStore:
@@ -918,12 +1027,12 @@ class TestColumnarEdges:
     def test_summary_needs_wellformed_store_manifest(self, tmp_path):
         # no store manifest: compaction works, but no status summary
         bare = synthetic_store(tmp_path / "a", manifest=False)
-        assert compact_store(bare, use_parquet=False)["rows"] == 12
+        assert compact_store(bare)["rows"] == 12
         assert ColumnarStore(bare.root).cells_done() is None
         # a manifest without a usable trials bound: same
         bad = synthetic_store(tmp_path / "b")
         (bad.root / "manifest.json").write_text('{"figure": "x"}')
-        compact_store(bad, use_parquet=False)
+        compact_store(bad)
         assert ColumnarStore(bad.root).cells_done() is None
 
     def test_stale_tmp_and_old_dirs_are_cleared(self, tmp_path):
@@ -931,11 +1040,11 @@ class TestColumnarEdges:
         tmp_dir = store.root / f".columnar-{os.getpid()}.tmp"
         tmp_dir.mkdir()
         (tmp_dir / "junk").write_text("x")  # a previous kill's leftovers
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         assert not tmp_dir.exists()
         old = store.root / f".columnar-old-{os.getpid()}"
         old.mkdir()
-        compact_store(store, use_parquet=False)
+        compact_store(store)
         assert not old.exists()
         assert ColumnarStore(tmp_path).rows() == 12
 
@@ -950,128 +1059,18 @@ class TestColumnarEdges:
                 return sizes
 
         synthetic_store(tmp_path)
-        summary = compact_store(GhostlyStore(tmp_path), use_parquet=False,
+        summary = compact_store(GhostlyStore(tmp_path),
                                 prune=True)
         assert "trials-ghost.jsonl" not in summary["pruned"]
         assert summary["pruned"] and not CampaignStore(tmp_path).record_files()
 
 
-def _install_fake_pyarrow(monkeypatch, fail_write=False) -> None:
-    """A stand-in ``pyarrow`` speaking just enough of the API for the
-    parquet compaction path: schema/string/array/Table.from_arrays on
-    the write side, read_table/to_batches/column/to_pylist on the read
-    side.  The "parquet file" is JSON under the hood — the point is the
-    format dispatch and encoding logic, not parquet bytes."""
-    pa = types.ModuleType("pyarrow")
-    pq = types.ModuleType("pyarrow.parquet")
-
-    class _Schema:
-        def __init__(self, fields):
-            self.names = [name for name, _ in fields]
-
-    class _Array:
-        def __init__(self, values, type=None):
-            self._values = list(values)
-
-        def to_pylist(self):
-            return list(self._values)
-
-    class _Batch:
-        def __init__(self, columns):
-            self._columns = columns
-
-        def column(self, i):
-            return _Array(self._columns[i])
-
-    class _Table:
-        def __init__(self, names, columns):
-            self.column_names = names
-            self._columns = columns
-
-        def to_batches(self):
-            return [_Batch(self._columns)]
-
-        @staticmethod
-        def from_arrays(arrays, schema):
-            return _Table(schema.names, [a.to_pylist() for a in arrays])
-
-    class _Writer:
-        def __init__(self, path, schema):
-            self._path = Path(path)
-            self._schema = schema
-            self._columns = [[] for _ in schema.names]
-
-        def write_table(self, table):
-            if fail_write:
-                raise RuntimeError("synthetic parquet failure")
-            for col, values in zip(self._columns, table._columns):
-                col.extend(values)
-
-        def close(self):
-            self._path.write_text(json.dumps(
-                {"names": self._schema.names, "columns": self._columns}
-            ))
-
-    def read_table(path):
-        payload = json.loads(Path(path).read_text())
-        return _Table(payload["names"], payload["columns"])
-
-    pa.schema = _Schema
-    pa.string = lambda: "string"
-    pa.array = _Array
-    pa.Table = _Table
-    pa.parquet = pq
-    pq.ParquetWriter = _Writer
-    pq.read_table = read_table
-    monkeypatch.setitem(sys.modules, "pyarrow", pa)
-    monkeypatch.setitem(sys.modules, "pyarrow.parquet", pq)
-
-
-class TestParquetStub:
-    def test_roundtrip_prune_and_summary(self, tmp_path, monkeypatch):
-        _install_fake_pyarrow(monkeypatch)
-        store = synthetic_store(tmp_path)
-        before = sorted(
-            json.dumps(r, sort_keys=True) for r in store.iter_records()
-        )
-        summary = compact_store(store, chunk_rows=5, prune=True)
-        assert summary["format"] == "parquet" and summary["rows"] == 12
-        assert summary["pruned"] and not store.record_files()
-        after = sorted(
-            json.dumps(r, sort_keys=True) for r in iter_store_records(store)
-        )
-        assert after == before
-        assert ColumnarStore(tmp_path).cells_done(6) == {"c0": 6, "c1": 6}
-
-    def test_reader_refuses_without_pyarrow(self, tmp_path, monkeypatch):
-        if importlib.util.find_spec("pyarrow") is not None:
-            pytest.skip("real pyarrow installed; the reader would succeed")
-        _install_fake_pyarrow(monkeypatch)
-        compact_store(synthetic_store(tmp_path))
-        monkeypatch.delitem(sys.modules, "pyarrow")
-        monkeypatch.delitem(sys.modules, "pyarrow.parquet")
-        with pytest.raises(RuntimeError, match="no longer importable"):
-            list(ColumnarStore(tmp_path).iter_rows())
-
-    def test_write_failure_falls_back_to_chunks(self, tmp_path, monkeypatch):
-        _install_fake_pyarrow(monkeypatch, fail_write=True)
-        store = synthetic_store(tmp_path)
-        summary = compact_store(store)  # parquet attempted, then chunks
-        assert summary["format"] == "chunks" and summary["rows"] == 12
-        assert ColumnarStore(tmp_path).fresh(store)
-
-    def test_forced_parquet_failure_surfaces_and_cleans_up(self, tmp_path,
-                                                           monkeypatch):
-        _install_fake_pyarrow(monkeypatch, fail_write=True)
-        store = synthetic_store(tmp_path)
-        with pytest.raises(RuntimeError, match="synthetic parquet failure"):
-            compact_store(store, use_parquet=True)
-        assert not list(store.root.glob(".columnar-*"))  # tmp removed
-        assert not ColumnarStore(tmp_path).exists()
-
-    def test_forced_parquet_without_pyarrow(self, tmp_path):
-        if importlib.util.find_spec("pyarrow") is not None:
-            pytest.skip("real pyarrow installed; the forced path would work")
-        store = synthetic_store(tmp_path)
-        with pytest.raises(RuntimeError, match="pyarrow is not importable"):
-            compact_store(store, use_parquet=True)
+def test_retired_parquet_compaction_fails_with_named_error(tmp_path):
+    store = synthetic_store(tmp_path)
+    compact_store(store)
+    columnar = ColumnarStore(tmp_path)
+    manifest = columnar.load_manifest()
+    manifest["format"] = "parquet"
+    columnar.manifest_path().write_text(json.dumps(manifest))
+    with pytest.raises(UnsupportedColumnarFormat, match="'parquet'"):
+        list(iter_store_records(store))

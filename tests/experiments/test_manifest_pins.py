@@ -32,6 +32,6 @@ PINNED = {
 
 @pytest.mark.parametrize("spec_fn", list(PINNED), ids=lambda fn: fn.__name__)
 def test_manifest_bytes_pinned(spec_fn, tmp_path):
-    run_campaign(spec_fn(), tmp_path, max_new_trials=0, aggregate=False)
+    run_campaign(spec_fn(), tmp_path, max_new_trials=0)
     data = (tmp_path / CampaignStore.MANIFEST).read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED[spec_fn]

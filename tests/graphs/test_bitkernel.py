@@ -109,12 +109,6 @@ class TestBfsEquivalence:
         D = bk.all_pairs_distances(A)
         assert np.array_equal(D, adj.all_pairs_distances(A))
 
-    def test_exclude_removes_one_vertex_per_search(self):
-        A = adj.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        got = bk.bfs_distances_multi(A, [0, 0, 2], exclude=[1, 4, 2])
-        for row, s, u in zip(got, [0, 0, 2], [1, 4, 2]):
-            assert np.array_equal(row, adj.distances_without_vertex(A, u)[s])
-
     def test_masked_out_source_is_all_inf(self):
         A = adj.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         mask = np.array([True, False, True, True])

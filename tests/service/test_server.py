@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.service.api import ServiceApi
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobManager, job_worker_main
@@ -204,6 +205,22 @@ class TestApiBranches:
             api.dispatch(make_request("GET", f"/jobs/{job.id}/result")))
         assert status == 409 and body["error"] == "job-failed"
         assert body["detail"] == "it broke"
+
+    def test_metrics_fold_every_job_fleet(self, api):
+        for _ in range(2):
+            job = api.manager.submit(trial_payload(n=6, trials=2), "c")
+            assert job_worker_main(str(api.manager.job_dir(job.id))) == 0
+        key = json.dumps({"event": "completed"})
+        own = obs_metrics.DEFAULT.snapshot()[
+            "repro_fabric_lease_events_total"]["values"][key]
+        raw = api.dispatch(make_request("GET", "/metrics"))
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert b" 200 " in head.split(b"\r\n")[0]
+        # this process's meter plus each job's fleet delta of one unit
+        [completed] = [line for line in body.decode().splitlines()
+                       if line.startswith('repro_fabric_lease_events_total'
+                                          '{event="completed"}')]
+        assert float(completed.rsplit(" ", 1)[1]) == own + 2
 
     def test_done_job_with_missing_result_file_is_500(self, api):
         job = api.manager.submit(trial_payload(), "c")

@@ -2,8 +2,9 @@
 
 The real service runs :func:`job_worker_main` in a child process, which
 the coverage tracer cannot follow — these tests call the same entry
-points directly so the slice loops, the drain checks, and the
-error-reporting paths are exercised (and traced) without a fork.
+points directly so the fabric round loop, the drain outcome, the
+recovery paths and the error reporting are exercised (and traced)
+without a fork.
 """
 
 from __future__ import annotations
@@ -12,21 +13,24 @@ import asyncio
 import json
 import multiprocessing
 import signal
+import socket
 import time
 
 import pytest
 
 import repro.service.jobs as jobs_mod
+from repro.experiments import fabric
+from repro.experiments.campaign import CampaignStore
 from repro.service.jobs import (
     EXIT_DONE,
     EXIT_FAILED,
     EXIT_RELEASED,
     JobManager,
     JobRejected,
-    _run_campaign_job,
-    _run_explore_job,
+    _drain_job,
+    _source_for,
     _worker_entry,
-    _worker_sigterm,
+    _worker_id,
     job_worker_main,
     parse_job_request,
 )
@@ -46,12 +50,13 @@ def manager(tmp_path):
     return mgr
 
 
-@pytest.fixture(autouse=True)
-def _reset_drain_flag():
-    """The drain flag is worker-process state; never leak it across tests."""
-    jobs_mod._drain_asked = 0
+@pytest.fixture
+def drain_asked():
+    """Stand in for a drain signal the job process took; the flag is
+    process state, so never leak it across tests."""
+    fabric._DRAIN_ASKED.set()
     yield
-    jobs_mod._drain_asked = 0
+    fabric._DRAIN_ASKED.clear()
 
 
 class TestWorkerMain:
@@ -64,6 +69,9 @@ class TestWorkerMain:
         assert result["aggregate"]
         # the per-job store now answers the manager's progress query
         assert manager.progress(job) == {"done": 2, "total": 2}
+        # the records carry the worker id of the spawn that wrote them
+        assert [p.name for p in manager.store_dir(job.id).glob("*.jsonl")] \
+            == ["trials-w000000.jsonl"]
 
     def test_explore_job_runs_to_done(self, manager):
         job = manager.submit(explore_payload(n=4), "w")
@@ -78,6 +86,7 @@ class TestWorkerMain:
         assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_FAILED
         error = json.loads((manager.job_dir(job.id) / "error.json").read_text())
         assert error["error"] == "worker-error"
+        assert error["detail"].startswith("ExplorationTruncated: ")
         assert "truncated" in error["detail"]
 
     def test_torn_control_record_fails_cleanly(self, tmp_path):
@@ -87,56 +96,163 @@ class TestWorkerMain:
         assert job_worker_main(str(job_dir)) == EXIT_FAILED
         assert (job_dir / "error.json").exists()
 
-    def test_released_run_exits_with_release_code(self, manager, monkeypatch):
+    def test_drain_asked_exits_with_release_code(self, manager, drain_asked):
         job = manager.submit(trial_payload(), "w")
-        monkeypatch.setattr(jobs_mod, "_run_campaign_job",
-                            lambda *a, **kw: None)
         assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_RELEASED
         assert not manager.result_path(job.id).exists()
-
-    def test_keyboard_interrupt_releases_not_fails(self, manager, monkeypatch):
-        job = manager.submit(trial_payload(), "w")
-
-        def boom(*a, **kw):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(jobs_mod, "_run_campaign_job", boom)
-        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_RELEASED
         assert not (manager.job_dir(job.id) / "error.json").exists()
 
+    def test_worker_metrics_fold_into_the_job_fleet(self, manager):
+        job = manager.submit(trial_payload(n=6, trials=2), "w")
+        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_DONE
+        snap = fabric.fleet_snapshot(manager.store_dir(job.id))
+        events = snap["repro_fabric_lease_events_total"]["values"]
+        assert events[json.dumps({"event": "completed"})] == 1
+
+
+def _fake_server_child(job_dir, ready, wsock) -> None:
+    """A job process forked from ``repro serve``: the server's event
+    loop left a signal wakeup fd and a no-op SIGTERM handler behind."""
+    signal.set_wakeup_fd(wsock.fileno())
+    signal.signal(signal.SIGTERM, lambda signum, frame: None)
+
+    def sleeper(_job_dir):
+        ready.set()
+        time.sleep(30)
+        return EXIT_DONE
+
+    jobs_mod.job_worker_main = sleeper
+    _worker_entry(job_dir)
+
+
+class TestWorkerEntry:
     def test_worker_entry_exits_with_worker_code(self, monkeypatch):
         monkeypatch.setattr(jobs_mod, "job_worker_main", lambda d: 3)
-        with pytest.raises(SystemExit) as exc:
-            _worker_entry("ignored")
+        handlers = {sig: signal.getsignal(sig)
+                    for sig in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            with pytest.raises(SystemExit) as exc:
+                _worker_entry("ignored")
+        finally:
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
         assert exc.value.code == 3
 
-    def test_first_sigterm_only_sets_the_drain_flag(self):
-        _worker_sigterm(signal.SIGTERM, None)
-        assert jobs_mod._drain_asked == 1
+    def test_inherited_server_signal_state_is_dropped(self, tmp_path):
+        """A cancel SIGTERMs the job process; it must end that process
+        and must not reach the server through the inherited wakeup fd
+        (which made the server stop)."""
+        rsock, wsock = socket.socketpair()
+        rsock.setblocking(False)
+        wsock.setblocking(False)
+        ready = multiprocessing.Event()
+        proc = multiprocessing.Process(
+            target=_fake_server_child, args=(str(tmp_path), ready, wsock),
+            daemon=True)
+        proc.start()
+        try:
+            assert ready.wait(timeout=30.0)
+            proc.terminate()
+            proc.join(timeout=10.0)
+            assert proc.exitcode == -signal.SIGTERM
+            with pytest.raises(BlockingIOError):
+                rsock.recv(16)
+        finally:
+            if proc.is_alive():
+                proc.kill()
+            rsock.close()
+            wsock.close()
 
 
-class TestDrainChecks:
-    def test_campaign_slice_loop_releases_on_drain(self, manager, tmp_path):
-        # 12 trials > one 8-trial slice, so the loop re-checks the flag
+class TestDrainOutcomes:
+    def test_campaign_job_releases_on_drain_then_resumes(self, tmp_path,
+                                                         drain_asked):
         request = parse_job_request(trial_payload(n=6, trials=12))
-        jobs_mod._drain_asked = 1
         store = tmp_path / "drain-campaign"
-        assert _run_campaign_job(request, "job-x", store) is None
-        # the finished slice is durable: a fresh run resumes, not restarts
-        jobs_mod._drain_asked = 0
-        result = _run_campaign_job(request, "job-x", store)
-        assert result["total"] == 12
+        source = _source_for(request, "job-x")
+        assert _drain_job(source, store, "w000000") == ("released", None)
+        fabric._DRAIN_ASKED.clear()
+        outcome, result = _drain_job(source, store, "w000001")
+        assert outcome == "done" and result.spec.trials == 12
 
-    def test_explore_slice_loop_releases_on_drain(self, manager, tmp_path,
-                                                  monkeypatch):
+    def test_explore_job_releases_between_rounds(self, tmp_path, monkeypatch):
+        """A drain signal taken during one round's unit stops the job at
+        the next round, even though that round's queue ran dry."""
         monkeypatch.setattr(jobs_mod, "EXPLORE_SLICE", 4)
         request = parse_job_request(explore_payload(n=4))
-        jobs_mod._drain_asked = 1
+        source = _source_for(request, "job-x")
+        real_worker_main = fabric.worker_main
+
+        def signalled_worker_main(*args, **kwargs):
+            try:
+                return real_worker_main(*args, **kwargs)
+            finally:
+                fabric._DRAIN_ASKED.set()  # taken inside the first round
+
+        monkeypatch.setattr(fabric, "worker_main", signalled_worker_main)
         store = tmp_path / "drain-explore"
-        assert _run_explore_job(request, store) is None
-        jobs_mod._drain_asked = 0
-        result = _run_explore_job(request, store)
-        assert result["kind"] == "explore"
+        try:
+            assert _drain_job(source, store, "w000000") == ("released", None)
+        finally:
+            fabric._DRAIN_ASKED.clear()
+        assert fabric.WorkQueue(store).counts()["done"] == 1
+        monkeypatch.setattr(fabric, "worker_main", real_worker_main)
+        outcome, report = _drain_job(source, store, "w000001")
+        assert outcome == "done" and report.complete
+
+
+def _claim_as_current_worker(manager, job) -> None:
+    """Plan the job's queue and lease a unit as its current worker."""
+    store_dir = manager.store_dir(job.id)
+    source = _source_for(parse_job_request(job.request), job.id)
+    queue = fabric.WorkQueue(store_dir)
+    queue.initialize(source.plan(source.store(store_dir), 0))
+    assert queue.claim(_worker_id(job)) is not None
+
+
+class _DeadProcess:
+    def __init__(self, exitcode: int) -> None:
+        self.exitcode = exitcode
+
+    def is_alive(self) -> bool:
+        return False
+
+    def join(self, timeout=None) -> None:
+        pass
+
+
+class TestRecovery:
+    def test_unit_that_keeps_killing_its_worker_fails_the_job(self, manager):
+        job = manager.submit(trial_payload(n=6, trials=2), "w")
+        for spawn in range(3):
+            job.state = "running"
+            _claim_as_current_worker(manager, job)
+            manager.procs[job.id] = _DeadProcess(-signal.SIGKILL)
+            manager._reap()
+            assert job.state == "queued" and job.requeues == spawn + 1
+        [parked] = fabric.WorkQueue(manager.store_dir(job.id)).failed_units()
+        assert parked["diagnosis"] == "poison" and parked["crashes"] == 3
+        # the next spawn finds the parked unit and fails the job with it
+        assert job_worker_main(str(manager.job_dir(job.id))) == EXIT_FAILED
+        error = json.loads((manager.job_dir(job.id) / "error.json").read_text())
+        assert error["error"] == "worker-error"
+        assert error["detail"].startswith("poison: worker w000002 died")
+
+    def test_recovered_job_releases_its_lease_without_a_crash(self, tmp_path):
+        writer = JobManager(tmp_path / "state", workers=0)
+        writer.recover()
+        job = writer.submit(trial_payload(n=6, trials=2), "w")
+        job.state = "running"
+        writer._persist(job)
+        _claim_as_current_worker(writer, job)
+
+        revived = JobManager(tmp_path / "state", workers=0)
+        assert revived.recover() == {"jobs": 1, "requeued": 1}
+        assert job_worker_main(str(revived.job_dir(job.id))) == EXIT_DONE
+        [unit] = fabric.WorkQueue(revived.store_dir(job.id)).done_units()
+        assert "crashes" not in unit and "released" in unit["error"]
+        store = CampaignStore(revived.store_dir(job.id))
+        assert sorted(r["trial"] for r in store.iter_records()) == [0, 1]
 
 
 class TestParseEdges:
