@@ -728,14 +728,10 @@ def cmd_explore(args) -> int:
         if store.load_manifest() is None:
             print(f"no exploration under {root}")
             return 1
-        from .statespace.encode import state_key
-        from .statespace.expand import ownership_matters
-        from .statespace.explore import enumerate_states
+        from .statespace.explore import seed_keys
 
-        own = ownership_matters(game)
-        seeds = (seed_kwargs["start"],) if "start" in seed_kwargs else (
-            enumerate_states(seed_kwargs["n"], with_ownership=own))
-        status = store.status(state_key(s, own).hex() for s in seeds)
+        status = store.status(key.hex() for key in seed_keys(
+            game, seed_kwargs.get("start"), seed_kwargs.get("n")))
         print(f"exploration {tag} in {root}: {status['expanded']} states "
               f"expanded, {status['discovered']} discovered, "
               f"{status['pending']} pending"

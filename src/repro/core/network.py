@@ -78,6 +78,15 @@ class Network:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _trusted(cls, A: np.ndarray, owner: np.ndarray) -> "Network":
+        """An unlabelled network over bool matrices already known to be
+        a valid state, skipping :meth:`__post_init__`'s checks (the
+        response-graph explorer's own derived states)."""
+        net = cls.__new__(cls)
+        net.A, net.owner, net.labels, net._label_index = A, owner, None, {}
+        return net
+
+    @classmethod
     def from_owned_edges(
         cls,
         n: int,

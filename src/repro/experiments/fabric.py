@@ -74,7 +74,6 @@ and campaign jobs) or an :class:`ExplorationSource` (explore jobs).
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import multiprocessing
 import os
@@ -817,7 +816,10 @@ class ExplorationSource(FabricSource):
         return ExplorationStore(root, fs=self.fs)
 
     def plan(self, store, round_index: int) -> List[dict]:
-        if round_index > 0 and self.finished(store):
+        # a unit that saw the complete graph left the store's marker, so
+        # planning reads no record row; without it (not yet complete, or
+        # the marker write failed) one more round of units finds out
+        if round_index > 0 and store.marked_complete():
             return []
         k = max(1, int(self.shards))
         return [
@@ -844,25 +846,20 @@ class ExplorationSource(FabricSource):
         if report.truncated:
             raise ExplorationTruncated(
                 f"exploration truncated at max_states={self.max_states}")
+        if report.complete:
+            try:
+                store.mark_complete()
+            except OSError:
+                pass  # a late marker costs one more round, never a wrong answer
         return {"states": report.n_states}
 
-    @functools.cached_property
-    def _seed_keys(self) -> List[str]:
-        # cached: a multi-round drain asks ``finished`` every round, and
-        # enumerating a census's seeds costs as much as a round's replay
-        from ..statespace.encode import state_key
-        from ..statespace.expand import ownership_matters
-        from ..statespace.explore import enumerate_states
-
-        own = ownership_matters(self.game)
-        seeds = (
-            [self.start] if self.start is not None
-            else enumerate_states(self.n, with_ownership=own)
-        )
-        return [state_key(net, with_ownership=own).hex() for net in seeds]
-
     def finished(self, store) -> bool:
-        return bool(store.status(self._seed_keys)["complete"])
+        from ..statespace.explore import seed_keys
+
+        if store.marked_complete():
+            return True
+        seeds = seed_keys(self.game, self.start, self.n)
+        return bool(store.status(key.hex() for key in seeds)["complete"])
 
     def result(self, store):
         from ..statespace.explore import explore

@@ -37,6 +37,13 @@ state's moves then serve both its unhappy test and its transitions.
 Best responses reach the transitions through
 :meth:`~repro.core.games.Game.best_responses` and the backend's
 per-state memo, so the block pass is a prefetch.
+
+Successors are never materialised as networks.  A move changes only
+pairs at its mover, so :func:`successor_state` derives a successor's
+packed rows (:class:`~repro.statespace.encode.PackedState`) from its
+parent's with a few bit operations, and its key and blob come straight
+from those rows.  The explorer's store replay derives the successors of
+a stored expansion through the same function.
 """
 
 from __future__ import annotations
@@ -45,11 +52,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.games import EPS, AsymmetricSwapGame, BilateralGame, Game, SwapGame
-from ..core.moves import Move, move_to_dict
+from ..core.moves import Buy, Delete, Move, Swap, move_to_dict
 from ..core.network import Network
 from ..graphs.incremental import DistanceBackend, resolve_backend
-from .encode import state_key
+from .encode import PackedState, encode_state, state_key
 
 __all__ = [
     "AGENT_FILTERS",
@@ -57,6 +66,7 @@ __all__ = [
     "Transition",
     "Expander",
     "ownership_matters",
+    "successor_state",
 ]
 
 MOVESETS = ("best", "improving", "greedy")
@@ -73,6 +83,26 @@ def ownership_matters(game: Game) -> bool:
     if isinstance(game, AsymmetricSwapGame):
         return True
     return not isinstance(game, (SwapGame, BilateralGame))
+
+
+def successor_state(parent: PackedState, owner: np.ndarray, move: Move) -> PackedState:
+    """The packed state ``move`` leads to from ``parent``.
+
+    ``owner`` is the parent's ownership matrix; only a strategy change
+    reads it, for the mover's current strategy.  Same bits as
+    ``move.apply`` on a copy of the parent, without its checks: the
+    move must be legal in the parent.
+    """
+    u = move.agent
+    if isinstance(move, Swap):
+        return parent.successor(u, (move.old,), (move.new,))
+    if isinstance(move, Buy):
+        return parent.successor(u, (), (move.target,))
+    if isinstance(move, Delete):
+        return parent.successor(u, (move.target,), ())
+    held = owner[u] | owner[:, u] if move.bilateral else owner[u]
+    current = set(np.flatnonzero(held).tolist())
+    return parent.successor(u, current - move.new_targets, move.new_targets - current)
 
 
 @dataclass(frozen=True)
@@ -191,23 +221,24 @@ class Expander:
 
     def expand_with_successors(
         self, net: Network, answers: Optional[list] = None
-    ) -> List[Tuple[Transition, Network]]:
-        """:meth:`expand` plus each transition's successor network.
+    ) -> List[Tuple[Transition, bytes]]:
+        """:meth:`expand` plus each transition's successor blob
+        (:func:`~repro.statespace.encode.encode_state`).
 
-        The successor is materialised anyway to compute its key; the
-        explorer needs it again for the persisted blob, so handing it
-        back avoids a second copy-and-apply per edge.  ``answers`` are
-        the agents' answers in ``net`` when already priced (an entry of
-        :meth:`agent_answers`).
+        Key and blob come from the successor's packed rows
+        (:func:`successor_state`); no successor network is built.
+        ``answers`` are the agents' answers in ``net`` when already
+        priced (an entry of :meth:`agent_answers`).
         """
         if answers is None:
             answers = next(self.agent_answers([net]))
         moves = self._agent_moves(net, answers)
         unhappy = [u for u in range(net.n) if moves[u]]
-        out: List[Tuple[Transition, Network]] = []
+        parent = PackedState.of(net, self.with_ownership)
+        out: List[Tuple[Transition, bytes]] = []
         for u in self._movers(net, unhappy):
             for move in moves[u]:
-                succ = net.copy()
-                move.apply(succ)
-                out.append((Transition(u, move, self.key(succ)), succ))
+                succ = successor_state(parent, net.owner, move)
+                key = state_key(succ, self.with_ownership)
+                out.append((Transition(u, move, key), encode_state(succ)))
         return out

@@ -8,8 +8,9 @@ through it.  :func:`explore` builds the transition system explicitly:
 
 * **seeded** from one start network (the reachable component — what the
   paper's counterexample proofs construct by hand), or from *every*
-  connected configuration at size ``n`` (:func:`enumerate_states` — the
-  full state space, making the census genuinely exhaustive);
+  connected configuration at size ``n`` (the enumeration behind
+  :func:`enumerate_states`, vectorized and packed — the full state
+  space, making the census genuinely exhaustive);
 * **expanded** through :class:`~repro.statespace.expand.Expander`
   (priced through the per-state memo,
   :class:`~repro.graphs.incremental.IncrementalBackend`);
@@ -18,6 +19,17 @@ through it.  :func:`explore` builds the transition system explicitly:
   cycles (non-trivial SCCs, each with a deterministic replayable witness
   cycle), per-equilibrium basin sizes, and the longest improving path
   (exact adversarial convergence time on acyclic components).
+
+States stay packed throughout: the graph holds each state's key and
+:func:`~repro.statespace.encode.encode_state` blob, successors' keys and
+blobs are derived from their parents' packed rows
+(:func:`~repro.statespace.expand.successor_state`), and a network is
+built only where a game prices a state.  Validation happens once, at
+the boundary: seeds are validated networks or enumerated
+configurations, and a blob read back from a store is validated by
+:func:`~repro.statespace.encode.decode_state` unless the graph already
+holds those exact bytes; a state the explorer derived itself is not
+validated again.
 
 The traversal (seeding, store replay, the frontier BFS) has two
 readers: :func:`explore` builds the census report from its graph, and
@@ -40,7 +52,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,13 +60,13 @@ import numpy as np
 from ..core.games import Game
 from ..core.moves import move_from_dict
 from ..core.network import Network
-from ..graphs import adjacency as adj
 from ..graphs import incremental
+from ..graphs.bitkernel import pack_rows
 from ..graphs.incremental import DistanceBackend
 from ..obs import metrics as obs_metrics
 from ..obs import tracing as obs_tracing
-from .encode import decode_state, encode_state
-from .expand import Expander
+from .encode import PackedState, _derived_network, decode_state, encode_state, state_key
+from .expand import Expander, ownership_matters, successor_state
 from .store import ExplorationStore, manifest_for
 
 # frontier telemetry: one gauge write + one span per BFS layer, one
@@ -72,6 +84,7 @@ __all__ = [
     "ExplorationReport",
     "ClassificationReport",
     "enumerate_states",
+    "seed_keys",
     "explore",
     "classify_reachable",
     "verify_sinks",
@@ -92,6 +105,51 @@ _GREEDY_SCAN_MAX = 20_000
 # ---------------------------------------------------------------------------
 
 
+def _configurations(
+    n: int, with_ownership: bool, connected_only: bool = True
+) -> np.ndarray:
+    """The ``(N, n, n)`` ownership matrices of every configuration on
+    ``n`` labelled vertices, in :func:`itertools.product` order of the
+    pairs' choices (the last pair varies fastest).
+
+    Connectivity depends on the topology only, so it is tested once per
+    topology — one batched reachability sweep over the ``2^C(n,2)``
+    adjacency stack — and each assignment reads its topology's verdict.
+    """
+    if n < 1:
+        raise ValueError(f"a census needs n >= 1 vertices, got n={n}")
+    pairs = list(combinations(range(n), 2))
+    choices = 3 if with_ownership else 2
+    total = choices ** len(pairs)
+    if total > _MAX_ENUMERATION:
+        raise ValueError(
+            f"state space of n={n} ({'ownership' if with_ownership else 'topology'}"
+            f" notion) has {total} raw configurations; exhaustive enumeration "
+            f"is capped at {_MAX_ENUMERATION} — seed from a start network instead"
+        )
+    us = np.array([u for u, _ in pairs], dtype=np.intp)
+    vs = np.array([v for _, v in pairs], dtype=np.intp)
+    # digit p of assignment c is pair p's choice (0 absent, 1 owned by
+    # the smaller endpoint, 2 by the larger); the last pair varies fastest
+    shifts = np.arange(len(pairs) - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(total, dtype=np.int64)[:, None] // choices ** shifts % choices
+    if connected_only:
+        # topology t holds pair p iff its bit shifts[p] is set
+        tops = np.arange(2 ** len(pairs), dtype=np.int64)[:, None] >> shifts & 1
+        A = np.zeros((len(tops), n, n), dtype=bool)
+        A[:, us, vs] = A[:, vs, us] = tops.astype(bool)
+        reach = A[:, 0, :].copy()
+        reach[:, 0] = True
+        for _ in range(n - 2):
+            reach |= (reach[:, :, None] & A).any(axis=1)
+        topology = (digits > 0).astype(np.int64) @ (np.int64(1) << shifts)
+        digits = digits[reach.all(axis=1)[topology]]
+    O = np.zeros((len(digits), n, n), dtype=bool)
+    O[:, us, vs] = digits == 1
+    O[:, vs, us] = digits == 2
+    return O
+
+
 def enumerate_states(
     n: int,
     with_ownership: bool = True,
@@ -107,33 +165,38 @@ def enumerate_states(
     ``connected_only`` keeps only connected configurations — the class
     the paper's processes live in, and one that improving-move dynamics
     never leave (a move disconnecting the mover has infinite distance
-    cost, so it is never improving).
+    cost, so it is never improving).  The order is that of
+    :func:`itertools.product` over the pairs' choices; the explorer
+    seeds its census from the same enumeration, packed.  Raises
+    ``ValueError`` for ``n < 1``.
     """
-    pairs = list(combinations(range(n), 2))
-    choices = 3 if with_ownership else 2
-    total = choices ** len(pairs)
-    if total > _MAX_ENUMERATION:
-        raise ValueError(
-            f"state space of n={n} ({'ownership' if with_ownership else 'topology'}"
-            f" notion) has {total} raw configurations; exhaustive enumeration "
-            f"is capped at {_MAX_ENUMERATION} — seed from a start network instead"
-        )
-    out: List[Network] = []
-    for assign in product(range(choices), repeat=len(pairs)):
-        A = np.zeros((n, n), dtype=bool)
-        O = np.zeros((n, n), dtype=bool)
-        for (u, v), c in zip(pairs, assign):
-            if c == 0:
-                continue
-            A[u, v] = A[v, u] = True
-            if c == 1:
-                O[u, v] = True
-            else:
-                O[v, u] = True
-        if connected_only and not adj.is_connected(A):
-            continue
-        out.append(Network(A, O))
-    return out
+    return [Network(O | O.T, O.copy())
+            for O in _configurations(n, with_ownership, connected_only)]
+
+
+def _seed_states(
+    with_ownership: bool, start: Optional[Network], n: Optional[int]
+) -> List[PackedState]:
+    """The seeds of an exploration: ``start``, or every connected
+    configuration on ``n`` vertices in :func:`enumerate_states`' order."""
+    if start is not None:
+        return [PackedState.of(start, with_ownership)]
+    O = _configurations(n, with_ownership)
+    rows = pack_rows(O.reshape(-1, n)).reshape(len(O), -1)
+    # without ownership every edge is owned by its smaller endpoint, so
+    # the owner rows are the topology payload as well
+    return [PackedState(n, r, None if with_ownership else r)
+            for r in (int.from_bytes(row.tobytes(), "little") for row in rows)]
+
+
+def seed_keys(
+    game: Game, start: Optional[Network] = None, n: Optional[int] = None
+) -> List[bytes]:
+    """The state keys of :func:`explore`'s seeds for ``game``, in
+    seeding order — hashed, never priced (what progress reads compare
+    the stored rows against)."""
+    own = ownership_matters(game)
+    return [state_key(s, own) for s in _seed_states(own, start, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -596,41 +659,87 @@ def _shard_of(key: bytes, k: int) -> int:
     return int.from_bytes(key[:8], "big") % k
 
 
+#: one expanded state: its key and, per transition, ``(agent, move dict,
+#: successor key, successor blob)``
+Expansion = Tuple[bytes, List[Tuple[int, dict, bytes, bytes]]]
+
+
 def _expand_states(
     expander: Expander, items: Sequence[Tuple[bytes, bytes]], n: int
-) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
+) -> List[Expansion]:
     """Expand ``(key, blob)`` states on ``n`` vertices, a pass-sized
     chunk at a time.
 
-    Each chunk is decoded and every agent of every state in it announced
-    to the backend at once, so one packed pass prices the whole chunk's
-    ``D(G - u)`` (every moveset prices every agent, so none is wasted),
-    and then one block call of the game prices all their moves
-    (:meth:`~repro.statespace.expand.Expander.agent_answers`).  Returns, per state, ``(key hex, succ rows, successor (key, blob)
-    hex pairs)``.
+    Each chunk's blobs are unpacked into networks (not validated again:
+    the explorer derived them) and every agent of every state in it
+    announced to the backend at once, so one packed pass prices the
+    whole chunk's ``D(G - u)`` (every moveset prices every agent, so
+    none is wasted), and then one block call of the game prices all
+    their moves (:meth:`~repro.statespace.expand.Expander.agent_answers`).
     """
-    out = []
+    out: List[Expansion] = []
     per_chunk = max(1, incremental._PASS_ENTRIES // max(1, n ** 3))
     for start in range(0, len(items), per_chunk):
         chunk = items[start:start + per_chunk]
-        nets = [decode_state(blob) for _, blob in chunk]
+        nets = [_derived_network(blob) for _, blob in chunk]
         expander.backend.prefetch_deviations([(net, range(net.n)) for net in nets])
         for (key, _), net, answers in zip(chunk, nets, expander.agent_answers(nets)):
-            rows: List[list] = []
-            succs: List[Tuple[str, str]] = []
-            for t, succ_net in expander.expand_with_successors(net, answers):
-                rows.append([int(t.agent), t.move_dict(), t.succ_key.hex()])
-                succs.append((t.succ_key.hex(), encode_state(succ_net).hex()))
-            out.append((key.hex(), rows, succs))
+            out.append((key, [
+                (int(t.agent), t.move_dict(), t.succ_key, blob)
+                for t, blob in expander.expand_with_successors(net, answers)
+            ]))
     return out
 
 
-def _expand_chunk(args) -> List[Tuple[str, List[list], List[Tuple[str, str]]]]:
+def _expand_chunk(args) -> List[Expansion]:
     """Worker body: :func:`_expand_states` with a fresh expander.
     Expansion is deterministic, so worker-local memo state affects speed
     only."""
     game, moves, agent_filter, items, n = args
     return _expand_states(Expander(game, moves=moves, agent_filter=agent_filter), items, n)
+
+
+def _replay(graph: ResponseGraph, rows: Dict[str, dict], with_ownership: bool,
+            max_states: int) -> None:
+    """Load stored expansions into ``graph``: intern each parent, record
+    its transitions and intern their successors, derived from the parent
+    blob and the stored moves (:func:`~repro.statespace.expand.successor_state`).
+
+    A stored blob byte-identical to the one the graph already holds for
+    its key is the explorer's own; any other is validated
+    (:func:`decode_state`).  A derived successor must hash to its stored
+    key, or ``ValueError`` names the record.
+    """
+    for key_hex, rec in sorted(rows.items()):
+        key = bytes.fromhex(key_hex)
+        blob = bytes.fromhex(rec["state"])
+        known = graph.index.get(key)
+        idx = graph.intern(key, blob)
+        if graph.transitions[idx] is not None:
+            continue
+        if known is None or graph.blobs[known] != blob:
+            decode_state(blob)  # validates: the graph does not hold it yet
+        parent = net = None  # unpacked on the first successor to derive
+        trans: List[Tuple[int, dict, int]] = []
+        for agent, move_dict, succ_hex in rec["succ"]:
+            succ_key = bytes.fromhex(succ_hex)
+            j = graph.index.get(succ_key)
+            if j is None:
+                if graph.n_states >= max_states:
+                    graph.truncated = True
+                    graph.clipped.add(idx)
+                    continue
+                if parent is None:
+                    net = _derived_network(blob)
+                    parent = PackedState.of(net, with_ownership)
+                succ = successor_state(parent, net.owner, move_from_dict(move_dict))
+                if state_key(succ, with_ownership) != succ_key:
+                    raise ValueError(
+                        f"exploration record {key_hex}: move {move_dict} does "
+                        f"not lead to its stored successor {succ_hex}")
+                j = graph.intern(succ_key, encode_state(succ))
+            trans.append((int(agent), move_dict, j))
+        graph.transitions[idx] = trans
 
 
 def explore(
@@ -721,56 +830,28 @@ def _traverse(
     expander = Expander(game, moves=moves, agent_filter=agent_filter, backend=backend)
     with_ownership = expander.with_ownership
 
-    if start is not None:
-        seeds = [start]
-        size = start.n
-    else:
-        seeds = enumerate_states(n, with_ownership=with_ownership)
-        size = n
-
     graph = ResponseGraph()
-    seed_keys = []
-    for net in seeds:
-        key = expander.key(net)
+    seeds = []
+    for state in _seed_states(with_ownership, start, n):
+        key = state_key(state, with_ownership)
         # the manifest fingerprint covers the *requested* seed set even
         # when the budget cuts discovery short, so a resume with a
         # different budget is a loud mismatch, not silent drift
-        seed_keys.append(key)
+        seeds.append(key)
         if key not in graph.index and graph.n_states >= max_states:
             graph.truncated = True
             continue
-        graph.intern(key, encode_state(net))
+        graph.intern(key, encode_state(state))
+    size = start.n if start is not None else n
 
     store_obj: Optional[ExplorationStore] = None
     writer = None
     if store is not None:
         store_obj = store if isinstance(store, ExplorationStore) else ExplorationStore(store)
         store_obj.ensure_manifest(
-            manifest_for(game, moves, agent_filter, size, seed_keys, max_states)
+            manifest_for(game, moves, agent_filter, size, seeds, max_states)
         )
-        # replay stored expansions: intern parents, record transitions,
-        # and intern successors (their blobs derive from parent + move)
-        for key_hex, rec in sorted(store_obj.expanded_rows().items()):
-            key = bytes.fromhex(key_hex)
-            blob = bytes.fromhex(rec["state"])
-            idx = graph.intern(key, blob)
-            if graph.transitions[idx] is not None:
-                continue
-            parent = decode_state(blob)
-            trans: List[Tuple[int, dict, int]] = []
-            for agent, move_dict, succ_hex in rec["succ"]:
-                succ_key = bytes.fromhex(succ_hex)
-                j = graph.index.get(succ_key)
-                if j is None:
-                    if graph.n_states >= max_states:
-                        graph.truncated = True
-                        graph.clipped.add(idx)
-                        continue
-                    succ_net = parent.copy()
-                    move_from_dict(move_dict).apply(succ_net)
-                    j = graph.intern(succ_key, encode_state(succ_net))
-                trans.append((int(agent), move_dict, j))
-            graph.transitions[idx] = trans
+        _replay(graph, store_obj.expanded_rows(), with_ownership, max_states)
 
     expansions = 0
     budget_hit = False
@@ -805,27 +886,27 @@ def _traverse(
                     results = _expand_states(expander, items, size)
             _EXPANSIONS.inc(len(results))
 
-            for key_hex, rows, succs in results:
-                idx = graph.index[bytes.fromhex(key_hex)]
+            for key, succs in results:
+                idx = graph.index[key]
                 trans: List[Tuple[int, dict, int]] = []
-                for (agent, move_dict, succ_hex), (s_hex, s_blob_hex) in zip(rows, succs):
-                    succ_key = bytes.fromhex(succ_hex)
+                for agent, move_dict, succ_key, succ_blob in succs:
                     j = graph.index.get(succ_key)
                     if j is None:
                         if graph.n_states >= max_states:
                             graph.truncated = True
                             graph.clipped.add(idx)
                             continue
-                        j = graph.intern(succ_key, bytes.fromhex(s_blob_hex))
-                    trans.append((int(agent), move_dict, j))
+                        j = graph.intern(succ_key, succ_blob)
+                    trans.append((agent, move_dict, j))
                 graph.transitions[idx] = trans
                 expansions += 1
                 if store_obj is not None:
                     if writer is None:
                         writer = store_obj.open_writer((i_shard, k_shard))
-                    store_obj.append(writer, {"key": key_hex,
-                                              "state": graph.blobs[idx].hex(),
-                                              "succ": rows})
+                    store_obj.append(writer, {
+                        "key": key.hex(),
+                        "state": graph.blobs[idx].hex(),
+                        "succ": [[a, m, k.hex()] for a, m, k, _ in succs]})
     finally:
         if pool is not None:
             pool.shutdown()

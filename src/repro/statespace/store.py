@@ -37,6 +37,23 @@ class ExplorationStore(CampaignStore):
     RECORD_PREFIX = "states"
     REQUIRED_KEYS = frozenset({"key", "state", "succ"})
     KIND = "exploration"
+    #: marker file of a store whose rows hold the complete graph
+    COMPLETE = "complete"
+
+    def mark_complete(self) -> None:
+        """Record, through the filesystem seam, that a traversal of this
+        store found every discovered state expanded.
+
+        The marker is an empty file, so it appears whole or not at all.
+        Rows only ever get added, so it never goes stale; a caller that
+        never writes it is only late to learn of it.
+        """
+        self.fs.write_text(self.root / self.COMPLETE, "")
+
+    def marked_complete(self) -> bool:
+        """Whether :meth:`mark_complete` ran on this store (one ``stat``,
+        no record row read)."""
+        return (self.root / self.COMPLETE).exists()
 
     def expanded_rows(self) -> Dict[str, dict]:
         """``key hex -> stored record`` across every shard file.

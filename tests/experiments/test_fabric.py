@@ -612,6 +612,44 @@ class TestExplorationDrain:
         assert source.finished(store)
         assert source.result(store).n_states == result["states"]
 
+    def test_planning_after_completion_reads_no_record_row(self, tmp_path,
+                                                           monkeypatch):
+        """The unit that sees the complete graph leaves the store's
+        marker, so the next plan stops without parsing stored rows."""
+        from repro.core.games import SwapGame
+        from repro.statespace.store import ExplorationStore
+
+        source = ExplorationSource(SwapGame("sum"), n=4, shards=1,
+                                   unit_budget=10)
+        store = ExplorationStore(tmp_path)
+        rounds = 0
+        while units := source.plan(store, rounds):
+            assert not store.marked_complete()
+            for unit in units:
+                source.execute(unit, store, "w0")
+            rounds += 1
+        assert rounds == 4  # 38 states, 10 per unit
+
+        def forbidden(self):
+            raise AssertionError("a record row was read")
+
+        monkeypatch.setattr(ExplorationStore, "iter_all_records", forbidden)
+        assert source.plan(store, rounds) == []
+        assert source.finished(store)
+
+    def test_marker_is_never_early(self, tmp_path):
+        """A partial or sharded-off drain writes no marker."""
+        from repro.core.games import AsymmetricSwapGame
+        from repro.statespace.store import ExplorationStore
+
+        source = ExplorationSource(AsymmetricSwapGame("sum"), n=3, shards=2,
+                                   unit_budget=5)
+        store = ExplorationStore(tmp_path)
+        for unit in source.plan(store, 0):
+            source.execute(unit, store, "w0")
+            assert not store.marked_complete()
+        assert not source.finished(store)
+
 
 # ---------------------------------------------------------------------------
 # queue and source edge cases (races, torn files, protocol)

@@ -511,6 +511,14 @@ class TestExplore:
         assert main(base + ["--status"]) == 0
         assert "complete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_census_of_no_vertices_fails_friendly(self, capsys, tmp_path, n):
+        rc = main(["explore", "--game", "sg", "--n", n,
+                   "--results-dir", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert f"n={n}" in out and "negative dimensions" not in out
+
     def test_requires_n_or_figure(self, capsys, tmp_path):
         assert main(["explore", "--game", "sg",
                      "--results-dir", str(tmp_path)]) == 2
