@@ -817,8 +817,8 @@ class ExplorationSource(FabricSource):
 
     def plan(self, store, round_index: int) -> List[dict]:
         # a unit that saw the complete graph left the store's marker, so
-        # planning reads no record row; without it (not yet complete, or
-        # the marker write failed) one more round of units finds out
+        # planning reads no record row; until then one more round of
+        # units expands the frontier or finds the graph complete
         if round_index > 0 and store.marked_complete():
             return []
         k = max(1, int(self.shards))
@@ -847,19 +847,12 @@ class ExplorationSource(FabricSource):
             raise ExplorationTruncated(
                 f"exploration truncated at max_states={self.max_states}")
         if report.complete:
-            try:
-                store.mark_complete()
-            except OSError:
-                pass  # a late marker costs one more round, never a wrong answer
+            # a failed write fails the unit, whose retry writes it again
+            store.mark_complete()
         return {"states": report.n_states}
 
     def finished(self, store) -> bool:
-        from ..statespace.explore import seed_keys
-
-        if store.marked_complete():
-            return True
-        seeds = seed_keys(self.game, self.start, self.n)
-        return bool(store.status(key.hex() for key in seeds)["complete"])
+        return store.marked_complete()
 
     def result(self, store):
         from ..statespace.explore import explore

@@ -39,7 +39,6 @@ imports *us* for the canonical key.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from typing import Iterable, Optional, Sequence
 
@@ -70,13 +69,6 @@ def _words(n: int) -> int:
     return (n + 63) // 64
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_triangle(n: int) -> int:
-    """The strict upper triangle's bits of an ``n``-row packed int."""
-    stride = 64 * _words(n)
-    return sum(((1 << n) - (1 << (i + 1))) << (i * stride) for i in range(n))
-
-
 class PackedState:
     """A state as its packed payloads, each read as one little-endian int.
 
@@ -98,15 +90,10 @@ class PackedState:
     def of(cls, net, with_ownership: bool = True) -> "PackedState":
         """The packed state of a network (``top`` only when the
         topology notion is keyed)."""
-        n = int(net.A.shape[0])
-        owner = np.asarray(net.owner, dtype=bool)
-        if with_ownership:
-            return cls(n, int.from_bytes(pack_rows(owner).tobytes(), "little"))
-        # one packing of O and O^T: the upper triangle of their union
-        both = pack_rows(np.concatenate((owner, owner.T))).tobytes()
-        rows = int.from_bytes(both[:len(both) // 2], "little")
-        cols = int.from_bytes(both[len(both) // 2:], "little")
-        return cls(n, rows, (rows | cols) & _upper_triangle(n))
+        rows = int.from_bytes(packed_state(net, True), "little")
+        top = (None if with_ownership
+               else int.from_bytes(packed_state(net, False), "little"))
+        return cls(int(net.A.shape[0]), rows, top)
 
     def payload(self, with_ownership: bool = True) -> bytes:
         """The :func:`packed_state` bytes of this state."""

@@ -158,11 +158,6 @@ class Expander:
         self.backend = resolve_backend(backend)
         self.with_ownership = ownership_matters(game)
 
-    # -- keys --------------------------------------------------------------
-    def key(self, net: Network) -> bytes:
-        """The canonical state key under this game's state notion."""
-        return state_key(net, with_ownership=self.with_ownership)
-
     # -- moves -------------------------------------------------------------
     def agent_answers(self, nets: Sequence[Network]) -> Iterator[list]:
         """Per network, per agent, the moveset's answer — a

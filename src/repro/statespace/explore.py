@@ -717,9 +717,11 @@ def _replay(graph: ResponseGraph, rows: Dict[str, dict], with_ownership: bool,
         idx = graph.intern(key, blob)
         if graph.transitions[idx] is not None:
             continue
-        if known is None or graph.blobs[known] != blob:
-            decode_state(blob)  # validates: the graph does not hold it yet
-        parent = net = None  # unpacked on the first successor to derive
+        # validates a blob the graph does not hold yet; the explorer's
+        # own is unpacked on the first successor to derive
+        net = (decode_state(blob) if known is None or graph.blobs[known] != blob
+               else None)
+        parent = None
         trans: List[Tuple[int, dict, int]] = []
         for agent, move_dict, succ_hex in rec["succ"]:
             succ_key = bytes.fromhex(succ_hex)
@@ -730,7 +732,8 @@ def _replay(graph: ResponseGraph, rows: Dict[str, dict], with_ownership: bool,
                     graph.clipped.add(idx)
                     continue
                 if parent is None:
-                    net = _derived_network(blob)
+                    if net is None:
+                        net = _derived_network(blob)
                     parent = PackedState.of(net, with_ownership)
                 succ = successor_state(parent, net.owner, move_from_dict(move_dict))
                 if state_key(succ, with_ownership) != succ_key:

@@ -650,6 +650,40 @@ class TestExplorationDrain:
             assert not store.marked_complete()
         assert not source.finished(store)
 
+    def test_failed_marker_write_fails_the_unit_and_retries(self, tmp_path):
+        """A full disk at the marker fails the unit with its real error;
+        the fabric's retry writes the marker and the drain ends."""
+        import errno
+
+        from repro.core.games import SwapGame
+        from repro.testing.faults import Fault, FaultPlan, FaultyFS
+
+        marker = tmp_path / "complete"
+        fs = FaultyFS(FaultPlan((
+            Fault(op="write", nth=0, kind="enospc", path=str(marker)),)))
+        source = ExplorationSource(SwapGame("sum"), n=4, shards=1,
+                                   unit_budget=100, fs=fs)
+        store = source.store(tmp_path)
+        [unit] = source.plan(store, 0)
+        with pytest.raises(OSError) as exc:
+            source.execute(unit, store, "w0")
+        assert exc.value.errno == errno.ENOSPC
+        assert not marker.exists() and not source.finished(store)
+
+        queue = WorkQueue(tmp_path, fs=fs)
+        queue.initialize([unit])
+
+        def run_round() -> bool:
+            fabric.worker_main(source, tmp_path, "w0", max_retries=1,
+                               backoff=0.0, poll=0.01, fs=fs,
+                               install_signals=False)
+            return queue.drained()
+
+        assert fabric.run_rounds(source, store, queue, run_round) == 1
+        assert not queue.failed_units() and source.finished(store)
+        assert source.plan(store, 2) == []
+        assert source.result(store).n_states == 38
+
 
 # ---------------------------------------------------------------------------
 # queue and source edge cases (races, torn files, protocol)

@@ -118,4 +118,5 @@ class TestSharedCycleKey:
         assert not ownership_matters(SwapGame("sum"))
         ex = Expander(SwapGame("sum"))
         net = _net(6)
-        assert ex.key(net) == state_key(net, with_ownership=False)
+        assert not ex.with_ownership
+        assert state_key(net, ex.with_ownership) == state_key(net, with_ownership=False)

@@ -15,7 +15,8 @@ from repro.core.games import (
 )
 from repro.core.moves import Buy, Delete, Swap
 from repro.graphs import bitkernel
-from repro.statespace import Expander, ExplorationReport, explore, verify_sinks
+from repro.statespace import ExplorationReport, explore, state_key, verify_sinks
+from repro.statespace.expand import ownership_matters
 from tests.helpers import NoMemoBackend
 
 
@@ -68,10 +69,11 @@ class TestGreedyCensusBruteForce:
         assert report.greedy_equilibria == report.equilibria
         ge = set(report.equilibria)
         graph = report.graph
-        key = Expander(game, moves="greedy").key  # the game's state notion
+        own = ownership_matters(game)  # the game's state notion
         for i in range(graph.n_states):
             net = graph.network(i)
-            assert _brute_greedy_stable(game, net) == (key(net).hex() in ge)
+            assert _brute_greedy_stable(game, net) == (
+                state_key(net, own).hex() in ge)
 
     def test_ge_strictly_contains_ne_for_bg(self):
         """The gap the greedy moveset exists for: at alpha=2, n=4 the
