@@ -13,11 +13,13 @@ Commands
 ``experiment fig7 [--trials T] [--n 10,20,30] [--full]``
     A figure grid of the empirical study, printed as the paper's series.
     ``--spec FILE`` runs a JSON scenario (or list of scenarios) instead.
-``campaign fig7 [--resume] [--shard i/k] [--status] ...``
-    A figure grid against the durable campaign store: interrupted runs
-    resume with zero recomputation, shards merge byte-identically.
-    ``--spec FILE`` campaigns over JSON scenarios; stored rows carry the
-    scenarios' metric payloads.
+``campaign fig7 [--resume] [--max-trials N] [--jobs J] [--status] ...``
+    A figure grid against the durable campaign store: interrupted or
+    ``--max-trials``-capped runs resume with zero recomputation, and
+    ``--jobs`` above 1 drains the grid with a worker fleet (as
+    ``drain`` does) into byte-identical aggregates.  ``--spec FILE``
+    campaigns over JSON scenarios; stored rows carry the scenarios'
+    metric payloads.
 ``drain fig7 [--workers W] [--lease-ttl S] [--compact] ...``
     Drain a figure campaign with a lease-based worker fleet: units are
     claimed under heartbeat leases, crashed or stalled workers lose
@@ -40,43 +42,20 @@ Commands
     ``<root>/corrupt/`` and rewrites the record files clean.
 ``classify [figures...]``
     Exhaustive reachable-dynamics classification of instance states.
-``explore --game sg --n 4 [--moves best] [--policy all] [--shard i/k]``
+``explore --game sg --n 4 [--moves best] [--policy all] [--jobs J]``
     Exhaustive response-graph exploration: equilibrium and cycle census
     over every connected configuration at size n (or the reachable
     component of a paper instance via ``--figure``), priced through the
-    per-state distance memo and persisted to a kill-safe sharded store;
+    per-state distance memo and persisted to a kill-safe store;
     ``--resume`` continues with zero recomputation and reports are
     byte-identical however the work was scheduled (``--jobs``,
-    ``--shard``, kills).
+    ``--max-expansions`` slices, kills).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-
-def parse_shard(text):
-    """Parse a ``--shard i/k`` flag into a validated ``(i, k)`` pair.
-
-    Shared by every sharded verb (``campaign``, ``explore``, ``drain``)
-    so a malformed flag always fails with the same friendly message
-    instead of a raw unpacking traceback.  ``None`` means unsharded.
-    """
-    if text is None:
-        return (0, 1)
-    try:
-        i_text, k_text = text.split("/")
-        i, k = int(i_text), int(k_text)
-    except ValueError:
-        raise ValueError(
-            f"--shard expects i/k (e.g. 0/4), got {text!r}"
-        ) from None
-    if not 0 <= i < k:
-        raise ValueError(
-            f"--shard expects 0 <= i < k (0-based, e.g. 0/4), got {text!r}"
-        )
-    return (i, k)
 
 
 def cmd_verify(args) -> int:
@@ -322,12 +301,12 @@ def cmd_experiment(args) -> int:
 
     try:
         _, spec = _resolve_grid(args)
+        n_values = [int(x) for x in args.n.split(",")] if args.n else None
+        result = run_figure(spec, seed=args.seed, n_jobs=args.jobs,
+                            trials=args.trials, n_values=n_values)
     except ValueError as exc:
         print(f"{exc}")
         return 2
-    n_values = [int(x) for x in args.n.split(",")] if args.n else None
-    result = run_figure(spec, seed=args.seed, n_jobs=args.jobs,
-                        trials=args.trials, n_values=n_values)
     print(format_figure(result, "mean"))
     print()
     print(format_figure(result, "max"))
@@ -343,6 +322,7 @@ def cmd_campaign(args) -> int:
         campaign_status,
         run_campaign,
     )
+    from .experiments.fabric import FabricError
     from .experiments.report import format_figure
 
     try:
@@ -368,14 +348,13 @@ def cmd_campaign(args) -> int:
         return 0
 
     try:
-        shard = parse_shard(args.shard)
         n_values = [int(x) for x in args.n.split(",")] if args.n else None
         run = run_campaign(
             spec, root, seed=args.seed, trials=args.trials, n_values=n_values,
-            shard=shard, n_jobs=args.jobs, max_new_trials=args.max_trials,
+            n_jobs=args.jobs, max_new_trials=args.max_trials,
             resume=args.resume,
         )
-    except (CampaignMismatch, ValueError) as exc:
+    except (CampaignMismatch, FabricError, ValueError) as exc:
         print(f"error: {exc}")
         return 2
     print(f"campaign {figure} in {root}: ran {run.new_trials} new trials, "
@@ -387,8 +366,7 @@ def cmd_campaign(args) -> int:
         print()
         print(format_figure(run.result, "max"))
     else:
-        print("(partial aggregate — rerun with --resume to continue, "
-              "or run other shards)")
+        print("(partial aggregate — rerun with --resume to continue)")
     return 0
 
 
@@ -698,7 +676,7 @@ def _explore_game(args):
 
 
 def cmd_explore(args) -> int:
-    """``repro explore``: response-graph census with resume/shard."""
+    """``repro explore``: response-graph census with resume."""
     import os
 
     from .registry import REGISTRY
@@ -739,14 +717,13 @@ def cmd_explore(args) -> int:
         return 0
 
     try:
-        shard = parse_shard(args.shard)
         if not args.resume and store.record_files():
             raise CampaignMismatch(
                 f"{root} already holds exploration records; pass --resume to "
                 "continue it, or choose a fresh --results-dir"
             )
         report = workload(
-            game, store=store, shard=shard, n_jobs=args.jobs,
+            game, store=store, n_jobs=args.jobs,
             max_expansions=args.max_expansions, game_name=game_name,
             **seed_kwargs,
         )
@@ -768,7 +745,7 @@ def cmd_explore(args) -> int:
               "raise --max-states and use a fresh --results-dir)")
     else:
         print(f"(partial: {report.pending} states pending — rerun with "
-              "--resume, or run the other shards)")
+              "--resume)")
     return 1
 
 
@@ -861,15 +838,13 @@ def main(argv=None) -> int:
     _add_grid_arguments(p)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("campaign", help="resumable sharded figure campaign")
+    p = sub.add_parser("campaign", help="resumable figure campaign")
     _add_grid_arguments(p)
     p.add_argument("--results-dir", default="results",
                    help="store root; the campaign lives in <dir>/<figure>-seed<seed>")
     p.add_argument("--resume", action="store_true",
                    help="continue an existing store (without this flag a "
                         "store that already holds records is refused)")
-    p.add_argument("--shard", type=str, default=None, metavar="i/k",
-                   help="run only trials t with t %% k == i (0-based)")
     p.add_argument("--max-trials", type=int, default=None,
                    help="cap on new trials this invocation")
     p.add_argument("--status", action="store_true",
@@ -1002,8 +977,6 @@ def main(argv=None) -> int:
     p.add_argument("--resume", action="store_true",
                    help="continue an existing store (without this flag a "
                         "store that already holds records is refused)")
-    p.add_argument("--shard", type=str, default=None, metavar="i/k",
-                   help="expand only states whose key digest maps to shard i")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes per frontier layer")
     p.add_argument("--status", action="store_true",

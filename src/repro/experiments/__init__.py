@@ -7,7 +7,7 @@ One module per experiment family:
   move-mix trajectory analysis of Section 4.2.2.
 * :mod:`topology` — Figures 12 and 14 (initial-topology comparison).
 * :mod:`runner` — the seeded sweep engine (serial or multi-process).
-* :mod:`campaign` — the durable, resumable, sharded campaign store.
+* :mod:`campaign` — the durable, resumable campaign store.
 * :mod:`fabric` — the lease-based work-queue coordinator that drains
   campaigns and explorations with a crash-tolerant worker fleet.
 * :mod:`columnar` — columnar compaction of the JSONL stores for

@@ -1,4 +1,4 @@
-"""Durable, resumable, sharded experiment campaigns.
+"""Durable, resumable experiment campaigns.
 
 A *campaign* is a figure grid (:class:`FigureSpec`) executed against a
 persistent on-disk store instead of fire-and-forget.  The store records
@@ -6,13 +6,12 @@ every completed ``(cell, trial)`` outcome, so
 
 * **resume**: re-running a killed or partial campaign executes only the
   missing trials — completed ones are never recomputed;
-* **shard**: independent invocations with ``shard=(i, k)`` split the
-  remaining trials deterministically (trial ``t`` belongs to shard
-  ``t % k``) and may run on different processes or machines sharing the
-  directory; the union of all shards equals the unsharded run;
+* **one scheduler**: :func:`run_campaign` plans through the fabric's
+  :class:`~repro.experiments.fabric.CampaignSource`, as ``repro drain``
+  and the service do, and runs the units in-process or with a fleet;
 * **merge**: aggregates are always computed from the full record set,
   sorted by ``(cell, trial)``, so they are *byte-identical* no matter
-  how the work was scheduled, interrupted, or sharded.
+  how the work was scheduled, interrupted, or drained.
 
 Those properties rest on the runner's seeding discipline (see
 :func:`repro.experiments.runner.trial_jobs`): a trial's outcome is a
@@ -23,12 +22,14 @@ Store layout (one directory per campaign)::
     <root>/
       manifest.json         # the campaign's identity: spec grid, seed,
                             # trials, cell keys — validated on resume
-      trials-<i>of<k>.jsonl # one JSON line per completed trial,
+      trials-<tag>.jsonl    # one JSON line per completed trial,
                             # append-only (kill-safe: a torn final line
-                            # is ignored on load)
+                            # is ignored on load); tag 0of1 when serial,
+                            # w<slot>.<seq> per fleet worker
+      fabric/               # a parallel run's work queue
 
 ``python -m repro campaign`` is the CLI front end (``--resume``,
-``--shard i/k``, ``--status``).
+``--max-trials``, ``--jobs``, ``--status``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,13 +45,7 @@ from ..analysis.stats import ConvergenceStats
 from ..testing.faults import resolve_fs
 from ..registry.scenario import ScenarioSpec
 from .config import FigureSpec
-from .runner import (
-    FigureResult,
-    TrialRecord,
-    resolve_n_jobs,
-    run_trial,
-    trial_jobs,
-)
+from .runner import FigureResult, TrialRecord, resolve_n_jobs
 
 __all__ = [
     "CampaignMismatch",
@@ -176,14 +170,14 @@ class CampaignStore:
     """Append-only JSONL record store of one campaign directory.
 
     The storage discipline — a validated ``manifest.json`` identity plus
-    append-only sharded ``<prefix>-<i>of<k>.jsonl`` record files with
+    append-only ``<prefix>-<tag>.jsonl`` record files with
     torn-line kill-safety — is format, not campaign logic; subclasses
     (the statespace exploration store) reuse it by overriding
     :attr:`RECORD_PREFIX` / :attr:`REQUIRED_KEYS` / :attr:`KIND`.
     """
 
     MANIFEST = "manifest.json"
-    #: record-file basename prefix (``<prefix>-<i>of<k>.jsonl``).
+    #: record-file basename prefix (``<prefix>-<tag>.jsonl``).
     RECORD_PREFIX = "trials"
     #: keys a well-formed record line must carry; others are skipped.
     REQUIRED_KEYS = frozenset({"cell", "trial", "steps", "status"})
@@ -235,7 +229,7 @@ class CampaignStore:
                 )
             return
         self.root.mkdir(parents=True, exist_ok=True)
-        # per-process tmp name: concurrently-launched shards may all
+        # per-process tmp name: concurrently-launched writers may all
         # reach this branch, and a shared tmp path would let one racer
         # os.replace() the other's file away mid-write.  Each writes an
         # identical manifest, so whichever replace lands last wins.
@@ -257,7 +251,7 @@ class CampaignStore:
         return {p.name: self.fs.stat(p).st_size for p in self.record_files()}
 
     def iter_records(self, files: Optional[Sequence[Path]] = None) -> Iterable[dict]:
-        """Stream all well-formed records across every shard file.
+        """Stream all well-formed records across every record file.
 
         Torn or garbage lines (a kill mid-append, disk-full partial
         writes) and lines whose embedded CRC32 disagrees with their
@@ -317,8 +311,8 @@ class CampaignStore:
     def open_tagged_writer(self, tag: str):
         """Append-mode handle of the record file ``<prefix>-<tag>.jsonl``.
 
-        ``tag`` is any filesystem-safe suffix — shard runs use
-        ``iofk``, fabric workers their worker id — and every such file
+        ``tag`` is any filesystem-safe suffix — serial runs and explorer
+        shards use ``iofk``, fabric workers their worker id — and every such file
         is picked up by :meth:`record_files` regardless of spelling.
 
         If a previous process died mid-append the file ends in a torn
@@ -423,7 +417,7 @@ def aggregate_records(
     Records are deduplicated on ``(cell, trial)`` and folded in trial
     order, so the aggregate is a pure function of the completed trial
     set — identical bytes whether the campaign ran straight through,
-    was resumed five times, or was produced by the union of shards.
+    was resumed five times, or was drained by a fleet.
     """
     by_cell: Dict[str, Dict[int, dict]] = {c.key: {} for c in cells}
     for rec in records:
@@ -486,11 +480,6 @@ class CampaignRun:
         return self.remaining == 0
 
 
-def _campaign_trial(args) -> Tuple[str, int, TrialRecord]:
-    key, idx, job = args
-    return key, idx, run_trial(job)
-
-
 def _trial_row(key: str, idx: int, rec: TrialRecord) -> dict:
     """The stored JSONL row of one completed trial.
 
@@ -512,7 +501,6 @@ def run_campaign(
     seed: int = 0,
     trials: Optional[int] = None,
     n_values: Optional[Sequence[int]] = None,
-    shard: Tuple[int, int] = (0, 1),
     n_jobs: Optional[int] = None,
     max_steps_factor: int = 50,
     max_new_trials: Optional[int] = None,
@@ -521,78 +509,61 @@ def run_campaign(
     """Run (or continue) a campaign of ``spec`` against the store at
     ``root``.
 
-    Completed ``(cell, trial)`` pairs found in the store are skipped
-    outright; only this shard's missing trials execute (trial ``t``
-    belongs to shard ``i`` of ``k`` iff ``t % k == i``).
-    ``max_new_trials`` caps how many trials this invocation runs — the
-    campaign can be drained in slices of any size.
+    :class:`~repro.experiments.fabric.CampaignSource` plans the trials
+    the store lacks; ``max_new_trials`` caps them in cell, then trial
+    order, so a campaign drains in slices of any size.  When ``n_jobs``
+    resolves to 1 the units run in this process into
+    ``trials-0of1.jsonl``; otherwise a
+    :class:`~repro.experiments.fabric.Coordinator` fleet drains them,
+    and a failed unit raises ``FabricError`` with its recorded error.
 
     ``resume=False`` refuses to touch a store that already holds trial
     records; it never deletes anything (resumability is the default —
     the flag exists so scripted fresh runs fail loudly instead of
     silently absorbing stale results).
     """
-    i, k = shard
-    if not (0 <= i < k):
-        raise ValueError(f"shard must satisfy 0 <= i < k, got {i}/{k}")
-    use_trials = trials if trials is not None else spec.trials
-    use_ns = tuple(n_values) if n_values is not None else spec.n_values
-    eff_spec = spec.scaled(use_ns, use_trials)
-    cells = _plan_cells(eff_spec, use_ns)
+    from .fabric import CampaignSource, Coordinator, FabricError  # local: fabric imports campaign
 
-    store = CampaignStore(root)
+    source = CampaignSource(
+        spec, seed=seed, trials=trials, n_values=n_values,
+        max_steps_factor=max_steps_factor, max_new_trials=max_new_trials,
+    )
+    store = source.store(root)
     if not resume and store.record_files():
         raise CampaignMismatch(
             f"{store.root} already holds trial records; pass resume=True "
             "(CLI: --resume) to continue it, or choose a fresh directory"
         )
-    store.ensure_manifest(
-        _manifest_for(eff_spec, seed, use_trials, use_ns, max_steps_factor, cells)
-    )
+    units = source.plan(store, 0)
+    new = sum(len(unit["trials"]) for unit in units)
+    workers = resolve_n_jobs(n_jobs, new)
+    if workers <= 1:
+        for unit in units:
+            # the serial run's record file keeps its historical name
+            source.execute(unit, store, "0of1")
+    elif units:
+        report = Coordinator(source, root, workers=workers).drain()
+        if report.interrupted:
+            # the fleet stopped gracefully; the caller still sees the
+            # signal, as in a serial run
+            raise KeyboardInterrupt
+        if report.failed:
+            unit = report.failed[0]
+            raise FabricError(
+                f"campaign unit {unit['id']} failed: "
+                f"{unit.get('error') or 'no error recorded'}"
+            )
 
-    done = store.completed_index(store.iter_all_records())
-    pending: List[tuple] = []
-    skipped = 0
-    total = len(cells) * use_trials
-    for cell in cells:
-        jobs = trial_jobs(cell.cfg, cell.n, use_trials, seed, max_steps_factor)
-        cell_done = done.get(cell.key, set())
-        for idx, job in enumerate(jobs):
-            if idx in cell_done:
-                skipped += 1
-            elif idx % k == i:
-                pending.append((cell.key, idx, job))
-    if max_new_trials is not None:
-        pending = pending[:max_new_trials]
-
-    n_jobs = resolve_n_jobs(n_jobs, len(pending))
-    new = 0
-    if pending:
-        with store.open_writer(shard) as fh:
-            if n_jobs <= 1:
-                for task in pending:
-                    key, idx, rec = _campaign_trial(task)
-                    store.append(fh, _trial_row(key, idx, rec))
-                    new += 1
-            else:
-                with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                    for key, idx, rec in pool.map(
-                        _campaign_trial, pending, chunksize=8
-                    ):
-                        store.append(fh, _trial_row(key, idx, rec))
-                        new += 1
-
+    eff_spec, use_trials, _, cells = source._grid()
     records = list(store.iter_all_records())
-    result = aggregate_records(eff_spec, cells, records, use_trials)
-    done_now = sum(
-        len({t for t in idxs if 0 <= t < use_trials})
-        for key, idxs in store.completed_index(records).items()
-        if key in {c.key for c in cells}
-    )
+    done = store.completed_index(records)
+    done_now = sum(len({t for t in done.get(c.key, ()) if 0 <= t < use_trials})
+                   for c in cells)
+    total = len(cells) * use_trials
     return CampaignRun(
-        result=result,
+        result=aggregate_records(eff_spec, cells, records, use_trials),
         new_trials=new,
-        skipped_existing=skipped,
+        skipped_existing=done_now - new,
         remaining=total - done_now,
         total=total,
     )

@@ -15,7 +15,15 @@ from typing import Sequence, Tuple
 
 from ..registry.scenario import ScenarioSpec
 
-__all__ = ["FigureSpec"]
+__all__ = ["FigureSpec", "require_trials"]
+
+
+def require_trials(trials: int) -> int:
+    """``trials``, checked to be at least 1 (the one check the experiment,
+    campaign and drain paths share; 0 would "complete" empty grids)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 @dataclass(frozen=True)
@@ -29,6 +37,9 @@ class FigureSpec:
     trials: int
     #: the reference envelope the paper draws, e.g. ("5n", lambda n: 5 * n)
     envelope: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        require_trials(self.trials)
 
     def paper_scale(self) -> "FigureSpec":
         """The grid at the paper's sizes (n = 10..100, full trials)."""

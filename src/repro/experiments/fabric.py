@@ -1,12 +1,12 @@
 """Distributed campaign fabric: a file-backed work-queue coordinator.
 
-The campaign and exploration stores already make *records* kill-safe
-and order-independent — aggregates are pure functions of the deduped
-completed set.  What they lack is scheduling: ``--shard i/k`` splits
-work statically, so a stalled or killed shard leaves a hole a human
-must notice and relaunch.  The fabric closes that gap with a classic
-lease-based work queue, built entirely out of atomic filesystem
-renames so it needs no server, no locks, and no dependencies::
+The campaign and exploration stores make *records* kill-safe and
+order-independent — aggregates are pure functions of the deduped
+completed set.  The fabric is the one scheduler over them: a classic
+lease-based work queue, so a stalled or killed worker's unit is
+reassigned instead of leaving a hole a human must notice and relaunch,
+built entirely out of atomic filesystem renames so it needs no server,
+no locks, and no dependencies::
 
     <root>/fabric/
       pending/<unit id>.json   # unclaimed work units
@@ -64,7 +64,10 @@ slices with bounded expansion budgets until the store reports the
 graph complete.
 
 ``python -m repro drain`` is the CLI front end; the registry exposes
-the coordinator knobs as the ``drain`` workload component.  The
+the coordinator knobs as the ``drain`` workload component.
+:func:`~repro.experiments.campaign.run_campaign` plans through
+:class:`CampaignSource` too, running its units in-process when serial
+and with a :class:`Coordinator` when parallel.  The
 service (:mod:`repro.service.jobs`) runs every job on this module too:
 a job process is a one-worker fleet that calls :func:`run_rounds` and
 :func:`worker_main` in-process, over a :class:`CampaignSource` (trial
@@ -707,8 +710,19 @@ class CampaignSource(FabricSource):
     n_values: Optional[Sequence[int]] = None
     max_steps_factor: int = 50
     unit_trials: int = DEFAULT_UNIT_TRIALS
+    #: cap on the trials one plan offers, taken in cell then trial
+    #: order (``run_campaign``'s ``max_new_trials``); ``None`` = all.
+    max_new_trials: Optional[int] = None
     #: filesystem seam handed to the store (chaos tests only).
     fs: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.unit_trials < 1:
+            raise ValueError(
+                f"unit_trials must be at least 1, got {self.unit_trials}")
+        if self.max_new_trials is not None and self.max_new_trials < 0:
+            raise ValueError(
+                f"max_new_trials must be at least 0, got {self.max_new_trials}")
 
     def _grid(self):
         use_trials = self.trials if self.trials is not None else self.spec.trials
@@ -730,7 +744,9 @@ class CampaignSource(FabricSource):
             eff_spec, self.seed, trials, n_values, self.max_steps_factor, cells
         ))
         done = store.completed_index(store.iter_all_records())
-        block = max(1, int(self.unit_trials))
+        block = self.unit_trials
+        budget = (len(cells) * trials if self.max_new_trials is None
+                  else self.max_new_trials)
         units = []
         for cell in cells:
             stored = done.get(cell.key, set())
@@ -739,11 +755,16 @@ class CampaignSource(FabricSource):
             for start in range(0, trials, block):
                 indices = [i for i in range(start, min(start + block, trials))
                            if i not in stored]
-                if indices:
+                kept = indices[:budget]
+                budget -= len(kept)
+                if kept:
+                    # a block the cap cuts leaves its tail to a later
+                    # plan, so the cut part is a unit of its own
+                    cut = "" if kept == indices else f"-to{kept[-1]}"
                     units.append({
-                        "id": f"{cell.key}-t{start}",
+                        "id": f"{cell.key}-t{start}{cut}",
                         "cell": cell.key,
-                        "trials": indices,
+                        "trials": kept,
                     })
         return units
 
@@ -810,6 +831,10 @@ class ExplorationSource(FabricSource):
 
     multi_round = True
 
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError(f"shards must be at least 1, got {self.shards}")
+
     def store(self, root):
         from ..statespace.store import ExplorationStore
 
@@ -821,11 +846,10 @@ class ExplorationSource(FabricSource):
         # units expands the frontier or finds the graph complete
         if round_index > 0 and store.marked_complete():
             return []
-        k = max(1, int(self.shards))
         return [
-            {"id": f"r{round_index}-s{j}", "shard": [j, k],
+            {"id": f"r{round_index}-s{j}", "shard": [j, self.shards],
              "budget": int(self.unit_budget)}
-            for j in range(k)
+            for j in range(self.shards)
         ]
 
     def execute(self, unit: dict, store, worker: str) -> dict:
@@ -1181,9 +1205,18 @@ class Coordinator:
         drain_grace: float = DEFAULT_DRAIN_GRACE,
         fs=None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        if lease_ttl <= 0:
+            raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be at least 0, got {max_retries}")
+        if unit_timeout is not None and unit_timeout < 0:
+            raise ValueError(
+                f"unit_timeout must be at least 0, got {unit_timeout}")
         self.source = source
         self.root = Path(root)
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
         self.lease_ttl = float(lease_ttl)
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)

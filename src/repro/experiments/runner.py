@@ -34,7 +34,7 @@ from ..core.network import Network
 from ..core.policies import MovePolicy
 from ..registry import REGISTRY, ScenarioSpec
 from ..registry.builtin import DynamicsKind, TrialContext, TrialOutcome
-from .config import FigureSpec
+from .config import FigureSpec, require_trials
 
 __all__ = [
     "build_game",
@@ -133,7 +133,7 @@ def trial_jobs(
     """
     max_steps = max_steps_factor * n
     root = np.random.SeedSequence(entropy=(seed, cfg.digest(), n))
-    children = root.spawn(trials)
+    children = root.spawn(require_trials(trials))
     return [
         (cfg, n, max_steps, (tuple(np.atleast_1d(c.entropy).tolist()), c.spawn_key))
         for c in children

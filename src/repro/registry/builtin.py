@@ -555,7 +555,7 @@ class ExploreWorkload:
               doc="state-discovery budget; beyond it the census is truncated"),
     ),
     doc="exhaustive response-graph explorer: equilibrium/cycle census via "
-        "sharded resumable frontier BFS + SCC analysis",
+        "resumable frontier BFS + SCC analysis",
 )
 def _explore_workload(moves: str, agent_filter: str, max_states: int) -> ExploreWorkload:
     return ExploreWorkload(moves, agent_filter, max_states)
@@ -623,8 +623,10 @@ def _drain_workload(
     workers: int, lease_ttl: float, unit_trials: int, max_retries: int,
     unit_timeout: float,
 ) -> DrainWorkload:
+    # 0 switches the watchdog off; a negative value reaches the
+    # Coordinator, which rejects it
     return DrainWorkload(workers, lease_ttl, unit_trials, max_retries,
-                         unit_timeout if unit_timeout > 0 else None)
+                         unit_timeout or None)
 
 
 @dataclass(frozen=True)

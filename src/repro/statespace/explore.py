@@ -39,12 +39,13 @@ classes (FIPG, WAG, BR-WAG) off the same graph.
 Exploration is **kill-safe and shardable**: with a ``store`` the
 frontier BFS appends one record per expanded state to the campaign-store
 JSONL format (:mod:`.store`), so a killed run resumes with zero
-recomputation and independent invocations with ``shard=(i, k)`` split
-the frontier deterministically (state ``s`` belongs to the shard of its
-key digest).  A shard drains only its own states; alternating shard
-invocations converge to the full graph, and the finished report is a
-pure function of the graph — byte-identical however the work was
-scheduled, interrupted, or sharded.
+recomputation, and calls with ``shard=(i, k)`` split the frontier
+deterministically (state ``s`` belongs to the shard of its key digest)
+— the fabric's :class:`~repro.experiments.fabric.ExplorationSource`
+hands those slices out as work units.  A shard drains only its own
+states; alternating shard calls converge to the full graph, and the
+finished report is a pure function of the graph — byte-identical
+however the work was scheduled, interrupted, or sharded.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
-"""Campaign store semantics: resume, sharding, kill-safety, aggregates.
+"""Campaign store semantics: resume, fleet drains, kill-safety, aggregates.
 
 The contract under test (see :mod:`repro.experiments.campaign`):
 
 * an interrupted campaign resumes with **zero recomputed trials** and
   its final aggregate is **byte-identical** to an uninterrupted run;
-* the union of ``--shard i/k`` runs equals the unsharded result;
+* a parallel run drains through the fabric's worker fleet into the
+  same aggregate as a serial one;
 * a torn trailing record (kill mid-append) is ignored without losing
   the completed prefix;
 * a store never silently mixes two different campaigns.
@@ -82,22 +83,49 @@ def test_resume_recomputes_nothing_and_aggregate_is_byte_identical(tmp_path):
     assert payload_bytes(fourth) == payload_bytes(reference)
 
 
-def test_shard_union_equals_unsharded_run(tmp_path):
+def test_parallel_run_drains_through_the_fleet(tmp_path):
     spec = tiny_spec()
-    reference = run_campaign(spec, tmp_path / "full", seed=2, n_jobs=1)
+    reference = run_campaign(spec, tmp_path / "serial", seed=2, n_jobs=1)
 
-    root = tmp_path / "sharded"
-    s0 = run_campaign(spec, root, seed=2, n_jobs=1, shard=(0, 3))
-    s1 = run_campaign(spec, root, seed=2, n_jobs=1, shard=(1, 3))
-    assert not s1.complete  # shard 2/3 still missing
-    s2 = run_campaign(spec, root, seed=2, n_jobs=1, shard=(2, 3))
-    assert s2.complete
-    assert s0.new_trials + s1.new_trials + s2.new_trials == reference.total
-    assert payload_bytes(s2) == payload_bytes(reference)
-    # three shard files exist, one per shard label
-    assert sorted(p.name for p in CampaignStore(root).record_files()) == [
-        "trials-0of3.jsonl", "trials-1of3.jsonl", "trials-2of3.jsonl",
-    ]
+    root = tmp_path / "fleet"
+    run = run_campaign(spec, root, seed=2, n_jobs=2)
+    assert run.complete
+    assert (run.new_trials, run.skipped_existing) == (reference.total, 0)
+    assert payload_bytes(run) == payload_bytes(reference)
+    # the fleet's layout: one record file per worker plus the queue
+    assert (root / "fabric" / "done").is_dir()
+    names = [p.name for p in CampaignStore(root).record_files()]
+    assert names and all(n.startswith("trials-w") for n in names)
+    assert campaign_status(root)["complete"]
+
+
+def test_parallel_capped_slices_resume_to_the_serial_aggregate(tmp_path):
+    """A slice the cap cuts out of a block is a unit of its own, so the
+    next parallel plan still offers the block's tail."""
+    spec = tiny_spec()
+    reference = run_campaign(spec, tmp_path / "serial", seed=3, n_jobs=1)
+
+    root = tmp_path / "fleet"
+    first = run_campaign(spec, root, seed=3, n_jobs=2, max_new_trials=5)
+    assert (first.new_trials, first.remaining) == (5, reference.total - 5)
+    rest = run_campaign(spec, root, seed=3, n_jobs=2)
+    assert (rest.new_trials, rest.skipped_existing) == (reference.total - 5, 5)
+    assert rest.complete
+    assert payload_bytes(rest) == payload_bytes(reference)
+
+
+def test_parallel_failed_unit_raises_its_error(tmp_path):
+    from repro.experiments.fabric import FabricError
+
+    # a budget-4 network needs n > 8: every trial of this cell raises
+    infeasible = FigureSpec(
+        figure="figX", title="infeasible grid",
+        configs=(ScenarioSpec(game="asg", game_params={"mode": "sum"},
+                              topology_params={"budget": 4}),),
+        n_values=(8,), trials=2,
+    )
+    with pytest.raises(FabricError, match="need n > 2\\*budget"):
+        run_campaign(infeasible, tmp_path / "c", n_jobs=2)
 
 
 def test_torn_trailing_line_is_ignored_and_resume_refills(tmp_path):
@@ -157,9 +185,16 @@ def test_fresh_run_refuses_existing_records_without_resume(tmp_path):
     assert run_campaign(spec, root, seed=7, n_jobs=1, resume=True).complete
 
 
-def test_invalid_shard_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        run_campaign(tiny_spec(), tmp_path / "c", shard=(3, 3), n_jobs=1)
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trial_counts_below_one_are_rejected(tmp_path, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_campaign(tiny_spec(), tmp_path / "c", trials=trials, n_jobs=1)
+    assert not (tmp_path / "c").exists()  # refused before any write
+
+
+def test_negative_trial_cap_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="max_new_trials"):
+        run_campaign(tiny_spec(), tmp_path / "c", n_jobs=1, max_new_trials=-3)
 
 
 def test_cell_key_ignores_legacy_backend_key():
@@ -256,17 +291,6 @@ def test_scenario_cells_campaign_with_metric_payload(tmp_path):
     # resume recomputes nothing and keeps the payloads
     again = run_campaign(scenario_grid(), tmp_path / "c", seed=1, n_jobs=1)
     assert again.new_trials == 0 and again.skipped_existing == 4
-
-
-def test_scenario_campaign_shards_and_resumes(tmp_path):
-    grid = scenario_grid()
-    reference = run_campaign(grid, tmp_path / "full", seed=2, n_jobs=1)
-    root = tmp_path / "sharded"
-    s0 = run_campaign(grid, root, seed=2, n_jobs=1, shard=(0, 2))
-    assert not s0.complete
-    s1 = run_campaign(grid, root, seed=2, n_jobs=1, shard=(1, 2))
-    assert s1.complete
-    assert payload_bytes(s1) == payload_bytes(reference)
 
 
 def test_legacy_rows_have_no_metrics_key(tmp_path):

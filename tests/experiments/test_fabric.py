@@ -775,6 +775,44 @@ class TestSourceProtocol:
         source = CampaignSource(tiny_spec())
         assert source.plan(source.store(tmp_path), 1) == []
 
+    def test_trial_cap_trims_the_plan_in_cell_then_trial_order(self, tmp_path):
+        full = CampaignSource(tiny_spec(), unit_trials=3)
+        capped = CampaignSource(tiny_spec(), unit_trials=3, max_new_trials=4)
+        every = [(u["cell"], t) for u in full.plan(full.store(tmp_path), 0)
+                 for t in u["trials"]]
+        units = capped.plan(capped.store(tmp_path), 0)
+        assert [(u["cell"], t) for u in units for t in u["trials"]] == every[:4]
+        # the cut block is a unit of its own: its id differs from the
+        # fixed-grid id a later plan gives the block's tail
+        assert [u["id"].endswith("-t0") for u in units] == [True, False]
+        assert units[1]["id"].endswith("-t3-to3")
+        none = CampaignSource(tiny_spec(), max_new_trials=0)
+        assert none.plan(none.store(tmp_path), 0) == []
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"unit_trials": 0}, "unit_trials"),
+        ({"max_new_trials": -1}, "max_new_trials"),
+    ])
+    def test_campaign_source_rejects_bad_knobs(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            CampaignSource(tiny_spec(), **kwargs)
+
+    def test_exploration_source_rejects_zero_shards(self):
+        with pytest.raises(ValueError, match="shards"):
+            ExplorationSource(object(), n=3, shards=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"workers": 0}, "workers"),
+        ({"lease_ttl": 0}, "lease_ttl"),
+        ({"lease_ttl": -1.0}, "lease_ttl"),
+        ({"max_retries": -1}, "max_retries"),
+        ({"unit_timeout": -0.5}, "unit_timeout"),
+    ])
+    def test_coordinator_rejects_bad_knobs(self, tmp_path, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            Coordinator(CampaignSource(tiny_spec()), tmp_path, **kwargs)
+        assert not list(tmp_path.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # worker loop and coordinator failure modes

@@ -313,30 +313,30 @@ def test_empty_snapshot_is_the_identity(a):
     assert M.merge_snapshots(a, {}).keys() == a.keys()
 
 
-def test_sharded_campaign_snapshots_fold_to_the_unsharded_run(tmp_path):
-    """Per-shard meter deltas merged == one unsharded run's delta.
+def test_sliced_campaign_snapshots_fold_to_the_single_pass(tmp_path):
+    """Per-slice meter deltas merged == one straight run's delta.
 
     The campaign satellite of the snapshot algebra: run the same tiny
-    grid as two shards and as one unsharded pass, and check every
-    counter family folds to identical totals (gauges are point-in-time
-    readings and histograms time wall-clock, so counters are the
-    deterministic part).
+    grid as two ``max_new_trials`` slices of one store and as one
+    straight pass, and check every counter family folds to identical
+    totals (gauges are point-in-time readings and histograms time
+    wall-clock, so counters are the deterministic part).
     """
     from repro.experiments.asg_budget import figure7_spec
     from repro.experiments.campaign import run_campaign
 
     spec = figure7_spec()
 
-    def run(root, shard):
+    def run(root, cap=None):
         M.DEFAULT.reset()
         run_campaign(spec, root, seed=3, trials=2, n_values=[10],
-                     shard=shard, n_jobs=1)
+                     n_jobs=1, max_new_trials=cap)
         return M.DEFAULT.snapshot()
 
-    shard0 = run(tmp_path / "s0", (0, 2))
-    shard1 = run(tmp_path / "s1", (1, 2))
-    whole = run(tmp_path / "all", (0, 1))
-    folded = M.merge_snapshots(shard0, shard1)
+    first = run(tmp_path / "sliced", 5)
+    rest = run(tmp_path / "sliced")
+    whole = run(tmp_path / "all")
+    folded = M.merge_snapshots(first, rest)
 
     counters = [name for name, fam in whole.items()
                 if fam["type"] == "counter" and fam["values"]]

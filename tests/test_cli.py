@@ -117,13 +117,18 @@ class TestCampaign:
         assert main(base) == 2
         assert "already holds trial records" in capsys.readouterr().out
 
-    def test_campaign_sharded(self, capsys, tmp_path):
-        base = ["campaign", "fig7", "--trials", "2", "--n", "10",
-                "--jobs", "1", "--results-dir", str(tmp_path)]
-        assert main(base + ["--shard", "0/2"]) == 0
-        capsys.readouterr()
-        assert main(base + ["--shard", "1/2", "--resume"]) == 0
-        assert "0/12 remaining" in capsys.readouterr().out
+    def test_campaign_jobs_drain_through_the_fleet(self, capsys, tmp_path):
+        args = ["campaign", "fig7", "--trials", "2", "--n", "10", "--seed", "4"]
+        assert main(args + ["--jobs", "2",
+                            "--results-dir", str(tmp_path / "fleet")]) == 0
+        fleet = capsys.readouterr().out
+        assert main(args + ["--jobs", "1",
+                            "--results-dir", str(tmp_path / "serial")]) == 0
+        serial = capsys.readouterr().out
+        assert "0/12 remaining" in fleet
+        # the printed aggregates match; only the store root differs
+        assert fleet.splitlines()[1:] == serial.splitlines()[1:]
+        assert (tmp_path / "fleet" / "fig7-seed4" / "fabric").is_dir()
 
     def test_campaign_tree_scan(self, capsys, tmp_path):
         assert main(["campaign", "tree_scan", "--trials", "1", "--n", "6",
@@ -141,19 +146,22 @@ class TestCampaign:
                      "--results-dir", str(tmp_path)]) == 1
         assert "no campaign under" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bad", ["1of4", "3", "a/b", "1/2/3", ""])
-    def test_campaign_malformed_shard_fails_friendly(self, capsys, tmp_path, bad):
-        rc = main(["campaign", "fig7", "--trials", "1", "--n", "8",
-                   "--shard", bad, "--results-dir", str(tmp_path)])
+    @pytest.mark.parametrize("verb", ["campaign", "experiment", "drain"])
+    @pytest.mark.parametrize("trials", ["-2", "0"])
+    def test_trial_counts_below_one_fail_friendly(self, capsys, tmp_path,
+                                                  verb, trials):
+        rc = main([verb, "fig7", "--trials", trials, "--n", "10"]
+                  + ([] if verb == "experiment"
+                     else ["--results-dir", str(tmp_path)]))
         assert rc == 2
-        out = capsys.readouterr().out
-        assert "--shard expects i/k" in out and "not enough values" not in out
+        assert "trials must be at least 1" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())  # nothing was written
 
-    def test_campaign_out_of_range_shard_fails_friendly(self, capsys, tmp_path):
-        rc = main(["campaign", "fig7", "--trials", "1", "--n", "8",
-                   "--shard", "4/4", "--results-dir", str(tmp_path)])
+    def test_negative_max_trials_fails_friendly(self, capsys, tmp_path):
+        rc = main(["campaign", "fig7", "--trials", "1", "--n", "10",
+                   "--max-trials", "-3", "--results-dir", str(tmp_path)])
         assert rc == 2
-        assert "0 <= i < k" in capsys.readouterr().out
+        assert "max_new_trials must be at least 0" in capsys.readouterr().out
 
 
 class TestDrainCompact:
@@ -179,11 +187,11 @@ class TestDrainCompact:
                      "--results-dir", str(tmp_path)]) == 0
         assert "12/12 trials done" in capsys.readouterr().out
 
-    def test_drain_resumes_sharded_leftovers(self, capsys, tmp_path):
+    def test_drain_resumes_capped_leftovers(self, capsys, tmp_path):
         base = ["campaign", "fig7", "--trials", "2", "--n", "10",
                 "--jobs", "1", "--results-dir", str(tmp_path)]
-        assert main(base + ["--shard", "0/2"]) == 0
-        capsys.readouterr()
+        assert main(base + ["--max-trials", "5"]) == 0
+        assert "7/12 remaining" in capsys.readouterr().out
         rc = main(["drain", "fig7", "--trials", "2", "--n", "10",
                    "--workers", "2", "--results-dir", str(tmp_path),
                    "--compact", "--prune"])
@@ -210,6 +218,21 @@ class TestDrainCompact:
 
     def test_drain_unknown_figure(self, capsys, tmp_path):
         assert main(["drain", "fig99", "--results-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--workers", "0", "workers"),
+        ("--unit-trials", "0", "unit_trials"),
+        ("--lease-ttl", "0", "lease_ttl"),
+        ("--max-retries", "-1", "max_retries"),
+        ("--unit-timeout", "-1", "unit_timeout"),
+    ])
+    def test_drain_rejects_bad_fabric_knobs(self, capsys, tmp_path,
+                                            flag, value, name):
+        rc = main(["drain", "fig7", "--trials", "1", "--n", "10",
+                   flag, value, "--results-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"error: {name} must be" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())  # refused before any write
 
     def test_compact_without_store(self, capsys, tmp_path):
         assert main(["compact", str(tmp_path)]) == 1
@@ -489,17 +512,16 @@ class TestExplore:
         assert "4 states" in out
         assert "best-response cycles (non-trivial SCCs): 1" in out
 
-    def test_shard_then_drain(self, capsys, tmp_path):
+    def test_slices_then_drain(self, capsys, tmp_path):
         base = ["explore", "--game", "asg", "--n", "3",
-                "--results-dir", str(tmp_path)]
-        first = main(base + ["--shard", "0/2"])
-        assert first == 1  # shard 1's states still pending
+                "--results-dir", str(tmp_path), "--max-expansions", "2"]
+        first = main(base)
+        assert first == 1  # the budget left states pending
         for _ in range(20):
-            a = main(base + ["--resume", "--shard", "0/2"])
-            b = main(base + ["--resume", "--shard", "1/2"])
-            if a == 0 and b == 0:
+            rc = main(base + ["--resume"])
+            if rc == 0:
                 break
-        assert a == 0 and b == 0
+        assert rc == 0
 
     def test_status(self, capsys, tmp_path):
         base = ["explore", "--game", "sg", "--n", "4",
@@ -524,19 +546,6 @@ class TestExplore:
                      "--results-dir", str(tmp_path)]) == 2
         assert "pass --n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bad", ["1of4", "3", "a/b"])
-    def test_malformed_shard_fails_friendly(self, capsys, tmp_path, bad):
-        rc = main(["explore", "--game", "asg", "--n", "3",
-                   "--shard", bad, "--results-dir", str(tmp_path)])
-        assert rc == 2
-        out = capsys.readouterr().out
-        assert "--shard expects i/k" in out and "not enough values" not in out
-
-    def test_out_of_range_shard_fails_friendly(self, capsys, tmp_path):
-        rc = main(["explore", "--game", "asg", "--n", "3",
-                   "--shard", "2/2", "--results-dir", str(tmp_path)])
-        assert rc == 2
-        assert "0 <= i < k" in capsys.readouterr().out
 
 
 class TestObservabilityCLI:
