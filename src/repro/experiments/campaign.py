@@ -516,6 +516,7 @@ def run_campaign(
     ``trials-0of1.jsonl``; otherwise a
     :class:`~repro.experiments.fabric.Coordinator` fleet drains them,
     and a failed unit raises ``FabricError`` with its recorded error.
+    The store, not the fleet's queue, decides what a resume runs.
 
     ``resume=False`` refuses to touch a store that already holds trial
     records; it never deletes anything (resumability is the default —
@@ -535,38 +536,38 @@ def run_campaign(
             "(CLI: --resume) to continue it, or choose a fresh directory"
         )
     units = source.plan(store, 0)
-    new = sum(len(unit["trials"]) for unit in units)
-    workers = resolve_n_jobs(n_jobs, new)
+    planned = sum(len(unit["trials"]) for unit in units)
+    workers = resolve_n_jobs(n_jobs, planned)
+    eff_spec, use_trials, _, cells = source._grid()
+    total = len(cells) * use_trials
     if workers <= 1:
         for unit in units:
-            # the serial run's record file keeps its historical name
-            source.execute(unit, store, "0of1")
+            source.execute(unit, store, "0of1")  # the historical serial name
     elif units:
-        report = Coordinator(source, root, workers=workers).drain()
+        coordinator = Coordinator(source, root, workers=workers)
+        # the queue skips ids it finished or parked before; forget them
+        # so the plan offers exactly what the store still lacks
+        for entry in (*coordinator.queue.done.glob("*.json"),
+                      *coordinator.queue.failed.glob("*.json")):
+            entry.unlink(missing_ok=True)
+        report = coordinator.drain()
         if report.interrupted:
-            # the fleet stopped gracefully; the caller still sees the
-            # signal, as in a serial run
-            raise KeyboardInterrupt
+            raise KeyboardInterrupt  # a graceful stop; the caller sees it
         if report.failed:
             unit = report.failed[0]
-            raise FabricError(
-                f"campaign unit {unit['id']} failed: "
-                f"{unit.get('error') or 'no error recorded'}"
-            )
+            raise FabricError(f"campaign unit {unit['id']} failed: "
+                              f"{unit.get('error') or 'no error recorded'}")
+        if report.complete:  # every planned trial is stored and aggregated
+            return CampaignRun(report.result, planned, total - planned, 0, total)
 
-    eff_spec, use_trials, _, cells = source._grid()
     records = list(store.iter_all_records())
     done = store.completed_index(records)
     done_now = sum(len({t for t in done.get(c.key, ()) if 0 <= t < use_trials})
                    for c in cells)
-    total = len(cells) * use_trials
-    return CampaignRun(
-        result=aggregate_records(eff_spec, cells, records, use_trials),
-        new_trials=new,
-        skipped_existing=done_now - new,
-        remaining=total - done_now,
-        total=total,
-    )
+    # count what was stored, not what was planned
+    new = sum(i in done.get(unit["cell"], ()) for unit in units for i in unit["trials"])
+    return CampaignRun(aggregate_records(eff_spec, cells, records, use_trials),
+                       new, done_now - new, total - done_now, total)
 
 
 def campaign_status(root, prefer_columnar: bool = True) -> dict:

@@ -64,14 +64,13 @@ slices with bounded expansion budgets until the store reports the
 graph complete.
 
 ``python -m repro drain`` is the CLI front end; the registry exposes
-the coordinator knobs as the ``drain`` workload component.
-:func:`~repro.experiments.campaign.run_campaign` plans through
-:class:`CampaignSource` too, running its units in-process when serial
-and with a :class:`Coordinator` when parallel.  The
-service (:mod:`repro.service.jobs`) runs every job on this module too:
-a job process is a one-worker fleet that calls :func:`run_rounds` and
-:func:`worker_main` in-process, over a :class:`CampaignSource` (trial
-and campaign jobs) or an :class:`ExplorationSource` (explore jobs).
+the coordinator knobs as the ``drain`` workload component, and
+:func:`~repro.experiments.campaign.run_campaign` drives a
+:class:`CampaignSource` too.  The service (:mod:`repro.service.jobs`)
+runs every job on this module: a job process is a one-worker fleet
+that calls :func:`run_rounds` and :func:`worker_main` in-process, over
+a :class:`CampaignSource` (trial and campaign jobs) or an
+:class:`ExplorationSource` (explore jobs).
 """
 
 from __future__ import annotations

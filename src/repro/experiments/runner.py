@@ -68,13 +68,14 @@ def resolve_n_jobs(n_jobs: Optional[int], trials: int) -> int:
     whole pipelines.  It must hold an integer; anything else raises a
     ``ValueError`` naming the variable (never a bare ``int()``
     traceback).  An empty (or whitespace-only) value is deliberately
-    ignored — ``REPRO_N_JOBS=""`` behaves exactly like unset — and
-    ``REPRO_N_JOBS=0`` (or any value below 1) clamps to 1, mirroring
-    how an explicit ``n_jobs=0`` is treated.
+    ignored — ``REPRO_N_JOBS=""`` behaves exactly like unset.  A worker
+    count below 1, from either source, raises a ``ValueError`` naming it.
     """
+    name = "n_jobs"
     if n_jobs is None:
         raw = os.environ.get("REPRO_N_JOBS", "")
         if raw.strip():
+            name = "REPRO_N_JOBS"
             try:
                 n_jobs = int(raw)
             except ValueError:
@@ -82,7 +83,9 @@ def resolve_n_jobs(n_jobs: Optional[int], trials: int) -> int:
                     f"REPRO_N_JOBS must be an integer, got {raw!r}"
                 ) from None
     if n_jobs is not None:
-        return max(1, int(n_jobs))
+        if n_jobs < 1:
+            raise ValueError(f"{name} must be at least 1, got {n_jobs}")
+        return int(n_jobs)
     if trials < POOL_MIN_TRIALS:
         return 1
     return max(1, min(os.cpu_count() or 1, trials))

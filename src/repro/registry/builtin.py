@@ -623,8 +623,7 @@ def _drain_workload(
     workers: int, lease_ttl: float, unit_trials: int, max_retries: int,
     unit_timeout: float,
 ) -> DrainWorkload:
-    # 0 switches the watchdog off; a negative value reaches the
-    # Coordinator, which rejects it
+    # 0 switches the watchdog off; the Coordinator rejects a negative one
     return DrainWorkload(workers, lease_ttl, unit_trials, max_retries,
                          unit_timeout or None)
 

@@ -114,6 +114,52 @@ def test_parallel_capped_slices_resume_to_the_serial_aggregate(tmp_path):
     assert payload_bytes(rest) == payload_bytes(reference)
 
 
+def test_parallel_resume_retries_a_parked_unit(tmp_path):
+    """A unit an earlier drain parked (trial error, or a worker killed
+    too often) is retried by the next run, as a serial resume would."""
+    from repro.experiments.fabric import CampaignSource, WorkQueue
+
+    spec = tiny_spec()
+    reference = run_campaign(spec, tmp_path / "serial", seed=2, n_jobs=1)
+
+    root = tmp_path / "fleet"
+    run_campaign(spec, root, seed=2, n_jobs=2, max_new_trials=0)
+    source = CampaignSource(spec, seed=2)
+    unit = source.plan(source.store(root), 0)[0]
+    queue = WorkQueue(root)
+    queue.ensure_dirs()
+    (queue.failed / f"{unit['id']}.json").write_text(
+        json.dumps({**unit, "error": "poison: worker killed 3 times"}))
+
+    run = run_campaign(spec, root, seed=2, n_jobs=2)
+    assert run.complete
+    assert (run.new_trials, run.skipped_existing) == (reference.total, 0)
+    assert payload_bytes(run) == payload_bytes(reference)
+    assert not queue.failed_units()
+
+
+def test_parallel_resume_reruns_a_lost_row(tmp_path):
+    """A trial whose row the store lost (a CRC-bad line is skipped on
+    read) runs again although its unit sits in the queue's done/."""
+    spec = tiny_spec()
+    reference = run_campaign(spec, tmp_path / "serial", seed=2, n_jobs=1)
+
+    root = tmp_path / "fleet"
+    run_campaign(spec, root, seed=2, n_jobs=2)
+    store = CampaignStore(root)
+    path = store.record_files()[0]
+    lines = path.read_text().splitlines(keepends=True)
+    row = json.loads(lines[0])
+    row["steps"] += 1  # the stored checksum no longer matches
+    path.write_text(json.dumps(row, sort_keys=True) + "\n" + "".join(lines[1:]))
+    assert campaign_status(root)["remaining"] == 1
+
+    run = run_campaign(spec, root, seed=2, n_jobs=2)
+    assert run.complete
+    assert (run.new_trials, run.skipped_existing) == (1, reference.total - 1)
+    assert payload_bytes(run) == payload_bytes(reference)
+
+
 def test_parallel_failed_unit_raises_its_error(tmp_path):
     from repro.experiments.fabric import FabricError
 

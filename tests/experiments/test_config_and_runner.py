@@ -46,12 +46,16 @@ class TestResolveNJobs:
         monkeypatch.setenv("REPRO_N_JOBS", "   ")
         assert resolve_n_jobs(None, 100) == baseline
 
-    def test_zero_and_negative_clamp_to_one(self, monkeypatch):
+    def test_zero_and_negative_are_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_N_JOBS", "0")
-        assert resolve_n_jobs(None, 100) == 1
+        with pytest.raises(ValueError, match="REPRO_N_JOBS must be at least 1"):
+            resolve_n_jobs(None, 100)
         monkeypatch.setenv("REPRO_N_JOBS", "-3")
-        assert resolve_n_jobs(None, 100) == 1
-        assert resolve_n_jobs(0, 100) == 1  # explicit zero matches the env
+        with pytest.raises(ValueError, match="REPRO_N_JOBS must be at least 1"):
+            resolve_n_jobs(None, 100)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_jobs must be at least 1"):
+                resolve_n_jobs(bad, 100)
 
     def test_valid_env_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_N_JOBS", "3")

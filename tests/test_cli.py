@@ -157,6 +157,24 @@ class TestCampaign:
         assert "trials must be at least 1" in capsys.readouterr().out
         assert not list(tmp_path.iterdir())  # nothing was written
 
+    @pytest.mark.parametrize("verb", ["campaign", "experiment"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_worker_counts_below_one_fail_friendly(self, capsys, tmp_path,
+                                                   verb, jobs):
+        rc = main([verb, "fig7", "--trials", "1", "--n", "10", "--jobs", jobs]
+                  + (["--results-dir", str(tmp_path)] if verb == "campaign"
+                     else []))
+        assert rc == 2
+        assert "n_jobs must be at least 1" in capsys.readouterr().out
+
+    def test_env_worker_count_below_one_fails_friendly(self, capsys, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_N_JOBS", "0")
+        rc = main(["campaign", "fig7", "--trials", "1", "--n", "10",
+                   "--results-dir", str(tmp_path)])
+        assert rc == 2
+        assert "REPRO_N_JOBS must be at least 1" in capsys.readouterr().out
+
     def test_negative_max_trials_fails_friendly(self, capsys, tmp_path):
         rc = main(["campaign", "fig7", "--trials", "1", "--n", "10",
                    "--max-trials", "-3", "--results-dir", str(tmp_path)])
