@@ -38,7 +38,7 @@ from repro.statespace.store import ExplorationStore  # noqa: E402
 SPEC = {"game": {"name": "sg", "params": {"mode": "sum"}},
         "topology": {"name": "budget", "params": {"budget": 2}}}
 TRIAL_PAYLOAD = {"kind": "trial", "spec": SPEC, "n": 10, "trials": 4, "seed": 7}
-EXPLORE_PAYLOAD = {"kind": "explore", "spec": SPEC, "n": 4}
+EXPLORE_PAYLOAD = {"kind": "explore", "spec": SPEC, "n": 5}  # 728 states: two units
 
 BANNER = re.compile(r"repro\.service listening on [\d.]+:(\d+)")
 

@@ -482,7 +482,8 @@ def _format_snapshot(snapshot) -> str:
 
 
 def cmd_top(args) -> int:
-    """``repro top``: console over a drain fleet's metrics files."""
+    """``repro top``: console over the worker metrics files of a fabric
+    root (a drain, an exploration, or a service job's ``store/``)."""
     import time
 
     from .experiments.fabric import fleet_snapshot, metrics_dir
@@ -908,8 +909,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "top",
-        help="console over a drain fleet's merged metrics snapshots")
-    p.add_argument("root", help="campaign store root (e.g. results/fig7-seed0)")
+        help="console over the merged worker metrics of any fabric root")
+    p.add_argument("root", help="fabric root: a drained store (e.g. "
+                                "results/fig7-seed0) or a service job's store/")
     p.add_argument("--once", action="store_true",
                    help="print one snapshot and exit (no screen refresh)")
     p.add_argument("--interval", type=float, default=2.0,

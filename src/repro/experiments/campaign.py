@@ -59,6 +59,7 @@ __all__ = [
     "metric_payloads",
     "encode_record_line",
     "decode_record_line",
+    "whole_lines_after",
     "CRC_KEY",
 ]
 
@@ -111,6 +112,16 @@ def decode_record_line(line: str):
         if stored != _record_crc(rec):
             return None, "checksum"
     return rec, None
+
+
+def whole_lines_after(path, offset: int) -> Tuple[List[str], int]:
+    """The newline-ended lines of ``path`` past byte ``offset``, and the
+    offset just past them."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        data = fh.read()
+    whole = data[:data.rfind(b"\n") + 1]
+    return whole.decode("utf-8", "replace").split("\n")[:-1], offset + len(whole)
 
 
 class CampaignMismatch(RuntimeError):
@@ -265,15 +276,35 @@ class CampaignStore:
         """
         for path in self.record_files() if files is None else files:
             with open(path, "r") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec, damage = decode_record_line(line)
-                    if damage is not None:
-                        continue
-                    if self.REQUIRED_KEYS <= rec.keys():
-                        yield rec
+                yield from self._good_records(fh)
+
+    def _good_records(self, lines: Iterable[str]) -> Iterable[dict]:
+        """The well-formed records among raw store ``lines``."""
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            rec, damage = decode_record_line(line)
+            if damage is None and self.REQUIRED_KEYS <= rec.keys():
+                yield rec
+
+    def records_after(
+        self, offsets: Dict[str, int]
+    ) -> Optional[Tuple[List[dict], Dict[str, int]]]:
+        """The records of every whole line past ``offsets`` (record file
+        name -> bytes already read; absent = 0), and the offsets past
+        them — or ``None`` when a file shrank or vanished since
+        (``fsck --repair``, ``compact --prune``) and offsets are void."""
+        sizes = self.record_file_sizes()
+        if any(sizes.get(name, -1) < end for name, end in offsets.items()):
+            return None
+        records: List[dict] = []
+        after: Dict[str, int] = {}
+        for name in sizes:
+            lines, after[name] = whole_lines_after(self.root / name,
+                                                   offsets.get(name, 0))
+            records.extend(self._good_records(lines))
+        return records, after
 
     def load_records(self) -> List[dict]:
         """All well-formed trial records, materialized (see :meth:`iter_records`)."""
@@ -294,10 +325,8 @@ class CampaignStore:
 
         return iter_store_records(self)
 
-    def completed_index(self, records: Optional[Iterable[dict]] = None) -> Dict[str, set]:
-        """``cell key -> set of completed trial indices``."""
-        if records is None:
-            records = self.load_records()
+    def completed_index(self, records: Iterable[dict]) -> Dict[str, set]:
+        """``cell key -> set of completed trial indices`` of ``records``."""
         done: Dict[str, set] = {}
         for rec in records:
             done.setdefault(rec["cell"], set()).add(int(rec["trial"]))

@@ -429,7 +429,7 @@ def iter_store_records(store) -> Iterator[dict]:
     compaction exists.  A grown file's pre-compaction rows are yielded
     twice (once from each side); that is deliberate: records are
     idempotent facts and every consumer (``completed_index``,
-    ``aggregate_records``, ``expanded_rows``) already dedupes, so a
+    ``aggregate_records``, the explorer's replay) already dedupes, so a
     duplicate is always harmless while a missing record never is.
     """
     _recover_interrupted_swap(

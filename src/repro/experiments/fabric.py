@@ -59,9 +59,9 @@ Work *sources* adapt a problem to the queue.  :class:`CampaignSource`
 decomposes a figure grid into blocks of trial indices (one plan round;
 trial seeds are position-based, so any index subset reproduces the
 serial trials exactly).  :class:`ExplorationSource` re-plans every
-round — frontier BFS discovers work as it goes — handing out shard
-slices with bounded expansion budgets until the store reports the
-graph complete.
+round — frontier BFS discovers work as it goes — from the response
+graph its planning process holds, handing out bounded lists of pending
+states until the graph is complete.
 
 ``python -m repro drain`` is the CLI front end; the registry exposes
 the coordinator knobs as the ``drain`` workload component, and
@@ -181,9 +181,9 @@ class FabricError(RuntimeError):
 
 
 class ExplorationTruncated(FabricError):
-    """An exploration unit hit ``max_states``: the graph can never be
-    completed under that budget, so the unit fails instead of the
-    source re-planning forever."""
+    """An exploration's graph hit ``max_states``: it can never be
+    completed under that budget, so planning raises instead of
+    re-planning forever."""
 
 
 @dataclass
@@ -249,6 +249,18 @@ class WorkQueue:
         except (OSError, json.JSONDecodeError):
             return None  # claimed/moved by a racer, or torn mid-write
 
+    def _discard(self, path: Path) -> None:
+        try:
+            self.fs.unlink(path)
+        except OSError:
+            pass  # moved or removed by a racer
+
+    def _unleased(self, unit_id: str, unit: dict) -> dict:
+        """A copy of a leased unit without its owner's stamps."""
+        self._observed.pop(unit_id, None)
+        return {k: v for k, v in unit.items()
+                if k not in ("owner", "beat", "elapsed")}
+
     def _ids(self, directory: Path) -> set:
         return {p.stem for p in directory.glob("*.json")}
 
@@ -256,8 +268,7 @@ class WorkQueue:
         """Enqueue every unit not already known to the queue.
 
         Idempotent: units whose id exists in *any* state directory are
-        skipped, so re-planning after a crash (or the exploration
-        source re-offering last round's shards) never duplicates work.
+        skipped, so re-planning after a crash never duplicates work.
         Returns the number of units actually enqueued.
         """
         self.ensure_dirs()
@@ -367,18 +378,12 @@ class WorkQueue:
         nothing wrong, it was asked to stop.  The unit returns to
         pending immediately (no backoff window).
         """
-        unit = dict(lease.unit)
-        for transient in ("owner", "beat", "elapsed"):
-            unit.pop(transient, None)
+        unit = self._unleased(lease.id, lease.unit)
         unit["not_before"] = 0.0
         unit["error"] = note
-        self._observed.pop(lease.id, None)
         _LEASE_RELEASED.inc()
         self._write(self.pending / lease.path.name, unit)
-        try:
-            self.fs.unlink(lease.path)
-        except OSError:
-            pass
+        self._discard(lease.path)
 
     def release_orphans(self, note: str) -> int:
         """Hand every lease back to pending, as :meth:`release` does.
@@ -396,10 +401,7 @@ class WorkQueue:
             if unit is None:
                 continue
             if (self.done / path.name).exists():
-                try:
-                    self.fs.unlink(path)
-                except OSError:
-                    pass
+                self._discard(path)
                 continue
             self.release(Lease(unit, path), note)
             released += 1
@@ -413,10 +415,7 @@ class WorkQueue:
         """
         target = self.done / lease.path.name
         if target.exists():
-            try:
-                self.fs.unlink(lease.path)
-            except OSError:
-                pass
+            self._discard(lease.path)
             return False
         unit = dict(lease.unit)
         if result is not None:
@@ -424,10 +423,7 @@ class WorkQueue:
         # write done first, then drop the lease: a kill between the two
         # leaves both files, and the reaper treats done as authoritative
         self._write(target, unit)
-        try:
-            self.fs.unlink(lease.path)
-        except OSError:
-            pass
+        self._discard(lease.path)
         _LEASE_COMPLETED.inc()
         return True
 
@@ -440,21 +436,15 @@ class WorkQueue:
     ) -> None:
         """A worker hit an exception: requeue with backoff, or park in
         ``failed/`` once retries are exhausted."""
-        unit = dict(lease.unit)
+        unit = self._unleased(lease.id, lease.unit)
         unit["retries"] = int(unit.get("retries", 0)) + 1
         unit["error"] = error
-        for transient in ("owner", "beat", "elapsed"):
-            unit.pop(transient, None)
-        self._observed.pop(lease.id, None)
         if unit["retries"] > max_retries:
             self._write(self.failed / lease.path.name, unit)
         else:
             unit["not_before"] = time.time() + backoff * unit["retries"]
             self._write(self.pending / lease.path.name, unit)
-        try:
-            self.fs.unlink(lease.path)
-        except OSError:
-            pass
+        self._discard(lease.path)
 
     def reap_expired(
         self,
@@ -500,10 +490,7 @@ class WorkQueue:
         for path in sorted(self.leased.glob("*.json")):
             if (self.done / path.name).exists():
                 # completed during a previous reap race — just clean up
-                try:
-                    self.fs.unlink(path)
-                except OSError:
-                    pass
+                self._discard(path)
                 continue
             unit = self._read(path)
             if unit is None:
@@ -581,20 +568,14 @@ class WorkQueue:
             if unit is None or unit.get("owner") != worker:
                 continue
             if (self.done / path.name).exists():
-                try:
-                    self.fs.unlink(path)
-                except OSError:
-                    pass
+                self._discard(path)
                 continue
-            unit = dict(unit)
+            unit = self._unleased(path.stem, unit)
             crashes = int(unit.get("crashes", 0)) + 1
             unit["crashes"] = crashes
             history = list(unit.get("crashed_workers", []))
             history.append({"worker": worker, "exitcode": exitcode})
             unit["crashed_workers"] = history
-            for transient in ("owner", "beat", "elapsed"):
-                unit.pop(transient, None)
-            self._observed.pop(path.stem, None)
             unit["error"] = (f"worker {worker} died (exit {exitcode}) "
                              f"while running this unit (crash {crashes})")
             if crashes > max_crashes:
@@ -623,10 +604,7 @@ class WorkQueue:
                 self._write(self.pending / path.name, unit)
                 requeued += 1
                 _LEASE_CRASH_REQUEUED.inc()
-            try:
-                self.fs.unlink(path)
-            except OSError:
-                pass
+            self._discard(path)
         return requeued, parked
 
     # -- introspection -----------------------------------------------------
@@ -806,15 +784,13 @@ class CampaignSource(FabricSource):
 
 @dataclass(frozen=True)
 class ExplorationSource(FabricSource):
-    """A response-graph exploration as fabric work units.
-
-    The frontier is dynamic — expanding a state discovers new work — so
-    the source re-plans every round: each round offers ``shards`` units
-    (shard ``j`` of ``k`` with an expansion budget), workers drain
-    them, and planning repeats until the store holds the complete
-    graph.  Budgets bound a unit's runtime so lease TTLs stay
-    meaningful on frontier spikes.
-    """
+    """A response-graph exploration as fabric work units: the planning
+    process holds the graph, and a unit is at most ``unit_budget`` of its
+    pending states, in key order, for a worker to expand and store.  A
+    plan replays only the bytes appended past each record file's offset,
+    or all again once a file shrank or vanished (``fsck --repair``,
+    ``compact --prune``).  Workers never plan: the planner is no field
+    and is never pickled."""
 
     game: object
     n: Optional[int] = None
@@ -822,7 +798,6 @@ class ExplorationSource(FabricSource):
     moves: str = "best"
     agent_filter: str = "all"
     max_states: int = 200_000
-    shards: int = 2
     unit_budget: int = 200
     game_name: Optional[str] = None
     #: filesystem seam handed to the store (chaos tests only).
@@ -831,67 +806,85 @@ class ExplorationSource(FabricSource):
     multi_round = True
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be at least 1, got {self.shards}")
+        if self.unit_budget < 1:
+            raise ValueError(
+                f"unit_budget must be at least 1, got {self.unit_budget}")
+        if self.max_states < 1:
+            raise ValueError(
+                f"max_states must be at least 1, got {self.max_states}")
+        # [store root, graph, record file name -> bytes replayed]
+        object.__setattr__(self, "_planner", None)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_planner": None}
 
     def store(self, root):
         from ..statespace.store import ExplorationStore
 
         return ExplorationStore(root, fs=self.fs)
 
+    def _graph(self, store):
+        """The planner's graph, brought up to date with ``store``."""
+        from ..statespace.expand import ownership_matters
+        from ..statespace.explore import _replay, _traverse
+
+        if self._planner is not None and self._planner[0] == store.root:
+            _, graph, offsets = self._planner
+            read = store.records_after(offsets)
+            if read is not None:
+                records, self._planner[2] = read
+                _replay(graph, records, ownership_matters(self.game),
+                        self.max_states)
+                return graph
+        # rows landing after the snapshot are read again, and skipped
+        offsets = store.record_file_sizes()
+        graph = _traverse(
+            self.game, self.start, n=self.n, moves=self.moves,
+            agent_filter=self.agent_filter, max_states=self.max_states,
+            store=store, max_expansions=0)
+        object.__setattr__(self, "_planner", [store.root, graph, offsets])
+        return graph
+
     def plan(self, store, round_index: int) -> List[dict]:
-        # a unit that saw the complete graph left the store's marker, so
-        # planning reads no record row; until then one more round of
-        # units expands the frontier or finds the graph complete
-        if round_index > 0 and store.marked_complete():
-            return []
-        return [
-            {"id": f"r{round_index}-s{j}", "shard": [j, self.shards],
-             "budget": int(self.unit_budget)}
-            for j in range(self.shards)
-        ]
+        from ..statespace.explore import _FRONTIER_DEPTH
 
-    def execute(self, unit: dict, store, worker: str) -> dict:
-        from ..statespace.explore import explore
-
-        report = explore(
-            self.game,
-            start=self.start,
-            n=self.n,
-            moves=self.moves,
-            agent_filter=self.agent_filter,
-            max_states=self.max_states,
-            store=store,
-            shard=tuple(unit["shard"]),
-            max_expansions=int(unit["budget"]),
-            game_name=self.game_name,
-        )
-        if report.truncated:
+        graph = self._graph(store)
+        if graph.truncated:
             raise ExplorationTruncated(
                 f"exploration truncated at max_states={self.max_states}")
-        if report.complete:
-            # a failed write fails the unit, whose retry writes it again
-            store.mark_complete()
-        return {"states": report.n_states}
+        pending = sorted(graph.pending(), key=graph.keys.__getitem__)
+        _FRONTIER_DEPTH.set(len(pending))
+        step = self.unit_budget
+        return [{"id": f"r{round_index}-u{j}",
+                 "states": [[graph.keys[i].hex(), graph.blobs[i].hex()]
+                            for i in pending[first:first + step]]}
+                for j, first in enumerate(range(0, len(pending), step))]
+
+    def execute(self, unit: dict, store, worker: str) -> dict:
+        from ..statespace.expand import Expander
+        from ..statespace.explore import _EXPANSIONS, _expand_states, _record
+
+        states = [(bytes.fromhex(key), bytes.fromhex(blob))
+                  for key, blob in unit["states"]]
+        expander = Expander(self.game, moves=self.moves,
+                            agent_filter=self.agent_filter)
+        n = self.n if self.start is None else self.start.n
+        expansions = _expand_states(expander, states, n)
+        with store.open_tagged_writer(worker) as fh:
+            for (key, blob), (_, succs) in zip(states, expansions):
+                store.append(fh, _record(key, blob, succs))
+        _EXPANSIONS.inc(len(expansions))
+        return {"states": len(expansions)}
 
     def finished(self, store) -> bool:
-        return store.marked_complete()
+        return self._graph(store).complete
 
     def result(self, store):
-        from ..statespace.explore import explore
+        from ..statespace.explore import build_report
 
-        # the store holds every expansion; this replay builds the report
-        # without expanding anything new
-        return explore(
-            self.game,
-            start=self.start,
-            n=self.n,
-            moves=self.moves,
-            agent_filter=self.agent_filter,
-            max_states=self.max_states,
-            store=store,
-            game_name=self.game_name,
-        )
+        n = self.n if self.start is None else self.start.n
+        return build_report(self._graph(store), self.game, self.moves,
+                            self.agent_filter, n, game_name=self.game_name)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,10 +1077,14 @@ def worker_main(
                 beat.stop()
                 queue.release(lease, note=f"released by {worker_id} on drain")
                 return completed
-            except Exception as exc:  # noqa: BLE001 — unit errors are retryable
+            except Exception as exc:  # noqa: BLE001 — a unit error fails the unit
                 beat.stop()
-                queue.fail_lease(lease, f"{type(exc).__name__}: {exc}",
-                                 max_retries=max_retries, backoff=backoff)
+                # an OSError (ENOSPC, EIO) may pass, so it keeps the retry
+                # budget; any other error recurs on every retry and parks
+                queue.fail_lease(
+                    lease, f"{type(exc).__name__}: {exc}",
+                    max_retries=max_retries if isinstance(exc, OSError) else 0,
+                    backoff=backoff)
                 continue
             except BaseException:
                 beat.stop()  # an in-process caller outlives the unit
@@ -1360,10 +1357,11 @@ class Coordinator:
         Each round: plan units, enqueue the new ones, run the fleet
         until the queue drains.  Single-round sources finish in one
         pass; the exploration source keeps planning as the frontier
-        grows.  Raises :class:`FabricError` only on fleet collapse —
-        units that exhausted retries are *reported*, not raised, so a
-        partial drain still returns its progress; so does an
-        interrupted one (``interrupted=True``).
+        grows.  Raises :class:`FabricError` only on fleet collapse or
+        when planning finds the problem can never finish
+        (:class:`ExplorationTruncated`) — units that failed are
+        *reported*, not raised, so a partial drain still returns its
+        progress; so does an interrupted one (``interrupted=True``).
         """
         previous_term = None
         if threading.current_thread() is threading.main_thread():

@@ -18,15 +18,16 @@ A job runs on the campaign fabric (:mod:`repro.experiments.fabric`):
 its worker process is a one-worker fleet rooted at ``store/``, which
 plans the job's :class:`~repro.experiments.fabric.CampaignSource` or
 :class:`~repro.experiments.fabric.ExplorationSource` into the
-``WorkQueue`` and drains it with ``fabric.worker_main`` in-process.  So
-a job has the fabric's drain protocol — the first SIGTERM finishes the
-current unit and the worker exits :data:`EXIT_RELEASED` (the job goes
-back to ``queued``), a second releases the unit's lease at once — and
-its recovery path: completed units are never re-run, a unit cut short
-re-runs only the trials it had not stored, and a unit that keeps
-killing its worker is parked as poison, failing the job with the
-fabric's diagnosis.  ``repro top <state_dir>/jobs/<id>/store`` watches
-a running job like any drain.
+``WorkQueue`` and drains it with ``fabric.worker_main`` in-process (an
+explore job's process is also its planner).  So a job has the fabric's
+drain protocol — the first SIGTERM finishes the current unit and the
+worker exits :data:`EXIT_RELEASED` (the job goes back to ``queued``), a
+second releases the unit's lease at once — and its recovery path:
+completed units are never re-run, a unit cut short re-runs only the
+trials it had not stored, and a unit that keeps killing its worker is
+parked as poison, failing the job with the fabric's diagnosis.
+``repro top <state_dir>/jobs/<id>/store`` watches a running job like
+any drain.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import secrets
 import signal
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
@@ -91,7 +91,7 @@ EXIT_FAILED = 1
 #: graceful drain: the job is intact and resumable, put it back in queue
 EXIT_RELEASED = 3
 
-#: slice sizes for the worker's drain-aware loops
+#: work-unit sizes: trials per campaign unit, states per explore unit
 TRIAL_SLICE = 8
 EXPLORE_SLICE = 512
 
@@ -308,7 +308,7 @@ def _source_for(request: JobRequest, job_id: str) -> fabric.FabricSource:
     game = REGISTRY.build("game", spec.game, spec.params_for("game"), n=n)
     return fabric.ExplorationSource(
         game, n=n, moves=request.moves, agent_filter=request.agent_filter,
-        max_states=request.max_states, shards=1, unit_budget=EXPLORE_SLICE,
+        max_states=request.max_states, unit_budget=EXPLORE_SLICE,
         game_name=spec.game)
 
 
@@ -329,7 +329,7 @@ def _drain_job(source: fabric.FabricSource, store_dir: Path, worker_id: str,
     store = source.store(store_dir)
 
     def run_round() -> bool:
-        fabric.worker_main(source, store_dir, worker_id, max_retries=0, fs=fs)
+        fabric.worker_main(source, store_dir, worker_id, fs=fs)
         return queue.drained()
 
     fabric.run_rounds(source, store, queue, run_round)
@@ -377,9 +377,7 @@ def job_worker_main(job_dir: str) -> int:
         try:
             _write_json(root / "error.json", {
                 "error": "worker-error",
-                "detail": "".join(
-                    traceback.format_exception_only(type(exc), exc)).strip(),
-            })
+                "detail": f"{type(exc).__name__}: {exc}"})
         except OSError:
             pass
         return EXIT_FAILED

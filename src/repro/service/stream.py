@@ -25,9 +25,9 @@ import asyncio
 import json
 import time
 from pathlib import Path
-from typing import List, Tuple
+from typing import List
 
-from ..experiments.campaign import decode_record_line
+from ..experiments.campaign import decode_record_line, whole_lines_after
 from ..obs import metrics as obs_metrics
 from .jobs import TERMINAL_STATES, Job, JobManager
 from .protocol import CLOSE_NORMAL, ProtocolError, WebSocket
@@ -66,25 +66,13 @@ class RecordTail:
     def poll(self) -> List[str]:
         lines: List[str] = []
         for path in sorted(self.root.glob("*.jsonl")):
-            offset, partial = self._cursors.get(path.name, (0, b""))
             try:
-                with open(path, "rb") as fh:
-                    fh.seek(offset)
-                    chunk = fh.read()
+                raw, self._cursors[path.name] = whole_lines_after(
+                    path, self._cursors.get(path.name, 0))
             except OSError:
                 continue
-            if not chunk:
-                continue
-            offset += len(chunk)
-            parts = (partial + chunk).split(b"\n")
-            partial = parts.pop()
-            for raw in parts:
-                if not raw:
-                    continue
-                text = raw.decode("utf-8", errors="replace")
-                if decode_record_line(text)[0] is not None:
-                    lines.append(text)
-            self._cursors[path.name] = (offset, partial)
+            lines += [text for text in raw
+                      if text and decode_record_line(text)[0] is not None]
         return lines
 
 
@@ -134,8 +122,14 @@ async def stream_job(
                     dropped += 1
                     continue
                 try:
-                    queue.put_nowait(("record", line))
-                except asyncio.QueueFull:
+                    if not queue.full():
+                        queue.put_nowait(("record", line))
+                    else:
+                        # a poll can read more lines than the queue holds
+                        # (an explore unit appends its rows at once)
+                        await asyncio.wait_for(
+                            queue.put(("record", line)), summary_interval)
+                except asyncio.TimeoutError:
                     # the client is slower than the job: stop shipping
                     # records for good, keep counting them
                     summary_mode = True

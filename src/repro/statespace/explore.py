@@ -40,12 +40,11 @@ Exploration is **kill-safe and shardable**: with a ``store`` the
 frontier BFS appends one record per expanded state to the campaign-store
 JSONL format (:mod:`.store`), so a killed run resumes with zero
 recomputation, and calls with ``shard=(i, k)`` split the frontier
-deterministically (state ``s`` belongs to the shard of its key digest)
-— the fabric's :class:`~repro.experiments.fabric.ExplorationSource`
-hands those slices out as work units.  A shard drains only its own
-states; alternating shard calls converge to the full graph, and the
-finished report is a pure function of the graph — byte-identical
-however the work was scheduled, interrupted, or sharded.
+deterministically (state ``s`` belongs to the shard of its key digest).
+A shard drains only its own states; alternating shard calls converge to
+the full graph, and the finished report is a pure function of the graph
+— byte-identical however the work was scheduled, interrupted, or
+sharded.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -500,10 +499,6 @@ class ExplorationReport:
     def n_greedy_equilibria(self) -> Optional[int]:
         return None if self.greedy_equilibria is None else len(self.greedy_equilibria)
 
-    @property
-    def has_cycle(self) -> bool:
-        return bool(self.cycles)
-
     def to_json(self) -> dict:
         return {
             "version": self.version,
@@ -692,6 +687,13 @@ def _expand_states(
     return out
 
 
+def _record(key: bytes, blob: bytes,
+            succs: List[Tuple[int, dict, bytes, bytes]]) -> dict:
+    """The store row of one expanded state (see :mod:`.store`)."""
+    return {"key": key.hex(), "state": blob.hex(),
+            "succ": [[a, m, k.hex()] for a, m, k, _ in succs]}
+
+
 def _expand_chunk(args) -> List[Expansion]:
     """Worker body: :func:`_expand_states` with a fresh expander.
     Expansion is deterministic, so worker-local memo state affects speed
@@ -700,18 +702,21 @@ def _expand_chunk(args) -> List[Expansion]:
     return _expand_states(Expander(game, moves=moves, agent_filter=agent_filter), items, n)
 
 
-def _replay(graph: ResponseGraph, rows: Dict[str, dict], with_ownership: bool,
-            max_states: int) -> None:
-    """Load stored expansions into ``graph``: intern each parent, record
-    its transitions and intern their successors, derived from the parent
-    blob and the stored moves (:func:`~repro.statespace.expand.successor_state`).
+def _replay(graph: ResponseGraph, records: Iterable[dict],
+            with_ownership: bool, max_states: int) -> None:
+    """Load stored expansions into ``graph``, in key order: intern each
+    parent, record its transitions and intern their successors, derived
+    from the parent blob and the stored moves
+    (:func:`~repro.statespace.expand.successor_state`).  A record of a
+    state already expanded (a duplicate row) is skipped.
 
     A stored blob byte-identical to the one the graph already holds for
     its key is the explorer's own; any other is validated
     (:func:`decode_state`).  A derived successor must hash to its stored
     key, or ``ValueError`` names the record.
     """
-    for key_hex, rec in sorted(rows.items()):
+    for rec in sorted(records, key=lambda rec: rec["key"]):
+        key_hex = rec["key"]
         key = bytes.fromhex(key_hex)
         blob = bytes.fromhex(rec["state"])
         known = graph.index.get(key)
@@ -826,6 +831,13 @@ def _traverse(
     i_shard, k_shard = shard
     if not (0 <= i_shard < k_shard):
         raise ValueError(f"shard must satisfy 0 <= i < k, got {i_shard}/{k_shard}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be at least 1, got {n_jobs}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
+    if max_expansions is not None and max_expansions < 0:
+        raise ValueError(
+            f"max_expansions must be at least 0, got {max_expansions}")
     if n_jobs > 1 and backend is not None:
         raise ValueError("n_jobs > 1 requires backend=None "
                          "(worker processes build their own memo)")
@@ -855,7 +867,7 @@ def _traverse(
         store_obj.ensure_manifest(
             manifest_for(game, moves, agent_filter, size, seeds, max_states)
         )
-        _replay(graph, store_obj.expanded_rows(), with_ownership, max_states)
+        _replay(graph, store_obj.iter_all_records(), with_ownership, max_states)
 
     expansions = 0
     budget_hit = False
@@ -907,10 +919,7 @@ def _traverse(
                 if store_obj is not None:
                     if writer is None:
                         writer = store_obj.open_writer((i_shard, k_shard))
-                    store_obj.append(writer, {
-                        "key": key.hex(),
-                        "state": graph.blobs[idx].hex(),
-                        "succ": [[a, m, k.hex()] for a, m, k, _ in succs]})
+                    store_obj.append(writer, _record(key, graph.blobs[idx], succs))
     finally:
         if pool is not None:
             pool.shutdown()

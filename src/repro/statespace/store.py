@@ -22,7 +22,7 @@ is exactly the unsharded exploration.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List
+from typing import List
 
 from ..experiments.campaign import CampaignMismatch, CampaignStore
 
@@ -37,37 +37,6 @@ class ExplorationStore(CampaignStore):
     RECORD_PREFIX = "states"
     REQUIRED_KEYS = frozenset({"key", "state", "succ"})
     KIND = "exploration"
-    #: marker file of a store whose rows hold the complete graph
-    COMPLETE = "complete"
-
-    def mark_complete(self) -> None:
-        """Record, through the filesystem seam, that a traversal of this
-        store found every discovered state expanded.
-
-        The marker is an empty file, so it appears whole or not at all.
-        Rows only ever get added, so it never goes stale; a caller that
-        never writes it is only late to learn of it.
-        """
-        self.fs.write_text(self.root / self.COMPLETE, "")
-
-    def marked_complete(self) -> bool:
-        """Whether :meth:`mark_complete` ran on this store (one ``stat``,
-        no record row read)."""
-        return (self.root / self.COMPLETE).exists()
-
-    def expanded_rows(self) -> Dict[str, dict]:
-        """``key hex -> stored record`` across every shard file.
-
-        Duplicate keys (two shards racing on the same state, or a resume
-        overlapping a half-written layer) keep the first occurrence —
-        expansions are deterministic, so duplicates are identical
-        anyway.  Reads through :meth:`iter_all_records`, so a compacted
-        (even pruned) store replays without touching JSONL.
-        """
-        out: Dict[str, dict] = {}
-        for rec in self.iter_all_records():
-            out.setdefault(rec["key"], rec)
-        return out
 
     def status(self, seed_keys=None) -> dict:
         """Cheap progress counters straight off the record rows.

@@ -273,6 +273,51 @@ class TestServiceJob:
         assert sorted(trials) == list(range(20))
 
 
+    def test_explore_plan_drains_to_the_direct_census(self, tmp_path,
+                                                      monkeypatch):
+        """An explore job's planner survives the same faults: a torn
+        append and crashes restart the job process (a fresh planner
+        replays the store), a full disk retries its unit, and the
+        report equals the direct census byte for byte."""
+        import repro.service.jobs as jobs_mod
+        from dataclasses import replace
+
+        from repro.service.jobs import (
+            _drain_job, _source_for, parse_job_request)
+        from repro.statespace.explore import explore
+
+        # a census seeds all 728 states, so its one round has 4 units
+        monkeypatch.setattr(jobs_mod, "EXPLORE_SLICE", 200)
+        request = parse_job_request({"kind": "explore", "n": 5,
+                                     "spec": self.PAYLOAD["spec"]})
+        root = tmp_path / "store"
+        fs = FaultyFS(FaultPlan((
+            Fault(op="append", nth=150, kind="torn", frac=0.5),  # mid-unit
+            Fault(op="append", nth=400, kind="enospc"),
+            Fault(op="replace", nth=3, kind="crash"),  # planning round 0
+            Fault(op="append", nth=650, kind="crash"),
+        )))
+        reboots = 0
+        while True:
+            worker = f"w{reboots:06d}"
+            source = replace(_source_for(request, "job-chaos"), fs=fs)
+            try:
+                outcome, report = _drain_job(source, root, worker, fs=fs)
+                break
+            except InjectedCrash:
+                fs.revive()
+                WorkQueue(root).fail_dead_owner(worker, exitcode=-9)
+                reboots += 1
+                assert reboots <= 20, f"{fs.plan.describe()} wedged the job"
+        assert outcome == "done" and reboots == 3
+        assert sorted(kind for kind, _, _ in fs.fired) == [
+            "crash", "crash", "enospc", "torn"]
+        assert len(WorkQueue(root).done_units()) >= 4
+        game = _source_for(request, "direct").game
+        assert report.json_bytes() == \
+            explore(game, n=5, game_name="sg").json_bytes()
+
+
 # ---------------------------------------------------------------------------
 # seeded plans — reproducible random fault sequences
 

@@ -559,119 +559,193 @@ class TestColumnar:
 
 
 class TestExplorationDrain:
+    @staticmethod
+    def drive(source, store, rounds=0):
+        """Plan and execute rounds in process until a plan is empty;
+        returns the number of rounds that had units."""
+        while units := source.plan(store, rounds):
+            for unit in units:
+                source.execute(unit, store, "w0")
+            rounds += 1
+        return rounds
+
     def test_drained_census_matches_serial(self, tmp_path):
-        from repro.core.games import AsymmetricSwapGame
+        from repro.core.games import SwapGame
         from repro.statespace.explore import explore
         from repro.statespace.store import ExplorationStore
 
-        game = AsymmetricSwapGame("sum")
-        serial = explore(game, n=3)
-        source = ExplorationSource(game, n=3, shards=2, unit_budget=10)
+        game = SwapGame("sum")
+        serial = explore(game, n=5)
+        source = ExplorationSource(game, n=5)
         report = Coordinator(
             source, tmp_path / "x", workers=2, lease_ttl=10.0
         ).drain()
-        assert report.complete
-        assert report.result.n_states == serial.n_states
-        assert sorted(report.result.equilibria) == sorted(serial.equilibria)
+        # 728 seeds are every state there is: one round, 200 a unit
+        assert report.complete and report.rounds == 1
+        assert report.units_done == 4
+        assert report.result.json_bytes() == serial.json_bytes()
 
         # compact + prune the drained store; the replay still works
         store = ExplorationStore(tmp_path / "x")
         summary = compact_store(store, prune=True)
         assert summary["pruned"] and not store.record_files()
         assert store.status()["complete"]
-        replay = explore(game, n=3, store=store)
-        assert replay.n_states == serial.n_states
+        replay = explore(game, n=5, store=store)
+        assert replay.json_bytes() == serial.json_bytes()
 
-    def test_truncated_exploration_fails_its_unit(self, tmp_path):
-        """A ``max_states`` cut can never complete the graph: the unit
-        fails with a named error and the drain reports it, instead of
-        re-planning one more unit every round."""
+    def test_drained_reachable_component_matches_serial(self, tmp_path):
+        from repro.instances.figures import ALL_INSTANCES
+        from repro.statespace.explore import explore
+
+        inst = ALL_INSTANCES["fig3"]()
+        serial = explore(inst.game, inst.network)
+        source = ExplorationSource(inst.game, start=inst.network,
+                                   unit_budget=1)
+        report = Coordinator(
+            source, tmp_path, workers=2, lease_ttl=10.0, poll=0.01
+        ).drain()
+        assert report.complete and report.rounds >= 2
+        assert report.units_done == serial.n_states
+        assert report.result.json_bytes() == serial.json_bytes()
+
+    def test_truncated_exploration_raises_named_error(self, tmp_path):
+        """A ``max_states`` cut can never complete the graph: the plan
+        that finds it raises a named error instead of re-planning one
+        more round forever."""
         from repro.core.games import SwapGame
+        from repro.experiments.fabric import ExplorationTruncated
+        from repro.graphs.generators import path_network
 
-        source = ExplorationSource(SwapGame("sum"), n=5, max_states=10,
-                                   shards=1, unit_budget=200)
-        report = Coordinator(source, tmp_path, workers=1, max_retries=0,
-                             lease_ttl=10.0, poll=0.01).drain()
-        assert not report.complete and report.rounds == 1
-        [failed] = report.failed
-        assert failed["error"] == (
-            "ExplorationTruncated: exploration truncated at max_states=10")
+        source = ExplorationSource(SwapGame("sum"), start=path_network(7),
+                                   max_states=10)
+        coordinator = Coordinator(source, tmp_path, workers=1,
+                                  lease_ttl=10.0, poll=0.01)
+        with pytest.raises(ExplorationTruncated,
+                           match="^exploration truncated at max_states=10$"):
+            coordinator.drain()
+        # the rounds before the cut ran; nothing failed
+        counts = coordinator.queue.counts()
+        assert counts["done"] >= 1 and counts["failed"] == 0
 
     def test_exploration_unit_executes_in_process(self, tmp_path):
-        """One shard unit run directly (no worker process) expands
-        states and the source sees the complete store."""
+        """One unit run directly (no worker process) expands its states
+        and the source sees the complete store."""
         from repro.core.games import AsymmetricSwapGame
         from repro.statespace.store import ExplorationStore
 
         game = AsymmetricSwapGame("sum")
-        source = ExplorationSource(game, n=3, shards=1, unit_budget=100_000)
+        source = ExplorationSource(game, n=3, unit_budget=100_000)
         store = ExplorationStore(tmp_path)
         [unit] = source.plan(store, 0)
         result = source.execute(unit, store, "w0")
-        assert result["states"] > 0
+        assert result["states"] == len(unit["states"]) > 0
         assert source.finished(store)
         assert source.result(store).n_states == result["states"]
 
+    def test_units_are_pending_states_in_key_order(self, tmp_path):
+        from repro.core.games import SwapGame
+        from repro.statespace.explore import seed_keys
+
+        game = SwapGame("sum")
+        source = ExplorationSource(game, n=4, unit_budget=10)
+        units = source.plan(source.store(tmp_path), 3)
+        assert [u["id"] for u in units] == ["r3-u0", "r3-u1", "r3-u2",
+                                            "r3-u3"]
+        assert [len(u["states"]) for u in units] == [10, 10, 10, 8]
+        keys = [key for u in units for key, _ in u["states"]]
+        assert keys == sorted(k.hex() for k in seed_keys(game, n=4))
+
     def test_planning_after_completion_reads_no_record_row(self, tmp_path,
                                                            monkeypatch):
-        """The unit that sees the complete graph leaves the store's
-        marker, so the next plan stops without parsing stored rows."""
+        """The planner keeps its graph: once it is complete, the next
+        plan stops without parsing a stored row."""
         from repro.core.games import SwapGame
+        from repro.experiments import campaign
         from repro.statespace.store import ExplorationStore
 
-        source = ExplorationSource(SwapGame("sum"), n=4, shards=1,
-                                   unit_budget=10)
+        source = ExplorationSource(SwapGame("sum"), n=4, unit_budget=10)
         store = ExplorationStore(tmp_path)
-        rounds = 0
-        while units := source.plan(store, rounds):
-            assert not store.marked_complete()
-            for unit in units:
-                source.execute(unit, store, "w0")
-            rounds += 1
-        assert rounds == 4  # 38 states, 10 per unit
+        assert self.drive(source, store) == 1  # 38 seeds, all of the graph
 
-        def forbidden(self):
+        def forbidden(*args, **kwargs):
             raise AssertionError("a record row was read")
 
         monkeypatch.setattr(ExplorationStore, "iter_all_records", forbidden)
-        assert source.plan(store, rounds) == []
+        monkeypatch.setattr(campaign, "decode_record_line", forbidden)
+        assert source.plan(store, 1) == []
         assert source.finished(store)
+        assert source.result(store).n_states == 38
 
-    def test_marker_is_never_early(self, tmp_path):
-        """A partial or sharded-off drain writes no marker."""
-        from repro.core.games import AsymmetricSwapGame
-        from repro.statespace.store import ExplorationStore
+    def test_partial_drain_is_not_finished(self, tmp_path):
+        """A round whose units ran only in part leaves the rest pending:
+        the source is not finished, and the next plan offers exactly the
+        states no row holds yet."""
+        from repro.core.games import SwapGame
 
-        source = ExplorationSource(AsymmetricSwapGame("sum"), n=3, shards=2,
-                                   unit_budget=5)
-        store = ExplorationStore(tmp_path)
-        for unit in source.plan(store, 0):
-            source.execute(unit, store, "w0")
-            assert not store.marked_complete()
+        source = ExplorationSource(SwapGame("sum"), n=4, unit_budget=10)
+        store = source.store(tmp_path)
+        first, *rest = source.plan(store, 0)
+        source.execute(first, store, "w0")
         assert not source.finished(store)
+        assert [u["states"] for u in source.plan(store, 1)] == \
+            [u["states"] for u in rest]
 
-    def test_failed_marker_write_fails_the_unit_and_retries(self, tmp_path):
-        """A full disk at the marker fails the unit with its real error;
-        the fabric's retry writes the marker and the drain ends."""
-        import errno
+    def test_planner_reloads_after_a_record_file_shrinks(self, tmp_path,
+                                                          monkeypatch):
+        """``fsck --repair`` and ``compact --prune`` shrink or delete
+        record files between rounds; the planner's byte offsets no longer
+        hold, so it replays the store afresh and the drain still reaches
+        the serial bytes."""
+        import importlib
 
+        from repro.core.games import SwapGame
+        from repro.graphs.generators import path_network
+        from repro.statespace.explore import explore
+
+        explore_mod = importlib.import_module("repro.statespace.explore")
+
+        game, start = SwapGame("sum"), path_network(7)
+        serial = explore(game, start)
+        traversals = []
+        real_traverse = explore_mod._traverse
+
+        def counting_traverse(*args, **kwargs):
+            traversals.append(kwargs["max_expansions"])
+            return real_traverse(*args, **kwargs)
+
+        monkeypatch.setattr(explore_mod, "_traverse", counting_traverse)
+        source = ExplorationSource(game, start=start, unit_budget=16)
+        store = source.store(tmp_path)
+        for rounds, shrink in enumerate((None, "fsck", "prune")):
+            for unit in source.plan(store, rounds):
+                source.execute(unit, store, f"w{rounds}")
+            if shrink == "fsck":
+                # rot a row the planner has read: fsck --repair
+                # quarantines it, the file shrinks, and the row's state
+                # is pending again
+                path = store.root / "states-w0.jsonl"
+                lines = path.read_text().splitlines(keepends=True)
+                lines[0] = lines[0].replace('"succ"', '"SUCC"', 1)
+                path.write_text("".join(lines))
+                assert store.fsck(repair=True)["repaired"] == 1
+            elif shrink == "prune":
+                assert compact_store(store, prune=True)["pruned"]
+        rounds += 1
+        assert self.drive(source, store, rounds) > rounds
+        assert traversals == [0, 0, 0]  # first use, then once per shrink
+        assert source.result(store).json_bytes() == serial.json_bytes()
+
+    def test_enospc_at_a_unit_append_is_retried(self, tmp_path):
+        """A full disk at a unit's append is transient: the unit keeps
+        its retry budget, and the retry drains the graph."""
         from repro.core.games import SwapGame
         from repro.testing.faults import Fault, FaultPlan, FaultyFS
 
-        marker = tmp_path / "complete"
-        fs = FaultyFS(FaultPlan((
-            Fault(op="write", nth=0, kind="enospc", path=str(marker)),)))
-        source = ExplorationSource(SwapGame("sum"), n=4, shards=1,
-                                   unit_budget=100, fs=fs)
+        fs = FaultyFS(FaultPlan((Fault(op="append", nth=0, kind="enospc"),)))
+        source = ExplorationSource(SwapGame("sum"), n=4, unit_budget=100,
+                                   fs=fs)
         store = source.store(tmp_path)
-        [unit] = source.plan(store, 0)
-        with pytest.raises(OSError) as exc:
-            source.execute(unit, store, "w0")
-        assert exc.value.errno == errno.ENOSPC
-        assert not marker.exists() and not source.finished(store)
-
         queue = WorkQueue(tmp_path, fs=fs)
-        queue.initialize([unit])
 
         def run_round() -> bool:
             fabric.worker_main(source, tmp_path, "w0", max_retries=1,
@@ -680,9 +754,22 @@ class TestExplorationDrain:
             return queue.drained()
 
         assert fabric.run_rounds(source, store, queue, run_round) == 1
+        assert fs.any_fired()
+        [done] = queue.done_units()
+        assert done["retries"] == 1 and "no space left" in done["error"]
         assert not queue.failed_units() and source.finished(store)
-        assert source.plan(store, 2) == []
         assert source.result(store).n_states == 38
+
+    def test_planner_state_is_not_pickled(self, tmp_path):
+        import pickle
+
+        from repro.core.games import SwapGame
+
+        source = ExplorationSource(SwapGame("sum"), n=3)
+        assert source.plan(source.store(tmp_path), 0)
+        assert source._planner is not None
+        clone = pickle.loads(pickle.dumps(source))
+        assert clone._planner is None and clone.n == 3
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +884,13 @@ class TestSourceProtocol:
         with pytest.raises(ValueError, match=name):
             CampaignSource(tiny_spec(), **kwargs)
 
-    def test_exploration_source_rejects_zero_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            ExplorationSource(object(), n=3, shards=0)
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"unit_budget": 0}, "unit_budget"),
+        ({"max_states": 0}, "max_states"),
+    ])
+    def test_exploration_source_rejects_bad_knobs(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            ExplorationSource(object(), n=3, **kwargs)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"workers": 0}, "workers"),

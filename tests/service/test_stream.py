@@ -223,6 +223,38 @@ class TestBackpressure:
         assert closed
 
 
+    def test_fast_client_takes_a_burst_longer_than_the_queue(self, tmp_path):
+        """One poll reading more lines than the queue holds is a burst,
+        not a slow client: a reader that keeps up gets every record."""
+        from repro.service.protocol import WebSocket
+
+        total = 100
+
+        async def go():
+            manager = make_manager(tmp_path)
+            job = manager.submit(trial_payload(trials=total), client="t")
+            store = manager.store_dir(job.id)
+            store.mkdir(parents=True)
+            (store / "trials-0of1.jsonl").write_text(
+                "".join(fake_line(i) + "\n" for i in range(total)))
+            job.state = "done"
+            manager._persist(job)
+
+            harness = WsHarness()
+            await asyncio.wait_for(
+                stream_job(manager, job, WebSocket(harness.reader, harness),
+                           poll=0.01, queue_limit=4, summary_interval=1.0),
+                timeout=30)
+            return harness.messages()
+
+        records, events, closed = asyncio.run(go())
+        assert [line for line, _ in records] == \
+            [fake_line(i) for i in range(total)]
+        end = events[-1][1]
+        assert (end["records"], end["dropped"]) == (total, 0)
+        assert closed
+
+
 class TestResumedEvent:
     """A worker crash mid-job surfaces as a ``resumed`` control event."""
 

@@ -177,10 +177,15 @@ class TestDrainOutcomes:
 
     def test_explore_job_releases_between_rounds(self, tmp_path, monkeypatch):
         """A drain signal taken during one round's unit stops the job at
-        the next round, even though that round's queue ran dry."""
-        monkeypatch.setattr(jobs_mod, "EXPLORE_SLICE", 4)
-        request = parse_job_request(explore_payload(n=4))
-        source = _source_for(request, "job-x")
+        the next round, even though that round's queue ran dry.  A
+        census seeds every state, so its frontier empties in one round;
+        a reachable component takes one round per BFS layer."""
+        from repro.core.games import SwapGame
+        from repro.graphs.generators import path_network
+        from repro.statespace.explore import explore
+
+        game, start = SwapGame("sum"), path_network(7)
+        source = fabric.ExplorationSource(game, start=start, unit_budget=4)
         real_worker_main = fabric.worker_main
 
         def signalled_worker_main(*args, **kwargs):
@@ -195,10 +200,39 @@ class TestDrainOutcomes:
             assert _drain_job(source, store, "w000000") == ("released", None)
         finally:
             fabric._DRAIN_ASKED.clear()
-        assert fabric.WorkQueue(store).counts()["done"] == 1
+        assert fabric.WorkQueue(store).counts()["done"] == 1  # the start
         monkeypatch.setattr(fabric, "worker_main", real_worker_main)
         outcome, report = _drain_job(source, store, "w000001")
-        assert outcome == "done" and report.complete
+        assert outcome == "done"
+        assert report.json_bytes() == explore(game, start).json_bytes()
+
+    def test_multi_round_job_decodes_each_row_at_most_twice(self, tmp_path,
+                                                            monkeypatch):
+        """The job's planner keeps its graph between rounds and replays
+        only the rows a round appended: no stored row is decoded more
+        than twice, however many rounds the job plans."""
+        from collections import Counter
+
+        from repro.core.games import SwapGame
+        from repro.experiments import campaign
+        from repro.graphs.generators import path_network
+
+        decodes = Counter()
+        real_decode = campaign.decode_record_line
+
+        def counting_decode(line):
+            decodes[line] += 1
+            return real_decode(line)
+
+        monkeypatch.setattr(campaign, "decode_record_line", counting_decode)
+        source = fabric.ExplorationSource(SwapGame("sum"),
+                                          start=path_network(7), unit_budget=16)
+        outcome, report = _drain_job(source, tmp_path, "w000000")
+        assert outcome == "done" and report.n_states == 258
+        rounds = len({u["id"].split("-")[0]
+                      for u in fabric.WorkQueue(tmp_path).done_units()})
+        assert rounds >= 5
+        assert sum(decodes.values()) >= 258 and max(decodes.values()) <= 2
 
 
 def _claim_as_current_worker(manager, job) -> None:

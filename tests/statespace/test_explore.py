@@ -20,6 +20,7 @@ from repro.graphs import bitkernel, incremental
 from repro.instances.figures import fig3_sum_asg_cycle
 from repro.statespace import (
     ExplorationReport,
+    ExplorationStore,
     enumerate_states,
     explore,
     verify_sinks,
@@ -278,6 +279,18 @@ class TestReport:
             explore(game, n=3, agent_filter="bogus")
         with pytest.raises(ValueError, match="shard"):
             explore(game, n=3, shard=(2, 2))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_jobs": 0}, "n_jobs"),
+        ({"max_states": 0}, "max_states"),
+        ({"max_expansions": -1}, "max_expansions"),
+    ])
+    def test_bad_counts_rejected_before_the_manifest(self, tmp_path, kwargs,
+                                                     name):
+        store = ExplorationStore(tmp_path / "x")
+        with pytest.raises(ValueError, match=name):
+            explore(SwapGame("sum"), n=3, store=store, **kwargs)
+        assert store.load_manifest() is None
 
 
 class TestExpanderMemo:

@@ -131,7 +131,7 @@ class TestReplay:
 
     def test_replayed_successors_match_copy_and_apply(self, tmp_path):
         store = self._killed_store(tmp_path / "x")
-        rows = store.expanded_rows()
+        rows = {rec["key"]: rec for rec in store.load_records()}
         assert 0 < len(rows) < 150
         graph = explore(self.GAME, n=4, store=store, max_expansions=0).graph
         for key_hex, rec in rows.items():
@@ -153,9 +153,9 @@ class TestReplay:
 
     def _path_store(self, root):
         explore(SwapGame("sum"), self.PATH, store=root, max_expansions=1)
-        [(key_hex, rec)] = ExplorationStore(root).expanded_rows().items()
+        [rec] = ExplorationStore(root).load_records()
         assert rec["succ"]
-        return key_hex
+        return rec["key"]
 
     def test_wrong_move_fails_naming_the_record(self, tmp_path):
         def edit(rec):

@@ -39,9 +39,9 @@ class TestResume:
     def test_resume_recomputes_nothing(self, tmp_path, game):
         root = tmp_path / "exp"
         explore(game, n=3, store=root)
-        before = ExplorationStore(root).expanded_rows()
+        before = ExplorationStore(root).load_records()
         again = explore(game, n=3, store=root)
-        after = ExplorationStore(root).expanded_rows()
+        after = ExplorationStore(root).load_records()
         assert again.complete
         assert before == after  # no new rows appended
 

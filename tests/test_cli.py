@@ -559,6 +559,18 @@ class TestExplore:
         out = capsys.readouterr().out
         assert f"n={n}" in out and "negative dimensions" not in out
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--jobs", "0", "n_jobs"),
+        ("--max-expansions", "-1", "max_expansions"),
+        ("--max-states", "0", "max_states"),
+    ])
+    def test_bad_counts_exit_2(self, capsys, tmp_path, flag, value, name):
+        rc = main(["explore", "--game", "sg", "--n", "3", flag, value,
+                   "--results-dir", str(tmp_path)])
+        assert rc == 2
+        assert name in capsys.readouterr().out
+        assert not list(tmp_path.rglob("manifest.json"))
+
     def test_requires_n_or_figure(self, capsys, tmp_path):
         assert main(["explore", "--game", "sg",
                      "--results-dir", str(tmp_path)]) == 2
@@ -594,6 +606,42 @@ class TestObservabilityCLI:
         root = str(tmp_path / "fig7-seed0")
         assert main(["top", root, "--once"]) == 0
         assert "repro_" in capsys.readouterr().out
+
+    @staticmethod
+    def top_values(capsys, root) -> dict:
+        """``repro top --once`` on ``root`` as ``metric -> value``."""
+        assert main(["top", str(root), "--once"]) == 0
+        # counters and gauges; histogram lines end in a sum, not a value
+        return {line.split()[0]: float(line.split()[-1])
+                for line in capsys.readouterr().out.splitlines()
+                if "count=" not in line}
+
+    def test_top_on_an_exploration_drain(self, capsys, tmp_path):
+        from repro.core.games import SwapGame
+        from repro.experiments.fabric import Coordinator, ExplorationSource
+
+        source = ExplorationSource(SwapGame("sum"), n=4, unit_budget=10)
+        report = Coordinator(source, tmp_path, workers=2,
+                             lease_ttl=10.0, poll=0.01).drain()
+        assert report.complete
+        values = self.top_values(capsys, tmp_path)
+        assert values["repro_explore_expansions_total"] == 38
+
+    def test_top_on_an_explore_job_store(self, capsys, tmp_path):
+        from repro.service.jobs import (
+            _drain_job, _source_for, parse_job_request)
+        from tests.service.conftest import SG_SPEC
+
+        request = parse_job_request({"kind": "explore", "n": 4,
+                                     "spec": SG_SPEC})
+        store = tmp_path / "store"
+        outcome, _ = _drain_job(_source_for(request, "job-top"), store,
+                                "w000000")
+        assert outcome == "done"
+        values = self.top_values(capsys, store)
+        assert values["repro_explore_expansions_total"] == 38
+        # the one planned round's frontier: every seed was pending
+        assert values["repro_explore_frontier_depth"] == 38
 
     def test_top_without_metrics(self, capsys, tmp_path):
         assert main(["top", str(tmp_path), "--once"]) == 1
